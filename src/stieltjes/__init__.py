@@ -24,8 +24,8 @@ from .regulated import (Affine, MonotoneFunction, PiecewiseLipschitz, Power,
                         SinWave)
 from .partitions import (Division, Gauge, Partition, cousin_fine_partition,
                          interior_tags, is_fine, random_fine_partition, refine)
-from .sums import (BoundCheck, BoundsReport, KahanSum, SumValue,
-                   check_sum_bounds, kahan_sum, riemann_sum, young_sum)
+from .sums import (BoundCheck, BoundsReport, SumValue, check_sum_bounds,
+                   riemann_sum, young_sum)
 from .integrate import (Diagnostics, ElementaryIntegrand, IndicatorKind,
                         IntegralKind, IntegralResult, by_parts,
                         check_integral_bounds, elementary_backward,
@@ -43,14 +43,14 @@ __all__ = [
     "DSLSemanticError", "DSLSyntaxError", "ElementaryIntegrand",
     "FunctionSpec", "Gauge", "GaugeError", "GaugeTooFineError",
     "IndicatorKind", "IntegralKind", "IntegralResult", "Interval", "JobSpec",
-    "KahanSum", "MonotoneFunction", "OracleReport", "Partition",
+    "MonotoneFunction", "OracleReport", "Partition",
     "PiecewiseLipschitz", "Power", "RegulatedFunction", "SinWave",
     "StepApproximation", "StepFunction", "StepPairError", "StieltjesError",
     "SumValue", "VariationUnknownError", "bv_norm", "by_parts",
     "check_integral_bounds", "check_sum_bounds", "cousin_fine_partition",
     "build_function", "build_pair", "elementary_backward",
     "elementary_forward", "indicator", "integrate", "integrate_limit",
-    "integrate_step_pair", "interior_tags", "is_fine", "kahan_sum",
+    "integrate_step_pair", "interior_tags", "is_fine",
     "one_sided_limits", "oracle_gauge", "oracle_refinement", "parse_spec",
     "random_fine_partition", "refine", "render_function", "render_job",
     "riemann_sum", "step_from_jumps", "sup_norm", "total_variation",

@@ -17,23 +17,26 @@ integration by parts exact:
 
 for regulated f, g with at least one of finite variation.
 
-Closed forms: for a step function in either slot, the integral reduces
-by bilinearity to five elementary indicator integrands whose values
+Closed forms: a step function in either slot is, by bilinearity, a
+combination of five elementary indicator integrands whose values
 against any regulated g are one-sided limit expressions (the table in
-``_forward_value`` / ``_backward_value``; cross-checked definitionally
-by the oracle module's tests).  Everything else goes through certified
-step approximants.
+``elementary_forward`` / ``elementary_backward``; cross-checked
+definitionally by the oracle module's tests).  Summed by parts, that
+table collapses into one walk over the step argument's nodes, which
+``integrate_step_pair`` adds up with ``math.fsum``.  Everything else
+goes through certified step approximants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import Interval, RegulatedFunction
 from .errors import DomainError, StepPairError, VariationUnknownError
 from .stepfun import StepFunction, indicator
-from .sums import BoundsReport, KahanSum, _make_check
+from .sums import BoundsReport, _make_check
 
 
 class IntegralKind(Enum):
@@ -115,102 +118,111 @@ def _require_tau(e: ElementaryIntegrand, interval: Interval) -> float:
     return tau
 
 
-def _forward_value(e: ElementaryIntegrand, g: RegulatedFunction, kind: IntegralKind) -> float:
-    """Integral of the indicator against dg.  K and Y share a column;
-    D ignores one-sided limits at the left cut and drops the endpoint
-    atom (its tags never reach the nodes)."""
-    a, b = g.interval.a, g.interval.b
-    ky = kind is not IntegralKind.DUSHNIK
-    k = e.kind
-    if k is IndicatorKind.ONE:
-        return g.value(b) - g.value(a)
-    if k is IndicatorKind.OPEN_FROM_A:
-        return g.value(b) - (g.right_limit(a) if ky else g.value(a))
-    if k is IndicatorKind.OPEN_TAIL:
-        tau = _require_tau(e, g.interval)
-        return g.value(b) - (g.right_limit(tau) if ky else g.value(tau))
-    if k is IndicatorKind.CLOSED_TAIL:
-        tau = _require_tau(e, g.interval)
-        return g.value(b) - (g.left_limit(tau) if ky else g.value(tau))
-    if k is IndicatorKind.POINT_B:
-        return (g.value(b) - g.left_limit(b)) if ky else 0.0
-    raise DomainError(f"unknown indicator kind {k!r}")
-
-
-def _backward_value(g: RegulatedFunction, e: ElementaryIntegrand, kind: IntegralKind) -> float:
-    """Integral of g against d(indicator)."""
-    a, b = g.interval.a, g.interval.b
-    ky = kind is not IntegralKind.DUSHNIK
-    k = e.kind
-    if k is IndicatorKind.ONE:
-        return 0.0
-    if k is IndicatorKind.OPEN_FROM_A:
-        return g.value(a) if ky else g.right_limit(a)
-    if k is IndicatorKind.OPEN_TAIL:
-        tau = _require_tau(e, g.interval)
-        return g.value(tau) if ky else g.right_limit(tau)
-    if k is IndicatorKind.CLOSED_TAIL:
-        tau = _require_tau(e, g.interval)
-        return g.value(tau) if ky else g.left_limit(tau)
-    if k is IndicatorKind.POINT_B:
-        return g.value(b) if ky else g.left_limit(b)
-    raise DomainError(f"unknown indicator kind {k!r}")
-
-
 def elementary_forward(e: ElementaryIntegrand, g: RegulatedFunction,
-                        kind: IntegralKind) -> IntegralResult:
-    """Closed-form integral of an elementary indicator against dg."""
-    return IntegralResult(_forward_value(e, g, kind), kind, 0.0,
-                          Diagnostics("indicator-table"))
+                       kind: IntegralKind) -> IntegralResult:
+    """Closed-form integral of an elementary indicator against dg.  K
+    and Y share a column; D ignores one-sided limits at the left cut and
+    drops the endpoint atom (its tags never reach the nodes)."""
+    a, b = g.interval.a, g.interval.b
+    ky = kind is not IntegralKind.DUSHNIK
+    k = e.kind
+    if k is IndicatorKind.ONE:
+        value = g.value(b) - g.value(a)
+    elif k is IndicatorKind.OPEN_FROM_A:
+        value = g.value(b) - (g.right_limit(a) if ky else g.value(a))
+    elif k is IndicatorKind.OPEN_TAIL:
+        tau = _require_tau(e, g.interval)
+        value = g.value(b) - (g.right_limit(tau) if ky else g.value(tau))
+    elif k is IndicatorKind.CLOSED_TAIL:
+        tau = _require_tau(e, g.interval)
+        value = g.value(b) - (g.left_limit(tau) if ky else g.value(tau))
+    elif k is IndicatorKind.POINT_B:
+        value = (g.value(b) - g.left_limit(b)) if ky else 0.0
+    else:
+        raise DomainError(f"unknown indicator kind {k!r}")
+    return IntegralResult(value, kind, 0.0, Diagnostics("indicator-table"))
 
 
 def elementary_backward(g: RegulatedFunction, e: ElementaryIntegrand,
-                                kind: IntegralKind) -> IntegralResult:
+                        kind: IntegralKind) -> IntegralResult:
     """Closed-form integral of g against the indicator's differential."""
-    return IntegralResult(_backward_value(g, e, kind), kind, 0.0,
-                          Diagnostics("indicator-table"))
+    a, b = g.interval.a, g.interval.b
+    ky = kind is not IntegralKind.DUSHNIK
+    k = e.kind
+    if k is IndicatorKind.ONE:
+        value = 0.0
+    elif k is IndicatorKind.OPEN_FROM_A:
+        value = g.value(a) if ky else g.right_limit(a)
+    elif k is IndicatorKind.OPEN_TAIL:
+        tau = _require_tau(e, g.interval)
+        value = g.value(tau) if ky else g.right_limit(tau)
+    elif k is IndicatorKind.CLOSED_TAIL:
+        tau = _require_tau(e, g.interval)
+        value = g.value(tau) if ky else g.left_limit(tau)
+    elif k is IndicatorKind.POINT_B:
+        value = g.value(b) if ky else g.left_limit(b)
+    else:
+        raise DomainError(f"unknown indicator kind {k!r}")
+    return IntegralResult(value, kind, 0.0, Diagnostics("indicator-table"))
 
 
-def _tail_indicator(sigma: float, a: float, closed: bool) -> ElementaryIntegrand:
-    if closed:
-        return ElementaryIntegrand(IndicatorKind.CLOSED_TAIL, sigma)
-    if sigma == a:
-        return ElementaryIntegrand(IndicatorKind.OPEN_FROM_A)
-    return ElementaryIntegrand(IndicatorKind.OPEN_TAIL, sigma)
+def _step_integrand_terms(f: StepFunction, g: RegulatedFunction, dushnik: bool):
+    # D: sum_k d_k [g(sigma_{k+1}) - g(sigma_k)].
+    # K, Y: sum_k c_k [g(sigma_k+) - g(sigma_k-)]
+    #       + sum_k d_k [g(sigma_{k+1}-) - g(sigma_k+)].
+    ns, cs, ds = f.nodes, f.node_values, f.interior_values
+    if dushnik:
+        g_prev = g.value(ns[0])
+        for k, d in enumerate(ds):
+            g_next = g.value(ns[k + 1])
+            yield d * (g_next - g_prev)
+            g_prev = g_next
+        return
+    g_left = g.value(ns[0])  # g(a-) := g(a)
+    for k, d in enumerate(ds):
+        g_right = g.right_limit(ns[k])
+        yield cs[k] * (g_right - g_left)
+        g_left = g.left_limit(ns[k + 1])
+        yield d * (g_left - g_right)
+    yield cs[-1] * (g.value(ns[-1]) - g_left)  # g(b+) := g(b)
+
+
+def _step_integrator_terms(f: RegulatedFunction, g: StepFunction, dushnik: bool):
+    # K, Y: sum_k f(sigma_k) [g(sigma_k+) - g(sigma_k-)].
+    # D: sum_k f(sigma_k+) [g(sigma_k+) - g(sigma_k)]
+    #          + f(sigma_k-) [g(sigma_k) - g(sigma_k-)].
+    # Nodes where g does not move contribute nothing and read no f.
+    ns, cs, ds = g.nodes, g.node_values, g.interior_values
+    m = len(ds)
+    for k, x in enumerate(ns):
+        before = ds[k - 1] if k else cs[0]  # g(a-) := g(a)
+        after = ds[k] if k < m else cs[m]   # g(b+) := g(b)
+        if dushnik:
+            if after != cs[k]:
+                yield f.right_limit(x) * (after - cs[k])
+            if cs[k] != before:
+                yield f.left_limit(x) * (cs[k] - before)
+        elif after != before:
+            yield f.value(x) * (after - before)
 
 
 def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
                         kind: IntegralKind) -> IntegralResult:
-    """Exact integral when either argument is a step function, by
-    splitting the step argument into its indicator components."""
+    """Exact integral when either argument is a step function: the five
+    closed forms summed by parts into one walk over the step argument's
+    nodes, added with ``math.fsum``."""
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
-    a, b = f.interval.a, f.interval.b
-    acc = KahanSum()
+    dushnik = kind is IntegralKind.DUSHNIK
     if isinstance(f, StepFunction):
-        dec = f.decompose()
-        acc.add(dec.base * (g.value(b) - g.value(a)))
-        for sigma, w in dec.plus_jumps:
-            acc.add(w * _forward_value(_tail_indicator(sigma, a, False), g, kind))
-        for sigma, w in dec.minus_jumps:
-            acc.add(w * _forward_value(_tail_indicator(sigma, a, True), g, kind))
-        if dec.endpoint != 0.0:
-            acc.add(dec.endpoint *
-                    _forward_value(ElementaryIntegrand(IndicatorKind.POINT_B), g, kind))
+        terms = _step_integrand_terms(f, g, dushnik)
     elif isinstance(g, StepFunction):
-        dec = g.decompose()
-        for sigma, w in dec.plus_jumps:
-            acc.add(w * _backward_value(f, _tail_indicator(sigma, a, False), kind))
-        for sigma, w in dec.minus_jumps:
-            acc.add(w * _backward_value(f, _tail_indicator(sigma, a, True), kind))
-        if dec.endpoint != 0.0:
-            acc.add(dec.endpoint *
-                    _backward_value(f, ElementaryIntegrand(IndicatorKind.POINT_B), kind))
+        terms = _step_integrator_terms(f, g, dushnik)
     else:
         raise StepPairError(
             "integrate_step_pair needs a step function in one slot; "
             "use integrate() for general regulated pairs")
-    return IntegralResult(acc.value, kind, 0.0, Diagnostics("step-table"))
+    return IntegralResult(math.fsum(terms), kind, 0.0, Diagnostics("step-table"))
 
 
 def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,

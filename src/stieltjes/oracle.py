@@ -126,26 +126,9 @@ def _segmented_fine_partition(gauge: Gauge, seeds: tuple[float, ...],
     """One delta-fine free-tagged partition of [seeds[0], seeds[-1]],
     built per segment so inter-seed boundaries are division points and
     the override tags are reachable."""
-    if rng is None:
-        def candidates(u: float, v: float) -> tuple[float, ...]:
-            return (u, 0.5 * (u + v), v)
-
-        def split(u: float, v: float) -> float:
-            return 0.5 * (u + v)
-    else:
-        def candidates(u: float, v: float) -> tuple[float, ...]:
-            opts = [u, v, 0.5 * (u + v), u + (v - u) * rng.uniform(0.1, 0.9)]
-            rng.shuffle(opts)
-            return tuple(opts)
-
-        def split(u: float, v: float) -> float:
-            s = u + (v - u) * rng.uniform(0.35, 0.65)
-            return s if u < s < v else 0.5 * (u + v)
-
     cells: list[tuple[float, float, float]] = []
     for u, v in zip(seeds, seeds[1:]):
-        cells.extend(_generate_fine_cells(gauge, u, v, candidates, split,
-                                          max_depth=60, budget=budget))
+        cells.extend(_generate_fine_cells(gauge, u, v, rng, 60, budget))
     return _cells_to_partition(Interval(seeds[0], seeds[-1]), cells)
 
 
@@ -156,10 +139,11 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
     """Gauge-limit value of the Kurzweil integral.
 
     Level L uses gauge delta(t) = min(base, half the distance to the
-    nearest jump) with pointwise overrides delta(p) = gamma_L at every
-    jump p, gamma_L shrinking by 16 per level.  Any cell whose closure
-    meets a jump then has to carry the jump itself as its tag, which is
-    what makes plain sums settle.
+    nearest jump) with pointwise overrides delta(p) = min(gamma_L, half
+    the distance from p to the nearest other jump) at every jump p,
+    gamma_L shrinking by 16 per level.  Any cell whose closure meets a
+    jump then has to carry that jump itself as its tag, which is what
+    makes plain sums settle.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
@@ -168,6 +152,10 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
     width = f.interval.width
     global_dyadic = not (f.is_step or g.is_step)
     floor = 8.0 * math.ulp(width)
+    # An override over half the gap to the nearest other jump would let
+    # a cell tagged at p reach that jump and weigh its step by f(p).
+    gaps = [math.inf] + [y - x for x, y in zip(jumps, jumps[1:])] + [math.inf]
+    half_gaps = [0.5 * min(l, r) for l, r in zip(gaps, gaps[1:])]
 
     center = math.nan
     spread = math.inf
@@ -178,7 +166,7 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
         base = width * 2.0 ** (-(level + 1)) if global_dyadic else 0.25 * width
         gamma = max(width * 16.0 ** (-(level + 1)), 64.0 * math.ulp(width))
         gauge = _distance_gauge(base, jumps, floor).with_overrides(
-            {p: gamma for p in jumps})
+            {p: min(gamma, h) for p, h in zip(jumps, half_gaps)})
         try:
             parts = [_segmented_fine_partition(gauge, seeds, None, budget)]
             for i in range(partitions - 1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .core import Interval
 from .errors import DomainError, GaugeError, GaugeTooFineError
@@ -164,37 +164,48 @@ def is_fine(partition: Partition, gauge: Gauge) -> bool:
 
 
 def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
-                         candidates: Callable[[float, float], tuple[float, ...]],
-                         split: Callable[[float, float], float],
-                         max_depth: int,
+                         rng: random.Random | None, max_depth: int,
                          budget: list[int] | None = None) -> list[tuple[float, float, float]]:
+    """The cells (u, v, tag) of a gauge-fine partition of [u0, v0].
+
+    A cell takes the first candidate tag the gauge accepts, else splits
+    in two.  Without ``rng`` the candidates are u, the midpoint and v,
+    and the split is at the midpoint; with it, u, v, the midpoint and
+    one uniform draw are tried in shuffled order, and the split point is
+    drawn in the middle 30% of the cell."""
     # Depth-first, left cell first, so the output arrives in order.
     out: list[tuple[float, float, float]] = []
     stack = [(u0, v0, 0)]
     while stack:
         u, v, depth = stack.pop()
-        tag = None
-        for t in candidates(u, v):
+        mid = 0.5 * (u + v)
+        if rng is None:
+            candidates = [u, mid, v]
+        else:
+            candidates = [u, v, mid, u + (v - u) * rng.uniform(0.1, 0.9)]
+            rng.shuffle(candidates)
+        for t in candidates:
             d = gauge(t)
             if u >= t - d and v <= t + d:
-                tag = t
                 break
-        if tag is not None:
-            out.append((u, v, tag))
-            if budget is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise GaugeTooFineError("fine partition exceeds its cell budget")
+        else:
+            if depth >= max_depth:
+                raise GaugeTooFineError(
+                    f"no fine cell found above depth {max_depth} near [{u!r}, {v!r}]")
+            s = mid if rng is None else u + (v - u) * rng.uniform(0.35, 0.65)
+            if not u < s < v:
+                s = mid
+                if not u < s < v:
+                    raise GaugeTooFineError(
+                        f"gauge demands cells below float resolution near {u!r}")
+            stack.append((s, v, depth + 1))
+            stack.append((u, s, depth + 1))
             continue
-        if depth >= max_depth:
-            raise GaugeTooFineError(
-                f"no fine cell found above depth {max_depth} near [{u!r}, {v!r}]")
-        s = split(u, v)
-        if not u < s < v:
-            raise GaugeTooFineError(
-                f"gauge demands cells below float resolution near {u!r}")
-        stack.append((s, v, depth + 1))
-        stack.append((u, s, depth + 1))
+        out.append((u, v, t))
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise GaugeTooFineError("fine partition exceeds its cell budget")
     return out
 
 
@@ -208,11 +219,7 @@ def cousin_fine_partition(gauge: Gauge, interval: Interval, max_depth: int = 60)
     """A gauge-fine free-tagged partition by bisection: accept a cell
     when one of its endpoints or midpoint works as tag, else split at
     the midpoint.  Raises GaugeTooFineError past ``max_depth``."""
-    cells = _generate_fine_cells(
-        gauge, interval.a, interval.b,
-        candidates=lambda u, v: (u, 0.5 * (u + v), v),
-        split=lambda u, v: 0.5 * (u + v),
-        max_depth=max_depth)
+    cells = _generate_fine_cells(gauge, interval.a, interval.b, None, max_depth)
     return _cells_to_partition(interval, cells)
 
 
@@ -220,20 +227,6 @@ def random_fine_partition(gauge: Gauge, interval: Interval, seed: int,
                           max_depth: int = 60) -> Partition:
     """Like cousin_fine_partition with randomized split points and tag
     choices; deterministic per seed."""
-    rng = random.Random(seed)
-
-    def candidates(u: float, v: float) -> tuple[float, ...]:
-        opts = [u, v, 0.5 * (u + v), u + (v - u) * rng.uniform(0.1, 0.9)]
-        rng.shuffle(opts)
-        return tuple(opts)
-
-    def split(u: float, v: float) -> float:
-        s = u + (v - u) * rng.uniform(0.35, 0.65)
-        return s if u < s < v else 0.5 * (u + v)
-
-    cells = _generate_fine_cells(
-        gauge, interval.a, interval.b,
-        candidates=candidates,
-        split=split,
-        max_depth=max_depth)
+    cells = _generate_fine_cells(gauge, interval.a, interval.b,
+                                 random.Random(seed), max_depth)
     return _cells_to_partition(interval, cells)

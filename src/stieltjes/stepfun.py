@@ -48,12 +48,13 @@ class StepFunction(RegulatedFunction):
             if not math.isfinite(x):
                 raise DomainError("step function values must be finite")
         # Canonical form: drop interior nodes invisible to the function.
-        k = 1
-        while k < len(ns) - 1:
-            if cs[k] == ds[k - 1] == ds[k]:
-                del ns[k], cs[k], ds[k]
-            else:
-                k += 1
+        # A kept node's right piece is the one it had before the merge.
+        drop = {k for k in range(1, len(ns) - 1) if cs[k] == ds[k - 1] == ds[k]}
+        if drop:
+            keep = [k for k in range(len(ns)) if k not in drop]
+            ns = [ns[k] for k in keep]
+            cs = [cs[k] for k in keep]
+            ds = [ds[k] for k in keep[:-1]]
         super().__init__(interval)
         self._nodes = tuple(ns)
         self._node_values = tuple(cs)

@@ -10,49 +10,18 @@ Two sums are computed for a tagged partition P of [a, b]:
 
 The Young sum reads the integrator's one-sided limits so that jumps of
 g at division nodes are weighted by f's values at those nodes rather
-than at the tags.  Both sums are accumulated left to right with
-compensated summation.
+than at the tags.  Both sums add their terms with ``math.fsum``, so
+each is the correctly rounded sum of its computed terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import RegulatedFunction
 from .errors import DomainError
 from .partitions import Partition
-
-
-class KahanSum:
-    """Neumaier-compensated accumulator.
-
-    Keeps 1e-12-scale comparisons meaningful even on 1e5-term sums.
-    """
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self):
-        self._sum = 0.0
-        self._comp = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._sum + x
-        if abs(self._sum) >= abs(x):
-            self._comp += (self._sum - s) + x
-        else:
-            self._comp += (x - s) + self._sum
-        self._sum = s
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._comp
-
-
-def kahan_sum(values) -> float:
-    acc = KahanSum()
-    for x in values:
-        acc.add(x)
-    return acc.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,10 +43,9 @@ def riemann_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition
     _check_pair(f, g, partition)
     pts = partition.division.points
     gvals = [g.value(x) for x in pts]
-    acc = KahanSum()
-    for j, t in enumerate(partition.tags):
-        acc.add(f.value(t) * (gvals[j + 1] - gvals[j]))
-    return SumValue(acc.value, "S", partition.size)
+    value = math.fsum(f.value(t) * (gvals[j + 1] - gvals[j])
+                      for j, t in enumerate(partition.tags))
+    return SumValue(value, "S", partition.size)
 
 
 def young_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) -> SumValue:
@@ -89,12 +57,12 @@ def young_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) 
     grights = [g.right_limit(pts[j]) for j in range(nu)]          # alpha_0 .. alpha_{nu-1}
     glefts = [g.left_limit(pts[j]) for j in range(1, nu + 1)]     # alpha_1 .. alpha_nu
     fvals = [f.value(x) for x in pts]
-    acc = KahanSum()
+    terms = []
     for j, t in enumerate(partition.tags):
-        acc.add(fvals[j] * (grights[j] - gvals[j]))
-        acc.add(f.value(t) * (glefts[j] - grights[j]))
-        acc.add(fvals[j + 1] * (gvals[j + 1] - glefts[j]))
-    return SumValue(acc.value, "SY", partition.size)
+        terms.append(fvals[j] * (grights[j] - gvals[j]))
+        terms.append(f.value(t) * (glefts[j] - grights[j]))
+        terms.append(fvals[j + 1] * (gvals[j + 1] - glefts[j]))
+    return SumValue(math.fsum(terms), "SY", partition.size)
 
 
 @dataclass(frozen=True, slots=True)

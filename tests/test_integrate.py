@@ -7,7 +7,9 @@ case).  Every expected number is worked out by hand from the one-sided
 limits, so these tests are independent of the code they check.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -192,6 +194,79 @@ def test_step_pair_additive_in_the_integrand(f1, f2, g):
 def test_step_pair_dyadic_homogeneity_is_exact(f, g):
     assert (integrate_step_pair(4.0 * f, g, Y).value
             == 4.0 * integrate_step_pair(f, g, Y).value)
+
+
+def table_terms(f, g, kind):
+    """The step argument's ``decompose()`` weights times the five closed
+    forms: the indicator-table route the node walk sums by parts."""
+    a = IV.a
+    if isinstance(f, StepFunction):
+        dec = f.decompose()
+
+        def closed_form(e):
+            return elementary_forward(e, g, kind).value
+    else:
+        dec = g.decompose()
+
+        def closed_form(e):
+            return elementary_backward(f, e, kind).value
+
+    def tail(sigma, closed):
+        if closed:
+            return ElementaryIntegrand(IndicatorKind.CLOSED_TAIL, sigma)
+        if sigma == a:
+            return E2
+        return ElementaryIntegrand(IndicatorKind.OPEN_TAIL, sigma)
+
+    return ([dec.base * closed_form(E1), dec.endpoint * closed_form(E5)]
+            + [w * closed_form(tail(s, False)) for s, w in dec.plus_jumps]
+            + [w * closed_form(tail(s, True)) for s, w in dec.minus_jumps])
+
+
+def exact_step_pair(f, g, kind):
+    """I(f, dg) of two step functions as a Fraction, from the defining
+    sums on the common refinement of their nodes, where they no longer
+    depend on the tags: the Young sum for K and Y, the Riemann sum for
+    D."""
+    F = Fraction
+    xs = sorted(set(f.nodes) | set(g.nodes))
+    total = F(0)
+    for u, v in zip(xs, xs[1:]):
+        on = F(f.value(0.5 * (u + v)))
+        if kind is D:
+            total += on * (F(g.value(v)) - F(g.value(u)))
+        else:
+            total += (F(f.value(u)) * (F(g.right_limit(u)) - F(g.value(u)))
+                      + on * (F(g.left_limit(v)) - F(g.right_limit(u)))
+                      + F(f.value(v)) * (F(g.value(v)) - F(g.left_limit(v))))
+    return total
+
+
+def gamma(n):
+    u = 2.0 ** -53
+    return n * u / (1.0 - n * u)
+
+
+def test_node_walk_matches_the_indicator_table():
+    # Both routes add up float closed forms of the same function
+    # values, so each lies within gamma_n times its own sum of |terms|
+    # of the exact value: sup|f| var g bounds the walk's, the table's
+    # are summed here.
+    rng = random.Random(20261018)
+    pairs = [(rand_step(rng, max_nodes=40), rand_step(rng, max_nodes=40))
+             for _ in range(200)]
+    pairs += [(rand_smooth(rng), rand_step(rng, max_nodes=40)) for _ in range(60)]
+    pairs += [(rand_step(rng, max_nodes=40), rand_smooth(rng)) for _ in range(60)]
+    for f, g in pairs:
+        for kind in (K, Y, D):
+            value = integrate_step_pair(f, g, kind).value
+            terms = table_terms(f, g, kind)
+            bound = gamma(len(terms) + 3) * (
+                math.fsum(abs(t) for t in terms) + f.sup_bound * g.variation_bound)
+            assert abs(value - math.fsum(terms)) <= bound
+            if isinstance(f, StepFunction) and isinstance(g, StepFunction):
+                exact = exact_step_pair(f, g, kind)
+                assert abs(Fraction(value) - exact) <= bound
 
 
 # --------------------------------------------------------------- limit route

@@ -10,9 +10,10 @@ import pytest
 from conftest import rand_step
 from stieltjes import (Affine, DomainError, ElementaryIntegrand,
                        IndicatorKind, IntegralKind, Interval,
-                       PiecewiseLipschitz, StepFunction, elementary_forward,
-                       indicator, integrate_step_pair, oracle_gauge,
-                       oracle_refinement)
+                       PiecewiseLipschitz, StepFunction, build_pair,
+                       elementary_forward, indicator, integrate,
+                       integrate_step_pair, oracle_gauge, oracle_refinement,
+                       parse_spec)
 
 IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK
@@ -94,6 +95,30 @@ def test_oracles_agree_on_step_pairs():
         assert abs(a.value - b.value) <= 2.0 * tol
         want = integrate_step_pair(f, g, Y).value
         assert abs(a.value - want) <= 2.0 * tol
+
+
+# Two jumps of g 0.0036 apart, closer than the level-1 override width
+# 1/256.  An override that wide lets a cell tagged at one jump reach the
+# other, and the gauge sums then settle on 4.0085039590110396.
+CLOSE_JUMPS = (
+    "oracle kind=K tol=1e-9 "
+    "f=sin[0.0, 1.0]{freq: 3.409498075941292; amp: 0.9053204742519931; "
+    "phase: 0.5713385137132037} "
+    "g=step[0.0, 1.0]{nodes: 0.0, 0.21088321502013152, 0.4165531740114028, "
+    "0.6325252089185363, 0.7675461022971052, 0.7711094513936149, 1.0; "
+    "at: 0.6461357897219351, 0.6644690136415345, -1.253470669764274, "
+    "-4.715568709114141, -2.8129674405657035, -2.8129674405657035, "
+    "-2.8129674405657035; "
+    "on: 3.036574066734369, -2.6263464257956914, 0.9376813640186645, "
+    "2.3520487337971687, 2.227817508642059, 3.7736308010238933}")
+
+
+def test_gauge_oracle_keeps_close_jumps_apart():
+    job = parse_spec(CLOSE_JUMPS)
+    f, g = build_pair(job)
+    rep = oracle_gauge(f, g, tol=job.tol, seed=135)
+    assert rep.converged
+    assert abs(rep.value - integrate(f, g, K).value) <= 2.0 * job.tol
 
 
 def test_probe_seed_invariance():

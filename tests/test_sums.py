@@ -4,29 +4,47 @@ import random
 import pytest
 
 from conftest import NoCertificate, rand_division_points, rand_step
-from stieltjes import (Affine, Division, DomainError, Interval, KahanSum,
-                      Partition, PiecewiseLipschitz, SinWave, StepFunction,
-                      check_sum_bounds, indicator, interior_tags, kahan_sum,
+from stieltjes import (Affine, Division, DomainError, Interval, Partition,
+                      PiecewiseLipschitz, SinWave, StepFunction,
+                      check_sum_bounds, indicator, interior_tags,
                       riemann_sum, young_sum)
 
 IV = Interval(0.0, 1.0)
 IDENT = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1.0),))
 
 
-def test_kahan_handles_cancellation():
-    acc = KahanSum()
-    for x in (1e16, 1.0, -1e16):
-        acc.add(x)
-    assert acc.value == 1.0
-    assert kahan_sum([0.1] * 10) == math.fsum([0.1] * 10)
+def floor_sums(piece_values, node_values):
+    """S and SY of a step f on [0, n] against g(t) = floor(t), at
+    midpoint tags of the unit cells.  Every increment of g is 0 or 1, so
+    the terms are exact: f(j + 1/2) for S, and f(j) * 0, f(j + 1/2) * 0
+    and f(j + 1) * 1 for SY on cell j.  Each sum must be math.fsum of
+    its nonzero terms."""
+    n = len(piece_values)
+    iv = Interval(0.0, float(n))
+    nodes = range(n + 1)
+    f = StepFunction(iv, nodes, node_values, piece_values)
+    g = StepFunction(iv, nodes, nodes, range(n))
+    p = interior_tags(Division(iv, tuple(nodes)))
+    return riemann_sum(f, g, p).value, young_sum(f, g, p).value
 
 
-def test_kahan_matches_fsum_on_random_data():
+def test_sums_handle_cancellation():
+    terms = [1e16, 1.0, -1e16]
+    s, sy = floor_sums(terms, [0.0] + terms)
+    assert s == 1.0 and sy == 1.0
+    assert floor_sums([0.1] * 10, [0.1] * 11) == (math.fsum([0.1] * 10),) * 2
+
+
+def test_sums_match_fsum_on_random_data():
     rng = random.Random(3)
     for _ in range(20):
         xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
               for _ in range(200)]
-        assert abs(kahan_sum(xs) - math.fsum(xs)) <= 1e-9 * max(abs(x) for x in xs)
+        ys = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+              for _ in range(201)]
+        s, sy = floor_sums(xs, ys)
+        assert s == math.fsum(xs)
+        assert sy == math.fsum(ys[1:])
 
 
 def test_riemann_sum_telescopes_for_constant_integrand():
