@@ -13,8 +13,7 @@ whenever one argument has bounded variation, which ``by_parts`` and the
 CLI's ``verify-main`` exercise.
 """
 
-from .core import (Interval, RegulatedFunction, StepApproximation, bv_norm,
-                   one_sided_limits, sup_norm, total_variation)
+from .core import Interval, RegulatedFunction, StepApproximation
 from .errors import (ApproximationError, DomainError, DSLError,
                      DSLSemanticError, DSLSyntaxError, GaugeError,
                      GaugeTooFineError, StepPairError, StieltjesError,
@@ -23,7 +22,7 @@ from .stepfun import (Decomposition, StepFunction, indicator, step_from_jumps)
 from .regulated import (Affine, MonotoneFunction, PiecewiseLipschitz, Power,
                         SinWave)
 from .partitions import (Division, Gauge, Partition, cousin_fine_partition,
-                         interior_tags, is_fine, random_fine_partition, refine)
+                         interior_tags, is_fine, random_fine_partition)
 from .sums import (BoundCheck, BoundsReport, SumValue, check_sum_bounds,
                    riemann_sum, young_sum)
 from .integrate import (Diagnostics, ElementaryIntegrand, IndicatorKind,
@@ -46,13 +45,12 @@ __all__ = [
     "MonotoneFunction", "OracleReport", "Partition",
     "PiecewiseLipschitz", "Power", "RegulatedFunction", "SinWave",
     "StepApproximation", "StepFunction", "StepPairError", "StieltjesError",
-    "SumValue", "VariationUnknownError", "bv_norm", "by_parts",
+    "SumValue", "VariationUnknownError", "by_parts",
     "check_integral_bounds", "check_sum_bounds", "cousin_fine_partition",
     "build_function", "build_pair", "elementary_backward",
     "elementary_forward", "indicator", "integrate", "integrate_limit",
     "integrate_step_pair", "interior_tags", "is_fine",
-    "one_sided_limits", "oracle_gauge", "oracle_refinement", "parse_spec",
-    "random_fine_partition", "refine", "render_function", "render_job",
-    "riemann_sum", "step_from_jumps", "sup_norm", "total_variation",
-    "young_sum",
+    "oracle_gauge", "oracle_refinement", "parse_spec",
+    "random_fine_partition", "render_function", "render_job",
+    "riemann_sum", "step_from_jumps", "young_sum",
 ]

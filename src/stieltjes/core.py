@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError, VariationUnknownError
+from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stepfun import StepFunction
@@ -146,34 +146,3 @@ class RegulatedFunction(ABC):
     @property
     def is_step(self) -> bool:
         return False
-
-
-def one_sided_limits(f: RegulatedFunction, t: float) -> tuple[float | None, float | None]:
-    """(f(t-), f(t+)) with None in place of the missing limit at an
-    interval endpoint."""
-    f.interval.require(t)
-    left = f.left_limit(t) if t > f.interval.a else None
-    right = f.right_limit(t) if t < f.interval.b else None
-    return left, right
-
-
-def total_variation(f: RegulatedFunction) -> float:
-    """The certified variation bound; exact for step functions.
-
-    Raises VariationUnknownError when the family supplies none.
-    """
-    v = f.variation_bound
-    if v is None:
-        raise VariationUnknownError(
-            f"{type(f).__name__} carries no certified variation bound")
-    return v
-
-
-def sup_norm(f: RegulatedFunction) -> float:
-    """The certified sup-norm bound; exact for step functions."""
-    return f.sup_bound
-
-
-def bv_norm(f: RegulatedFunction) -> float:
-    """|f(a)| + (total variation of f over [a, b])."""
-    return abs(f.value(f.interval.a)) + total_variation(f)

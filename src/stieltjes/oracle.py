@@ -42,13 +42,14 @@ class OracleReport:
     converged: bool
 
 
-def _seed_points(f: RegulatedFunction, g: RegulatedFunction) -> tuple[float, ...]:
+def _jumps_and_seeds(f: RegulatedFunction, g: RegulatedFunction
+                     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The sorted jumps of f and g together, and the same points with
+    both endpoints added."""
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
-    pts = {f.interval.a, f.interval.b}
-    pts.update(f.jump_points())
-    pts.update(g.jump_points())
-    return tuple(sorted(pts))
+    jumps = tuple(sorted(set(f.jump_points()) | set(g.jump_points())))
+    return jumps, tuple(sorted({f.interval.a, f.interval.b, *jumps}))
 
 
 def _probe_seed(seed: int, level: int, i: int) -> int:
@@ -66,10 +67,8 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     sum_fn = young_sum if kind is IntegralKind.YOUNG else riemann_sum
-    seeds = _seed_points(f, g)
-    jumpset = set(seeds[1:-1])
-    jumpset.update(p for p in (seeds[0], seeds[-1])
-                   if p in f.jump_points() or p in g.jump_points())
+    jumps, seeds = _jumps_and_seeds(f, g)
+    jumpset = frozenset(jumps)
     global_split = not (f.is_step or g.is_step)
 
     division = Division(f.interval, seeds)
@@ -111,7 +110,7 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
 
 def _distance_gauge(base: float, jumps: tuple[float, ...], floor: float) -> Gauge:
     if not jumps:
-        return Gauge.constant(base)
+        return Gauge(base)
 
     def body(t: float) -> float:
         d = min(abs(t - p) for p in jumps)
@@ -147,8 +146,7 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    seeds = _seed_points(f, g)
-    jumps = tuple(sorted(set(f.jump_points()) | set(g.jump_points())))
+    jumps, seeds = _jumps_and_seeds(f, g)
     width = f.interval.width
     global_dyadic = not (f.is_step or g.is_step)
     floor = 8.0 * math.ulp(width)

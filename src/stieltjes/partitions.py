@@ -16,7 +16,6 @@ from typing import Iterable, Iterator
 
 from .core import Interval
 from .errors import DomainError, GaugeError, GaugeTooFineError
-from .stepfun import StepFunction
 
 TAG_FREE = "free"
 TAG_INTERIOR = "interior"
@@ -55,11 +54,6 @@ class Division:
             self.interval.require(x)
         merged = sorted(set(self.points) | set(extra))
         return Division(self.interval, tuple(merged))
-
-
-def refine(base: Division, extra: Iterable[float]) -> Division:
-    """Union of a division with extra nodes (exact float identity)."""
-    return base.refine(extra)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,10 +108,10 @@ def interior_tags(division: Division, rule: str = "midpoint", seed: int | None =
 class Gauge:
     """Positive width function delta(t).
 
-    The body is a constant, a piecewise-constant step function, or an
-    arbitrary callable; finitely many pointwise overrides (exact float
-    keys) sit on top.  Positivity of callable bodies can only be
-    checked where they are evaluated, and is.
+    The body is a constant or a callable, such as a step function;
+    finitely many pointwise overrides (exact float keys) sit on top.
+    Positivity of callable bodies can only be checked where they are
+    evaluated, and is.
     """
 
     __slots__ = ("_body", "_overrides")
@@ -125,14 +119,6 @@ class Gauge:
     def __init__(self, body, overrides: dict[float, float] | None = None):
         self._body = body
         self._overrides = dict(overrides) if overrides else {}
-
-    @classmethod
-    def constant(cls, delta: float) -> "Gauge":
-        return cls(float(delta))
-
-    @classmethod
-    def from_step(cls, step: StepFunction) -> "Gauge":
-        return cls(step)
 
     def with_overrides(self, mapping: dict[float, float]) -> "Gauge":
         merged = dict(self._overrides)
@@ -142,8 +128,6 @@ class Gauge:
     def __call__(self, t: float) -> float:
         if t in self._overrides:
             d = self._overrides[t]
-        elif isinstance(self._body, StepFunction):
-            d = self._body.value(t)
         elif callable(self._body):
             d = self._body(t)
         else:

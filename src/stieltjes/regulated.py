@@ -132,8 +132,7 @@ class PiecewiseLipschitz(RegulatedFunction):
                  "_variation", "_sup")
 
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
-                 node_values=None, *, variation_bound: float | None = None,
-                 sup_bound: float | None = None):
+                 node_values=None):
         bks = [float(x) for x in breakpoints]
         if bks[0] != interval.a or bks[-1] != interval.b:
             raise DomainError("breakpoints must run from interval start to end")
@@ -158,13 +157,8 @@ class PiecewiseLipschitz(RegulatedFunction):
         self._pieces = pieces
         self._lipschitz = lipschitz
         self._node_values = node_values
-
-        if variation_bound is None:
-            variation_bound = self._default_variation()
-        if sup_bound is None:
-            sup_bound = self._default_sup()
-        self._variation = float(variation_bound)
-        self._sup = float(sup_bound)
+        self._variation = self._default_variation()
+        self._sup = self._default_sup()
 
     @classmethod
     def from_formulas(cls, interval: Interval, breakpoints, formulas,
@@ -377,14 +371,28 @@ class MonotoneFunction(RegulatedFunction):
 
     def approximate(self, eps: float) -> StepApproximation:
         """Bisect the continuous base until every cell's rise is at most
-        2 * eps, take mid-range values, then add the jump part exactly."""
+        2 * eps, take mid-range values, then add the jump part exactly.
+
+        The cells' rises add up to the base's total rise, so a base that
+        rises by more than 2 * eps * MAX_APPROX_CELLS is refused before
+        any bisection.  The refusal names the cells eps needs, and its
+        ``best_error``, rise / (2 * MAX_APPROX_CELLS), is the floor no
+        approximant within the cell limit can beat."""
         if eps <= 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
         a, b = self._interval.a, self._interval.b
+        base_a, base_b = self._base(a), self._base(b)
+        rise = abs(base_b - base_a)
+        needed = rise / (2.0 * eps)
+        if needed > MAX_APPROX_CELLS:
+            raise ApproximationError(
+                f"tolerance {eps!r} needs at least {needed:.3g} cells "
+                f"(limit {MAX_APPROX_CELLS})",
+                best_error=rise / (2.0 * MAX_APPROX_CELLS))
         nodes = [a]
         interior = []
         achieved = 0.0
-        stack = [(a, b, self._base(a), self._base(b), 0)]
+        stack = [(a, b, base_a, base_b, 0)]
         while stack:
             u, v, fu, fv, depth = stack.pop()
             osc = abs(fv - fu)

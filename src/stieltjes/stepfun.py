@@ -1,5 +1,7 @@
 """Finite step functions with exact evaluation, limits, variation and
-the indicator-sum decomposition used by the closed-form integrators.
+sums, and their indicator-sum decomposition: the weights of the
+five-shape table of elementary integrals, which the tests use as the
+reference for the step-pair node walk.
 
 A step function is stored by its division nodes
 ``sigma_0 < ... < sigma_m`` (the endpoints included), one value per
@@ -10,6 +12,7 @@ lookups compare floats exactly: nodes are data, not approximations.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -193,50 +196,48 @@ class StepFunction(RegulatedFunction):
 
     # -- algebra -----------------------------------------------------------
 
-    def _piece_values_on(self, merged: list[float]) -> list[float]:
-        # Interior value of self on each cell of `merged`; needs
-        # self's nodes to be a subset of `merged`.  Pure index walk, no
-        # midpoint evaluation, so it is exact even for tiny cells.
-        out = []
-        i = 0
-        for j in range(len(merged) - 1):
-            u = merged[j]
-            while self._nodes[i + 1] <= u:
-                i += 1
-            out.append(self._interior_values[i])
-        return out
-
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """``self op other`` by one walk over the union of both node
+        lists; a scalar operand is the constant step function."""
         if isinstance(other, (int, float)):
             other = StepFunction.constant(self._interval, float(other))
         if not isinstance(other, StepFunction):
             return NotImplemented
         if other._interval != self._interval:
             raise DomainError("step functions live on different intervals")
-        merged = sorted(set(self._nodes) | set(other._nodes))
-        mine = self._piece_values_on(merged)
-        theirs = other._piece_values_on(merged)
-        return StepFunction(
-            self._interval,
-            merged,
-            [self.value(x) + other.value(x) for x in merged],
-            [u + v for u, v in zip(mine, theirs)],
-        )
+        xs, xc, xd = self._nodes, self._node_values, self._interior_values
+        ys, yc, yd = other._nodes, other._node_values, other._interior_values
+        nodes, at, on = [], [], []
+        i = j = 0
+        while True:
+            # A node of one side lies inside a piece of the other unless
+            # both sides have it; both lists start at a and end at b.
+            x, y = xs[i], ys[j]
+            nodes.append(x if x <= y else y)
+            at.append(op(xc[i] if x <= y else xd[i - 1],
+                         yc[j] if y <= x else yd[j - 1]))
+            if x <= y:
+                i += 1
+            if y <= x:
+                j += 1
+            if i == len(xs):
+                break
+            on.append(op(xd[i - 1], yd[j - 1]))
+        return StepFunction(self._interval, nodes, at, on)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return StepFunction(
             self._interval, self._nodes,
             [-v for v in self._node_values],
             [-v for v in self._interior_values])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-float(other))
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float)):

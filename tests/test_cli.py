@@ -157,6 +157,14 @@ def test_spec_edge_cases(tmp_path, capsys):
     assert code == 2 and "mutually exclusive" in err
 
 
+def test_exports_resolve_once():
+    import stieltjes
+
+    assert len(stieltjes.__all__) == len(set(stieltjes.__all__))
+    missing = [name for name in stieltjes.__all__ if not hasattr(stieltjes, name)]
+    assert missing == []
+
+
 def test_console_script_is_wired():
     """`stieltjes` is declared as `stieltjes.cli:main` and resolves to it.
 

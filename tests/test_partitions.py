@@ -6,7 +6,7 @@ from conftest import rand_step
 from stieltjes import (Division, DomainError, Gauge, GaugeError,
                        GaugeTooFineError, Interval, Partition, StepFunction,
                        cousin_fine_partition, interior_tags, is_fine,
-                       random_fine_partition, refine)
+                       random_fine_partition)
 
 IV = Interval(0.0, 1.0)
 
@@ -27,7 +27,7 @@ def test_division_validation():
 
 def test_refine_is_exact_set_union():
     d = Division(IV, (0.0, 0.5, 1.0))
-    r = refine(d, (0.25, 0.5, 0.75))
+    r = d.refine((0.25, 0.5, 0.75))
     assert r.points == (0.0, 0.25, 0.5, 0.75, 1.0)
     assert r.refine(()).points == r.points
     assert d.refine((0.25,)).refine((0.75,)) == d.refine((0.75,)).refine((0.25,))
@@ -66,7 +66,7 @@ def test_interior_tags():
 
 
 def test_gauge_constant_and_overrides():
-    g = Gauge.constant(0.5)
+    g = Gauge(0.5)
     assert g(0.3) == 0.5
     h = g.with_overrides({0.25: 0.01})
     assert h(0.25) == 0.01 and h(0.3) == 0.5
@@ -81,10 +81,10 @@ def test_gauge_constant_and_overrides():
 
 def test_gauge_from_step():
     widths = StepFunction(IV, (0.0, 0.5, 1.0), (0.2, 0.05, 0.1), (0.2, 0.1))
-    g = Gauge.from_step(widths)
+    g = Gauge(widths)
     assert g(0.1) == 0.2 and g(0.5) == 0.05 and g(0.9) == 0.1
-    bad = Gauge.from_step(StepFunction(IV, (0.0, 0.5, 1.0),
-                                       (0.2, 0.0, 0.1), (0.2, 0.1)))
+    bad = Gauge(StepFunction(IV, (0.0, 0.5, 1.0),
+                             (0.2, 0.0, 0.1), (0.2, 0.1)))
     with pytest.raises(GaugeError):
         bad(0.5)
 
@@ -95,9 +95,9 @@ def test_is_fine_definition():
     # Containment in [tag - delta, tag + delta] is closed, so the
     # half-width 0.25 is exactly enough for midpoint tags and anything
     # smaller is not.
-    assert is_fine(p, Gauge.constant(0.25))
-    assert not is_fine(p, Gauge.constant(0.2499))
-    assert not is_fine(Partition(d, (0.5, 0.5)), Gauge.constant(0.25))
+    assert is_fine(p, Gauge(0.25))
+    assert not is_fine(p, Gauge(0.2499))
+    assert not is_fine(Partition(d, (0.5, 0.5)), Gauge(0.25))
 
 
 def test_cousin_partition_is_fine_for_step_gauges():
@@ -107,7 +107,7 @@ def test_cousin_partition_is_fine_for_step_gauges():
         # Reuse the random shape but squash it into a positive range.
         span = f.sup_norm() + 1.0
         widths = (0.005 / span) * f + StepFunction.constant(IV, rng.uniform(0.02, 0.3))
-        gauge = Gauge.from_step(widths)
+        gauge = Gauge(widths)
         p = cousin_fine_partition(gauge, IV)
         assert is_fine(p, gauge)
         assert p.division.points[0] == 0.0 and p.division.points[-1] == 1.0
@@ -115,7 +115,7 @@ def test_cousin_partition_is_fine_for_step_gauges():
 
 
 def test_random_fine_partition_reproducible_and_fine():
-    gauge = Gauge.constant(0.07).with_overrides({0.5: 0.001})
+    gauge = Gauge(0.07).with_overrides({0.5: 0.001})
     p1 = random_fine_partition(gauge, IV, seed=42)
     p2 = random_fine_partition(gauge, IV, seed=42)
     assert p1 == p2
@@ -126,4 +126,4 @@ def test_random_fine_partition_reproducible_and_fine():
 
 def test_unreachable_gauge_raises():
     with pytest.raises(GaugeTooFineError):
-        cousin_fine_partition(Gauge.constant(1e-300), IV, max_depth=30)
+        cousin_fine_partition(Gauge(1e-300), IV, max_depth=30)

@@ -6,6 +6,7 @@ import pytest
 from conftest import brute_variation, rand_smooth
 from stieltjes import (Affine, ApproximationError, DomainError, Interval,
                        MonotoneFunction, PiecewiseLipschitz, Power, SinWave)
+from stieltjes.regulated import MAX_APPROX_CELLS
 
 IV = Interval(0.0, 1.0)
 
@@ -178,3 +179,20 @@ def test_monotone_flags_hidden_discontinuity():
     with pytest.raises(ApproximationError) as info:
         f.approximate(0.01)
     assert info.value.best_error >= 0.01
+
+
+def test_monotone_refuses_before_bisecting():
+    # The base rises by 1, so eps = 1e-10 needs 5e9 cells of rise 2 * eps.
+    calls = []
+
+    def identity(t):
+        calls.append(t)
+        return t
+
+    f = MonotoneFunction(IV, identity)
+    calls.clear()
+    with pytest.raises(ApproximationError) as info:
+        f.approximate(1e-10)
+    assert len(calls) <= 4
+    assert info.value.best_error == 1.0 / (2 * MAX_APPROX_CELLS)
+    assert "5e+09 cells" in str(info.value)

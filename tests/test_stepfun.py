@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import given, strategies as hs
 
 from conftest import brute_variation, dyadic_steps, rand_step
 from stieltjes import (Decomposition, DomainError, Interval, StepFunction,
-                       bv_norm, indicator, one_sided_limits, step_from_jumps,
-                       sup_norm, total_variation)
+                       indicator, step_from_jumps)
 
 IV = Interval(0.0, 1.0)
 
@@ -46,9 +46,11 @@ def test_values_and_one_sided_limits():
     # At a node the limits come from the flanking open pieces, never
     # from the node value itself.
     assert f.left_limit(0.75) == 5.0 and f.right_limit(0.75) == 3.0
-    assert one_sided_limits(f, 0.25) == (1.0, 5.0)
-    assert one_sided_limits(f, 0.0) == (None, 1.0)
-    assert one_sided_limits(f, 1.0) == (3.0, None)
+    # No left limit at a, no right limit at b.
+    with pytest.raises(DomainError):
+        f.left_limit(0.0)
+    with pytest.raises(DomainError):
+        f.right_limit(1.0)
 
 
 def test_jump_conventions_at_endpoints():
@@ -99,9 +101,8 @@ def test_variation_counts_both_one_sided_jumps():
     # value 5 contributes |5-1| + |2-5|.
     f = StepFunction(IV, (0.0, 0.5, 1.0), (1.0, 5.0, 2.0), (1.0, 2.0))
     assert f.variation() == 7.0
-    assert total_variation(f) == 7.0
-    assert sup_norm(f) == 5.0
-    assert bv_norm(f) == 1.0 + 7.0
+    assert f.variation_bound == 7.0
+    assert f.sup_bound == 5.0
 
 
 def test_indicator_shapes():
@@ -173,6 +174,40 @@ def test_addition_is_pointwise(f, g):
     h = f + g
     for t in (0.0, 1.0 / 16, 0.5, 11.0 / 16, 1.0, 0.123):
         assert h(t) == f(t) + g(t)
+
+
+def _nondyadic_step(rng: random.Random, inner) -> StepFunction:
+    nodes = [0.0] + sorted(set(inner) - {0.0, 1.0}) + [1.0]
+    # A small value pool makes neighbouring pieces agree now and then.
+    pool = [rng.uniform(-3.0, 3.0) for _ in range(3)] + [0.1, 0.7]
+    return StepFunction(IV, nodes, [rng.choice(pool) for _ in nodes],
+                        [rng.choice(pool) for _ in nodes[1:]])
+
+
+def test_merge_walk_is_pointwise_on_nondyadic_pairs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        f = _nondyadic_step(rng, [rng.random() for _ in range(rng.randint(0, 12))])
+        inner = list(f.nodes[1:-1])
+        shared = _nondyadic_step(
+            rng, rng.sample(inner, len(inner) // 2) + [rng.random() for _ in range(3)])
+        disjoint = _nondyadic_step(rng, [rng.random() for _ in range(rng.randint(0, 12))])
+        cancelling = StepFunction(
+            IV, f.nodes, [-v for v in f.node_values],
+            [-v if rng.random() < 0.7 else rng.uniform(-1.0, 1.0)
+             for v in f.interior_values])
+        c = rng.uniform(-2.0, 2.0)
+        const = StepFunction.constant(IV, c)
+        cases = [(f + c, const, operator.add), (f - c, const, operator.sub),
+                 (c + f, const, operator.add)]
+        for g in (shared, disjoint, cancelling):
+            cases += [(f + g, g, operator.add), (f - g, g, operator.sub)]
+        for h, g, op in cases:
+            for x in sorted(set(f.nodes) | set(g.nodes)):
+                assert h.value(x) == op(f.value(x), g.value(x))
+                if x < 1.0:
+                    assert h.right_limit(x) == op(f.right_limit(x), g.right_limit(x))
+        assert f - f == StepFunction.constant(IV, 0.0)
 
 
 @given(steps(), steps())
