@@ -11,7 +11,9 @@ Exit codes
 1   a verification failed, or the oracle did not converge
 2   job text could not be parsed, or usage error
 3   the computation itself refused (no variation bound, tolerance
-    needs too many cells, gauge below float resolution, ...)
+    needs too many cells, gauge below float resolution, ...); the
+    report's ``best_error`` is the smallest tol the route could certify,
+    null when unknown
 
 ``--json`` prints one JSON object per job on stdout; without it a
 human-readable block is printed.  ``--spec FILE`` runs every nonempty
@@ -135,7 +137,8 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
         return _RUNNERS[job.command](job)
     except (ApproximationError, VariationUnknownError, GaugeError,
             GaugeTooFineError, StepPairError, DomainError) as exc:
-        return 3, {"error": str(exc)}
+        # An unknown best_error (inf, or none at all) prints as null.
+        return 3, {"error": str(exc), "best_error": getattr(exc, "best_error", None)}
 
 
 def run_text(text: str, command: str, tol: float | None, seed: int | None) -> tuple[int, dict]:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Interval, RegulatedFunction
-from .errors import DomainError, StepPairError, VariationUnknownError
+from .errors import (ApproximationError, DomainError, StepPairError,
+                     VariationUnknownError)
 from .stepfun import StepFunction, indicator
 from .sums import BoundsReport, _make_check
 
@@ -225,6 +226,18 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
     return IntegralResult(math.fsum(terms), kind, 0.0, Diagnostics("step-table"))
 
 
+def _budget(tol: float, factor: float) -> float:
+    """The largest float eps with fl(eps * factor) <= tol, for factor > 0.
+    fl(x * factor) is monotone in x, so stepping from tol / factor by an
+    ulp or two finds it."""
+    eps = tol / factor
+    while eps * factor > tol:
+        eps = math.nextafter(eps, 0.0)
+    while (up := math.nextafter(eps, math.inf)) * factor <= tol:
+        eps = up
+    return eps
+
+
 def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
                     kind: IntegralKind, tol: float = 1e-9) -> IntegralResult:
     """Integral of f against dg through certified step approximants.
@@ -236,11 +249,18 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
         |I(f, dg) - I(f, dg_n)| <= (|f(a)| + |f(b)| + var f) * sup|g - g_n|
 
     The variation factor is never approximated; when both variations
-    are known the side with the smaller predicted bound is kept.  Needs
-    at least one argument of certified finite variation; the returned
-    ``error_bound`` is the achieved certificate and never exceeds
-    ``tol``.  (A step argument approximates to itself, so the result is
-    then exact with error_bound 0.)
+    are known the side with the smaller predicted bound is kept.  The
+    approximant is asked for eps = tol / var g (integrand side) or
+    eps = tol / bv f (integrator side), taken as the largest float whose
+    floating-point product with that factor is at most tol, and eps =
+    tol when the factor is 0.  The returned ``error_bound``, the
+    achieved sup error times the factor, therefore never exceeds
+    ``tol`` in floating point.  Needs at least one argument of certified
+    finite variation.  (A step argument approximates to itself, so the
+    result is then exact with error_bound 0.)
+
+    An approximant's ApproximationError is re-raised with ``best_error``
+    times the factor: the smallest tol this route can certify.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
@@ -267,20 +287,24 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
         take_f = predicted_g is None or (
             predicted_f is not None and predicted_f <= predicted_g)
 
-    if take_f:
-        # Approximate the integrand, integrate exactly against g.
-        eps = tol if var_g is None else tol / (2.0 * var_g + 1.0)
-        fn, err = f.approximate(eps)
-        exact = integrate_step_pair(fn, g, kind)
-        return IntegralResult(
-            exact.value, kind, 0.0 if err == 0.0 else err * var_g,
-            Diagnostics("limit-integrand", err, fn.piece_count))
-    eps = tol if bv_f is None else tol / (bv_f + 1.0)
-    gn, err = g.approximate(eps)
-    exact = integrate_step_pair(f, gn, kind)
+    # Approximate the integrand against g, or the integrator under f.
+    # A step side may lack a factor; it approximates to itself with
+    # err 0, so none is needed.
+    side, factor = (f, var_g) if take_f else (g, bv_f)
+    scale = factor or 1.0
+    try:
+        step, err = side.approximate(_budget(tol, scale))
+    except ApproximationError as exc:
+        best = exc.best_error * scale
+        raise ApproximationError(
+            f"{exc}; the smallest tol this route can certify is {best:.3g}",
+            best_error=best) from exc
+    fn, gn = (step, g) if take_f else (f, step)
+    exact = integrate_step_pair(fn, gn, kind)
     return IntegralResult(
-        exact.value, kind, 0.0 if err == 0.0 else bv_f * err,
-        Diagnostics("limit-integrator", err, gn.piece_count))
+        exact.value, kind, 0.0 if err == 0.0 else err * factor,
+        Diagnostics("limit-integrand" if take_f else "limit-integrator",
+                    err, step.piece_count))
 
 
 def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,

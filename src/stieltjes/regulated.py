@@ -264,17 +264,22 @@ class PiecewiseLipschitz(RegulatedFunction):
                 f"tolerance {eps!r} needs {total} cells (limit {MAX_APPROX_CELLS})",
                 best_error=eps * scale)
         nodes: list[float] = [self._breaks[0]]
+        node_values: list[float] = [self._node_values[0]]
         interior: list[float] = []
         err = 0.0
-        for p, c, n, u, v in zip(self._pieces, self._lipschitz, counts,
-                                 self._breaks, self._breaks[1:]):
+        for p, c, n, u, v, fv in zip(self._pieces, self._lipschitz, counts,
+                                     self._breaks, self._breaks[1:],
+                                     self._node_values[1:]):
             h = (v - u) / n
             err = max(err, 0.5 * c * h)
-            for j in range(n):
-                x = u + (j + 1) * h if j + 1 < n else v
-                interior.append(p(u + (j + 0.5) * h))
+            for j in range(1, n):
+                x = u + j * h
+                interior.append(p(u + (j - 0.5) * h))
                 nodes.append(x)
-        node_values = [self.value(x) for x in nodes]
+                node_values.append(p(x))
+            interior.append(p(u + (n - 0.5) * h))
+            nodes.append(v)
+            node_values.append(fv)
         return StepApproximation(
             StepFunction(self._interval, nodes, node_values, interior), err)
 
@@ -390,6 +395,7 @@ class MonotoneFunction(RegulatedFunction):
                 f"(limit {MAX_APPROX_CELLS})",
                 best_error=rise / (2.0 * MAX_APPROX_CELLS))
         nodes = [a]
+        node_values = [base_a]
         interior = []
         achieved = 0.0
         stack = [(a, b, base_a, base_b, 0)]
@@ -399,6 +405,7 @@ class MonotoneFunction(RegulatedFunction):
             if osc <= 2.0 * eps:
                 interior.append(0.5 * (fu + fv))
                 nodes.append(v)
+                node_values.append(fv)
                 achieved = max(achieved, 0.5 * osc)
                 if len(interior) > MAX_APPROX_CELLS:
                     raise ApproximationError(
@@ -414,7 +421,6 @@ class MonotoneFunction(RegulatedFunction):
             fm = self._base(mid)
             stack.append((mid, v, fm, fv, depth + 1))
             stack.append((u, mid, fu, fm, depth + 1))
-        node_values = [self._base(x) for x in nodes]
         base_step = StepFunction(self._interval, nodes, node_values, interior)
         if self._jump_step is not None:
             base_step = base_step + self._jump_step

@@ -344,6 +344,13 @@ _SCHEMAS = {
         "properties": {"error": {"type": "string"}},
         "additionalProperties": False,
     },
+    "refused": {
+        "type": "object",
+        "required": ["error", "best_error"],
+        "properties": {"error": {"type": "string"},
+                       "best_error": {"type": ["number", "null"]}},
+        "additionalProperties": False,
+    },
 }
 
 _STEP = "step[0,1]{nodes:0,0.5,1; at:0,0,1; on:0,1}"            # chi_(0.5,1]
@@ -418,7 +425,10 @@ def test_criterion_7_cli_corpus():
         except json.JSONDecodeError as exc:
             failures.append(f"{label}: bad JSON ({exc})")
             continue
-        schema = _SCHEMAS["error"] if "error" in report else _SCHEMAS[command]
+        if want_exit == 3:
+            schema = _SCHEMAS["refused"]
+        else:
+            schema = _SCHEMAS["error"] if "error" in report else _SCHEMAS[command]
         try:
             jsonschema.validate(report, schema)
         except jsonschema.ValidationError as exc:

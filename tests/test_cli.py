@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stieltjes import cli
+from stieltjes import ApproximationError, cli
 
 STEP_G = "g=step[0,1]{nodes:0,0.5,1; at:0,0,1; on:0,1}"      # chi_(0.5,1]
 AFFINE_F = "f=affine[0,1]{slope:1}"
@@ -112,6 +112,23 @@ def test_refused_computation_exits_3(capsys):
     code, out, err = run(capsys, ["integrate", "tol=1e-15",
                                   "f=sin[0,1]{freq:3}", "g=sin[0,1]{freq:2}"])
     assert code == 3 and out == "" and "error:" in err
+
+
+def test_refusal_reports_the_reachable_tolerance(capsys, monkeypatch):
+    job = ["integrate", "--json", "tol=1e-15", "f=sin[0,1]{freq:3}",
+           "g=sin[0,1]{freq:2}"]
+    code, report, _ = run_json(capsys, job)
+    assert code == 3 and set(report) == {"error", "best_error"}
+    # In integral units: f's Lipschitz constant 3 times var g = 2 over
+    # the cell limit, where the approximant's own floor is 3 / 2**20.
+    assert report["best_error"] == pytest.approx(6 / 2**20)
+    assert "can certify" in report["error"]
+    # A refusal that names no reachable tolerance reports null.
+    def refuse(job):
+        raise ApproximationError("no certificate")
+    monkeypatch.setitem(cli._RUNNERS, "integrate", refuse)
+    code, report, _ = run_json(capsys, job)
+    assert code == 3 and report == {"error": "no certificate", "best_error": None}
 
 
 def test_spec_batch_runs_all_lines(tmp_path, capsys):

@@ -15,13 +15,15 @@ import pytest
 from hypothesis import given
 
 from conftest import NoCertificate, dyadic_steps, rand_smooth, rand_step
-from stieltjes import (Affine, DomainError, ElementaryIntegrand,
-                       IndicatorKind, IntegralKind, Interval,
-                       PiecewiseLipschitz, StepFunction, StepPairError,
+from stieltjes import (Affine, ApproximationError, DomainError,
+                       ElementaryIntegrand, IndicatorKind, IntegralKind,
+                       Interval, MonotoneFunction, PiecewiseLipschitz, Power,
+                       SinWave, StepFunction, StepPairError,
                        VariationUnknownError, by_parts, check_integral_bounds,
                        elementary_backward, elementary_forward, indicator,
                        integrate, integrate_limit, integrate_step_pair,
                        step_from_jumps)
+from stieltjes import regulated
 
 IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK
@@ -306,6 +308,117 @@ def test_limit_route_picks_the_cheaper_side():
     res2 = integrate_limit(flat, wild, K, tol=1e-4)
     assert res2.diagnostics.method == "limit-integrator"
     assert res2.error_bound <= 1e-4
+
+
+def test_limit_budget_holds_in_floating_point():
+    # fl(fl(tol / v) * v) > tol here, so asking the approximant for
+    # tol / v itself could certify a bound just above tol.
+    tol, v = 0.1, 11.0
+    assert (tol / v) * v > tol
+    eps = math.nextafter(tol / v, 0.0)     # the largest float budget
+    assert eps * v <= tol < math.nextafter(eps, 1.0) * v
+    g = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(v),))
+    assert g.variation_bound == v
+
+    def rising_by(rise):
+        # The unit jump makes bv f large, so the integrand side is kept.
+        return MonotoneFunction(IV, Affine(rise), jumps=((0.5, 0.0, 1.0),))
+
+    # A base rising by exactly 2 eps is one cell with osc == 2 eps: the
+    # achieved error is eps itself and the whole budget is used.
+    full = integrate_limit(rising_by(2.0 * eps), g, K, tol)
+    assert full.diagnostics.method == "limit-integrand"
+    assert full.diagnostics.approximant_error == eps
+    assert full.error_bound == eps * v <= tol
+    # At eps = fl(tol / v) a base rising by 2 fl(tol / v) would be one
+    # cell certifying fl(fl(tol / v) * v) > tol; the budget splits it.
+    res = integrate_limit(rising_by(2.0 * (tol / v)), g, K, tol)
+    assert res.diagnostics.method == "limit-integrand"
+    assert res.error_bound <= tol
+
+
+def _rand_monotone(rng):
+    base = rng.choice((Affine(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0)),
+                       Power(2.0, rng.uniform(0.3, 2.0)), Power(3.0, rng.uniform(0.3, 2.0))))
+    jumps = [(rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3))
+             for _ in range(rng.randint(0, 2))]
+    return MonotoneFunction(IV, base, jumps)
+
+
+def test_limit_budget_at_dyadic_boundaries():
+    # Tolerances one ulp either side of a power of two, where tol / factor
+    # rounds either way: every certificate stays within tol, and values at
+    # neighbouring tolerances agree within their bounds.
+    rng = random.Random(20261018)
+    for n in range(12):
+        p, m = rand_smooth(rng), _rand_monotone(rng)
+        kind = (K, Y, D)[n % 3]
+        for f, g in ((p, m), (m, p)):
+            for k in (6, 8):
+                edge = 2.0 ** -k
+                results = []
+                for tol in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+                    res = integrate_limit(f, g, kind, tol)
+                    assert res.error_bound <= tol
+                    results.append(res)
+                for r1 in results:
+                    for r2 in results:
+                        assert abs(r1.value - r2.value) <= \
+                            r1.error_bound + r2.error_bound + 1e-12
+
+
+def test_limit_route_cells_follow_the_exact_certificate():
+    # eps = tol / var g, so a piece with Lipschitz constant L and width w
+    # needs ceil(L w var_g / tol) cells: the cell count is pinned to
+    # L (b - a) var_g / tol plus one cell per piece for the ceilings.
+    p = PiecewiseLipschitz.from_formulas(
+        IV, (0.0, 0.4, 1.0), (Affine(2.0, 0.5), SinWave(3.0, 0.5, 1.0)))
+    m = MonotoneFunction(IV, Power(2.0), jumps=((0.5, 0.25, 0.25),))
+    tol = 1e-4
+    res = integrate_limit(p, m, Y, tol)
+    assert res.diagnostics.method == "limit-integrand"
+    assert res.error_bound <= tol
+    lip = max(2.0, 3.0 * 0.5)
+    pieces = res.diagnostics.approximant_pieces
+    assert pieces <= math.ceil(lip * 1.0 * m.variation_bound / tol) + 3
+
+
+def test_limit_route_with_zero_factors():
+    # A constant integrator (var g = 0) and a zero integrand (bv f = 0)
+    # put 0 in the certificate's factor; eps falls back to tol.
+    wave = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (SinWave(4.0),))
+    flat = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(0.0, 3.0),))
+    zero = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(0.0),))
+    mono = MonotoneFunction(IV, Power(2.0), jumps=((0.5, 0.25, 0.25),))
+    assert flat.variation_bound == 0.0 and zero.variation_bound == 0.0
+    for f, g, method in ((wave, flat, "limit-integrand"),
+                         (zero, mono, "limit-integrator")):
+        for kind in (K, Y, D):
+            res = integrate_limit(f, g, kind, tol=1e-3)
+            assert res.diagnostics.method == method
+            assert res.value == 0.0 and res.error_bound == 0.0
+
+
+def test_limit_route_refusal_names_the_reachable_tolerance(monkeypatch):
+    # With 1024 cells allowed, the refusal's best_error is in integral
+    # units: the route certifies that tol and refuses anything below.
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 1024)
+    slope2 = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(2.0),))
+    quarter = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(0.25),))
+    steep = MonotoneFunction(IV, Affine(4.0))
+    # (f, g, method, best): the integrand side against var g = 2, and
+    # the integrator side under bv f = 1/2.
+    for f, g, method, best in ((IDENT, slope2, "limit-integrand", 2.0 ** -9),
+                               (quarter, steep, "limit-integrator", 2.0 ** -10)):
+        with pytest.raises(ApproximationError) as info:
+            integrate_limit(f, g, K, tol=2.0 ** -30)
+        assert info.value.best_error == best
+        assert "can certify" in str(info.value)
+        res = integrate_limit(f, g, K, tol=best)
+        assert res.diagnostics.method == method
+        assert res.error_bound <= best and res.diagnostics.approximant_pieces <= 1024
+        with pytest.raises(ApproximationError):
+            integrate_limit(f, g, K, tol=0.9 * best)
 
 
 def test_limit_route_preconditions():

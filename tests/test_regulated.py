@@ -111,6 +111,15 @@ def test_approximant_error_certificate_holds_pointwise():
             assert worst <= err + 1e-12
 
 
+def test_approximant_node_values_are_the_function_values():
+    rng = random.Random(29)
+    for _ in range(25):
+        f = rand_smooth(rng, IV)
+        for eps in (0.05, 0.0037):
+            step, _ = f.approximate(eps)
+            assert step.node_values == tuple(f.value(t) for t in step.nodes)
+
+
 def test_unreachable_tolerance_raises_with_best_error():
     f = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1.0),))
     with pytest.raises(ApproximationError) as info:
@@ -196,3 +205,24 @@ def test_monotone_refuses_before_bisecting():
     assert len(calls) <= 4
     assert info.value.best_error == 1.0 / (2 * MAX_APPROX_CELLS)
     assert "5e+09 cells" in str(info.value)
+
+
+def test_monotone_approximant_reads_each_node_once():
+    # base(a), base(b) and one call per bisection split: the node values
+    # come from the pass that closed each cell, not from a second sweep.
+    calls = []
+
+    def cube(t):
+        calls.append(t)
+        return t ** 3
+
+    f = MonotoneFunction(IV, cube, jumps=((0.5, 0.25, 0.0),))
+    for eps in (0.1, 0.01, 0.001):
+        calls.clear()
+        step, _ = f.approximate(eps)
+        # A strictly rising base keeps every cell, and the jump sits on
+        # the first split, 0.5, so it adds no piece.
+        cells = step.piece_count
+        assert len(calls) == 2 + (cells - 1)
+        assert len(set(calls)) == len(calls)
+        assert step.node_values == tuple(f.value(t) for t in step.nodes)
