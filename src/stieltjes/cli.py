@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import replace
 
 from .core import Interval
 from .errors import (ApproximationError, DomainError, DSLError, GaugeError,
@@ -156,9 +155,9 @@ def run_text(text: str, command: str, tol: float | None, seed: int | None) -> tu
         if tol is not None:
             if not tol > 0:
                 raise DSLError(f"tol must be positive, got {tol!r}")
-            job = replace(job, tol=tol)
+            job = job._replace(tol=tol)
         if seed is not None:
-            job = replace(job, seed=seed)
+            job = job._replace(seed=seed)
     except DSLError as exc:
         return 2, {"error": str(exc)}
     return run_job(job)

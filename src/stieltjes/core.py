@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
@@ -22,29 +21,57 @@ if TYPE_CHECKING:  # pragma: no cover
     from .stepfun import StepFunction
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Frozen:
+    """Base of the immutable value types read on hot paths: a slot read
+    is cheaper than a NamedTuple field's.  ``__init__`` sets the slots
+    through ``object.__setattr__`` and takes them positionally in slot
+    order; later assignment or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Interval(Frozen):
     """Compact interval ``[a, b]`` with ``a < b``.
 
     Degenerate and unbounded intervals are rejected at construction.
     """
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
-        if not self.a < self.b:
-            raise DomainError(f"degenerate interval [{self.a}, {self.b}]")
+    def __init__(self, a: float, b: float):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"interval endpoints must be finite, got [{a}, {b}]")
+        if not a < b:
+            raise DomainError(f"degenerate interval [{a}, {b}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def width(self) -> float:
         return self.b - self.a
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
 
     def contains(self, t: float) -> bool:
         return self.a <= t <= self.b
@@ -142,7 +169,3 @@ class RegulatedFunction(ABC):
     @abstractmethod
     def jump_points(self) -> tuple[float, ...]:
         """Sorted locations where a one-sided jump is nonzero."""
-
-    @property
-    def is_step(self) -> bool:
-        return False

@@ -59,7 +59,6 @@ functions; ``render_job`` is the canonical printer and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction
@@ -93,8 +92,7 @@ _NUMBER_KEYS = frozenset(("slope", "intercept", "exponent", "scale",
                           "freq", "amp", "phase"))
 
 
-@dataclass(frozen=True, slots=True)
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     """Parsed function description.  ``name`` records which job slot it
     fills (or the formula family for nested terms); payload keys sit in
     canonical order so equal texts give equal specs."""
@@ -111,8 +109,7 @@ class FunctionSpec:
         return default
 
 
-@dataclass(frozen=True, slots=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     command: str
     f: FunctionSpec
     g: FunctionSpec
@@ -330,17 +327,13 @@ class _Parser:
 # ----------------------------------------------------------------------
 # Building actual functions out of specs.
 
-def _strictly_increasing(values: tuple[float, ...], what: str) -> None:
-    for k in range(1, len(values)):
-        if not values[k] > values[k - 1]:
-            raise DSLSemanticError(f"{what} not strictly increasing at index {k}")
-
-
 def _spanning(values: tuple[float, ...], interval: tuple[float, float],
               what: str) -> None:
     if len(values) < 2:
         raise DSLSemanticError(f"at least 2 {what} needed, got {len(values)}")
-    _strictly_increasing(values, what)
+    for k in range(1, len(values)):
+        if not values[k] > values[k - 1]:
+            raise DSLSemanticError(f"{what} not strictly increasing at index {k}")
     if values[0] != interval[0] or values[-1] != interval[1]:
         raise DSLSemanticError(
             f"{what} must run from {interval[0]!r} to {interval[1]!r}, "

@@ -30,8 +30,8 @@ goes through certified step approximants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction
 from .errors import (ApproximationError, DomainError, StepPairError,
@@ -65,20 +65,20 @@ class IndicatorKind(Enum):
     POINT_B = "chi_point_b"        # chi of the single point b
 
 
-@dataclass(frozen=True, slots=True)
-class ElementaryIntegrand:
+class ElementaryIntegrand(NamedTuple("ElementaryIntegrand",
+                                      [("kind", IndicatorKind), ("tau", "float | None")])):
     """One of the five indicator integrands, with its location when it
     has one."""
 
-    kind: IndicatorKind
-    tau: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        needs_tau = self.kind in (IndicatorKind.OPEN_TAIL, IndicatorKind.CLOSED_TAIL)
-        if needs_tau and self.tau is None:
-            raise DomainError(f"{self.kind.value} needs a location tau")
-        if not needs_tau and self.tau is not None:
-            raise DomainError(f"{self.kind.value} takes no location")
+    def __new__(cls, kind: IndicatorKind, tau: float | None = None) -> "ElementaryIntegrand":
+        needs_tau = kind in (IndicatorKind.OPEN_TAIL, IndicatorKind.CLOSED_TAIL)
+        if needs_tau and tau is None:
+            raise DomainError(f"{kind.value} needs a location tau")
+        if not needs_tau and tau is not None:
+            raise DomainError(f"{kind.value} takes no location")
+        return super().__new__(cls, kind, tau)
 
     def as_step(self, interval: Interval) -> StepFunction:
         a, b = interval.a, interval.b
@@ -89,22 +89,18 @@ class ElementaryIntegrand:
             return indicator(interval, a, b, closed_left=False, closed_right=True)
         if k is IndicatorKind.POINT_B:
             return indicator(interval, b, b, closed_left=True, closed_right=True)
-        tau = self.tau
-        if not interval.a < tau < interval.b:
-            raise DomainError(f"tau={tau!r} must be strictly inside [{a}, {b}]")
         closed = k is IndicatorKind.CLOSED_TAIL
-        return indicator(interval, tau, b, closed_left=closed, closed_right=True)
+        return indicator(interval, _require_tau(self, interval), b,
+                         closed_left=closed, closed_right=True)
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     method: str
     approximant_error: float | None = None
     approximant_pieces: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     kind: IntegralKind
     error_bound: float
@@ -226,10 +222,14 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
     return IntegralResult(math.fsum(terms), kind, 0.0, Diagnostics("step-table"))
 
 
-def _budget(tol: float, factor: float) -> float:
-    """The largest float eps with fl(eps * factor) <= tol, for factor > 0.
-    fl(x * factor) is monotone in x, so stepping from tol / factor by an
-    ulp or two finds it."""
+def _budget(tol: float, factor: float | None) -> float:
+    """The largest float eps with fl(eps * factor) <= tol.  fl(x *
+    factor) is monotone in x, so stepping from tol / factor by an ulp or
+    two finds it.  A zero factor certifies any approximant, and only a
+    step side, which approximates to itself, lacks one: both get
+    math.inf."""
+    if not factor:
+        return math.inf
     eps = tol / factor
     while eps * factor > tol:
         eps = math.nextafter(eps, 0.0)
@@ -253,9 +253,9 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     approximant is asked for eps = tol / var g (integrand side) or
     eps = tol / bv f (integrator side), taken as the largest float whose
     floating-point product with that factor is at most tol, and eps =
-    tol when the factor is 0.  The returned ``error_bound``, the
-    achieved sup error times the factor, therefore never exceeds
-    ``tol`` in floating point.  Needs at least one argument of certified
+    inf when the factor is 0, so that each piece takes one cell.  The
+    returned ``error_bound``, the achieved sup error times the factor,
+    therefore never exceeds ``tol`` in floating point.  Needs at least one argument of certified
     finite variation.  (A step argument approximates to itself, so the
     result is then exact with error_bound 0.)
 
@@ -279,23 +279,21 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
 
     # A step argument approximates to itself at zero cost, so that side
     # always wins; otherwise take the smaller predicted bound.
-    if f.is_step:
+    if isinstance(f, StepFunction):
         take_f = True
-    elif g.is_step:
+    elif isinstance(g, StepFunction):
         take_f = False
     else:
         take_f = predicted_g is None or (
             predicted_f is not None and predicted_f <= predicted_g)
 
     # Approximate the integrand against g, or the integrator under f.
-    # A step side may lack a factor; it approximates to itself with
-    # err 0, so none is needed.
     side, factor = (f, var_g) if take_f else (g, bv_f)
-    scale = factor or 1.0
     try:
-        step, err = side.approximate(_budget(tol, scale))
+        step, err = side.approximate(_budget(tol, factor))
     except ApproximationError as exc:
-        best = exc.best_error * scale
+        # Without a positive factor eps was already inf: no tol helps.
+        best = exc.best_error * factor if factor else math.inf
         raise ApproximationError(
             f"{exc}; the smallest tol this route can certify is {best:.3g}",
             best_error=best) from exc

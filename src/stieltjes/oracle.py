@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction
 from .errors import DomainError, GaugeTooFineError
 from .integrate import IntegralKind
 from .partitions import (Division, Gauge, Partition, _cells_to_partition,
                          _generate_fine_cells, interior_tags)
+from .stepfun import StepFunction
 from .sums import riemann_sum, young_sum
 
 
-@dataclass(frozen=True, slots=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     value: float
     kind: IntegralKind
     achieved_spread: float
@@ -69,7 +69,7 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
     sum_fn = young_sum if kind is IntegralKind.YOUNG else riemann_sum
     jumps, seeds = _jumps_and_seeds(f, g)
     jumpset = frozenset(jumps)
-    global_split = not (f.is_step or g.is_step)
+    global_split = not (isinstance(f, StepFunction) or isinstance(g, StepFunction))
 
     division = Division(f.interval, seeds)
     center = math.nan
@@ -148,7 +148,7 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     jumps, seeds = _jumps_and_seeds(f, g)
     width = f.interval.width
-    global_dyadic = not (f.is_step or g.is_step)
+    global_dyadic = not (isinstance(f, StepFunction) or isinstance(g, StepFunction))
     floor = 8.0 * math.ulp(width)
     # An override over half the gap to the nearest other jump would let
     # a cell tagged at p reach that jump and weigh its step by f(p).

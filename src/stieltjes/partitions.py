@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Interval
 from .errors import DomainError, GaugeError, GaugeTooFineError
@@ -21,25 +20,24 @@ TAG_FREE = "free"
 TAG_INTERIOR = "interior"
 
 
-@dataclass(frozen=True, slots=True)
-class Division:
+class Division(NamedTuple("Division", [("interval", Interval),
+                                       ("points", tuple[float, ...])])):
     """Strictly increasing nodes alpha_0 < ... < alpha_nu spanning the
     interval exactly."""
 
-    interval: Interval
-    points: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = tuple(float(x) for x in self.points)
-        object.__setattr__(self, "points", pts)
+    def __new__(cls, interval: Interval, points: Iterable[float]) -> "Division":
+        pts = tuple(float(x) for x in points)
         if len(pts) < 2:
             raise DomainError("a division needs at least the two endpoints")
-        if pts[0] != self.interval.a or pts[-1] != self.interval.b:
+        if pts[0] != interval.a or pts[-1] != interval.b:
             raise DomainError(
-                f"division must span [{self.interval.a}, {self.interval.b}] exactly")
+                f"division must span [{interval.a}, {interval.b}] exactly")
         for i in range(1, len(pts)):
             if not pts[i - 1] < pts[i]:
                 raise DomainError(f"division points not strictly increasing at index {i}")
+        return super().__new__(cls, interval, pts)
 
     @property
     def nu(self) -> int:
@@ -56,26 +54,26 @@ class Division:
         return Division(self.interval, tuple(merged))
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("division", Division),
+                                         ("tags", tuple[float, ...]),
+                                         ("mode", str)])):
     """A division with one tag per cell."""
 
-    division: Division
-    tags: tuple[float, ...]
-    mode: str = TAG_FREE
+    __slots__ = ()
 
-    def __post_init__(self):
-        tags = tuple(float(x) for x in self.tags)
-        object.__setattr__(self, "tags", tags)
-        if self.mode not in (TAG_FREE, TAG_INTERIOR):
-            raise DomainError(f"unknown tag mode {self.mode!r}")
-        if len(tags) != self.division.nu:
+    def __new__(cls, division: Division, tags: Iterable[float],
+                mode: str = TAG_FREE) -> "Partition":
+        tags = tuple(float(x) for x in tags)
+        if mode not in (TAG_FREE, TAG_INTERIOR):
+            raise DomainError(f"unknown tag mode {mode!r}")
+        if len(tags) != division.nu:
             raise DomainError(
-                f"{self.division.nu} cells need {self.division.nu} tags, got {len(tags)}")
-        for (u, v), t in zip(self.division.cells(), tags):
-            ok = u <= t <= v if self.mode == TAG_FREE else u < t < v
+                f"{division.nu} cells need {division.nu} tags, got {len(tags)}")
+        for (u, v), t in zip(division.cells(), tags):
+            ok = u <= t <= v if mode == TAG_FREE else u < t < v
             if not ok:
-                raise DomainError(f"tag {t!r} not valid for cell [{u}, {v}] in {self.mode} mode")
+                raise DomainError(f"tag {t!r} not valid for cell [{u}, {v}] in {mode} mode")
+        return super().__new__(cls, division, tags, mode)
 
     @property
     def size(self) -> int:

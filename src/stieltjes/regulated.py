@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .core import Interval, RegulatedFunction, StepApproximation
+from .core import Frozen, Interval, RegulatedFunction, StepApproximation
 from .errors import ApproximationError, DomainError
 from .stepfun import StepFunction, step_from_jumps
 
@@ -27,12 +26,14 @@ MAX_APPROX_CELLS = 1 << 20
 # certified variation bound on any cell, which is what lets the DSL
 # build functions whose certificates need no user-supplied constants.
 
-@dataclass(frozen=True, slots=True)
-class Affine:
+class Affine(Frozen):
     """t -> slope * t + intercept."""
 
-    slope: float
-    intercept: float = 0.0
+    __slots__ = ("slope", "intercept")
+
+    def __init__(self, slope: float, intercept: float = 0.0):
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
 
     def __call__(self, t: float) -> float:
         return self.slope * t + self.intercept
@@ -47,20 +48,20 @@ class Affine:
         return math.copysign(1.0, self.slope) if self.slope else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class Power:
+class Power(Frozen):
     """t -> scale * t**exponent, exponent > 0.
 
     Non-integer exponents need u >= 0; exponents below 1 additionally
     need u > 0 to stay Lipschitz.
     """
 
-    exponent: float
-    scale: float = 1.0
+    __slots__ = ("exponent", "scale")
 
-    def __post_init__(self):
-        if not self.exponent > 0:
-            raise DomainError(f"power exponent must be positive, got {self.exponent!r}")
+    def __init__(self, exponent: float, scale: float = 1.0):
+        if not exponent > 0:
+            raise DomainError(f"power exponent must be positive, got {exponent!r}")
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "scale", scale)
 
     def __call__(self, t: float) -> float:
         return self.scale * t ** self.exponent
@@ -93,13 +94,15 @@ class Power:
         return math.copysign(1.0, self.scale) if self.scale else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class SinWave:
+class SinWave(Frozen):
     """t -> amplitude * sin(freq * t + phase)."""
 
-    freq: float
-    amplitude: float = 1.0
-    phase: float = 0.0
+    __slots__ = ("freq", "amplitude", "phase")
+
+    def __init__(self, freq: float, amplitude: float = 1.0, phase: float = 0.0):
+        object.__setattr__(self, "freq", freq)
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "phase", phase)
 
     def __call__(self, t: float) -> float:
         return self.amplitude * math.sin(self.freq * t + self.phase)
@@ -343,12 +346,10 @@ class MonotoneFunction(RegulatedFunction):
             if self._direction * (y - x) < 0:
                 raise DomainError("base function violates its monotone direction")
 
-    def _jump_part(self, t: float) -> float:
-        return self._jump_step.value(t) if self._jump_step is not None else 0.0
-
     def value(self, t: float) -> float:
         self._interval.require(t)
-        return self._base(t) + self._jump_part(t)
+        jump = self._jump_step.value(t) if self._jump_step is not None else 0.0
+        return self._base(t) + jump
 
     def left_limit(self, t: float) -> float:
         if not self._interval.a < t <= self._interval.b:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction, StepApproximation
 from .errors import DomainError
@@ -126,23 +126,18 @@ class StepFunction(RegulatedFunction):
 
     # -- exact norms -----------------------------------------------------
 
-    def variation(self) -> float:
+    @property
+    def variation_bound(self) -> float:
         """Total variation, exact: node-vs-piece oscillations summed."""
         cs, ds = self._node_values, self._interior_values
         return math.fsum(
             abs(ds[k] - cs[k]) + abs(cs[k + 1] - ds[k]) for k in range(len(ds)))
 
-    def sup_norm(self) -> float:
-        return max(max(abs(v) for v in self._node_values),
-                   max(abs(v) for v in self._interior_values))
-
-    @property
-    def variation_bound(self) -> float:
-        return self.variation()
-
     @property
     def sup_bound(self) -> float:
-        return self.sup_norm()
+        """sup |f|, exact."""
+        return max(max(abs(v) for v in self._node_values),
+                   max(abs(v) for v in self._interior_values))
 
     def jump_points(self) -> tuple[float, ...]:
         out = []
@@ -153,10 +148,6 @@ class StepFunction(RegulatedFunction):
             if left or right:
                 out.append(s)
         return tuple(out)
-
-    @property
-    def is_step(self) -> bool:
-        return True
 
     def approximate(self, eps: float) -> StepApproximation:
         if eps <= 0:
@@ -276,8 +267,10 @@ def indicator(interval: Interval, lo: float, hi: float, *,
     return StepFunction(interval, nodes, node_values, interior)
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(NamedTuple("Decomposition", [
+        ("interval", Interval), ("base", float),
+        ("plus_jumps", tuple[tuple[float, float], ...]),
+        ("minus_jumps", tuple[tuple[float, float], ...]), ("endpoint", float)])):
     """Weights of the indicator components of a step function.
 
     ``plus_jumps`` lists ``(sigma, w)`` for ``w * chi_(sigma, b]``
@@ -286,20 +279,18 @@ class Decomposition:
     weighs ``chi_[b]``.
     """
 
-    interval: Interval
-    base: float
-    plus_jumps: tuple[tuple[float, float], ...]
-    minus_jumps: tuple[tuple[float, float], ...]
-    endpoint: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = self.interval.a, self.interval.b
-        for s, _ in self.plus_jumps:
+    def __new__(cls, interval: Interval, base: float, plus_jumps, minus_jumps,
+                endpoint: float) -> "Decomposition":
+        a, b = interval.a, interval.b
+        for s, _ in plus_jumps:
             if not a <= s < b:
                 raise DomainError(f"chi_(sigma, b] location {s!r} outside [{a}, {b})")
-        for s, _ in self.minus_jumps:
+        for s, _ in minus_jumps:
             if not a < s < b:
                 raise DomainError(f"chi_[sigma, b] location {s!r} outside ({a}, {b})")
+        return super().__new__(cls, interval, base, plus_jumps, minus_jumps, endpoint)
 
     def value(self, t: float) -> float:
         self.interval.require(t)

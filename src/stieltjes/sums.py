@@ -17,15 +17,14 @@ each is the correctly rounded sum of its computed terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import RegulatedFunction
 from .errors import DomainError
 from .partitions import Partition
 
 
-@dataclass(frozen=True, slots=True)
-class SumValue:
+class SumValue(NamedTuple):
     value: float
     kind: str  # "S" or "SY"
     partition_size: int
@@ -65,8 +64,7 @@ def young_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) 
     return SumValue(math.fsum(terms), "SY", partition.size)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One inequality: |observed| <= bound (within slack).
 
     ``holds`` is None when the needed norm is unknown and the check was
@@ -80,17 +78,15 @@ class BoundCheck:
     holds: bool | None
 
 
-@dataclass(frozen=True, slots=True)
-class BoundsReport:
-    checks: tuple[BoundCheck, ...]
+class BoundsReport(tuple):
+    """The BoundChecks of one report, in order."""
 
-    def __iter__(self):
-        return iter(self.checks)
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:
         """True when no evaluated check failed (skipped checks pass)."""
-        return all(c.holds is not False for c in self.checks)
+        return all(c.holds is not False for c in self)
 
 
 def _make_check(name: str, observed: float, bound: float | None, slack: float) -> BoundCheck:

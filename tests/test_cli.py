@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stieltjes import ApproximationError, cli
+import stieltjes
+from stieltjes import ApproximationError, IntegralKind, Interval, cli
 
 STEP_G = "g=step[0,1]{nodes:0,0.5,1; at:0,0,1; on:0,1}"      # chi_(0.5,1]
 AFFINE_F = "f=affine[0,1]{slope:1}"
@@ -175,8 +180,6 @@ def test_spec_edge_cases(tmp_path, capsys):
 
 
 def test_exports_resolve_once():
-    import stieltjes
-
     assert len(stieltjes.__all__) == len(set(stieltjes.__all__))
     missing = [name for name in stieltjes.__all__ if not hasattr(stieltjes, name)]
     assert missing == []
@@ -190,7 +193,6 @@ def test_console_script_is_wired():
     `console_scripts` entry is checked wherever the distribution is installed.
     """
     import importlib.metadata as md
-    from pathlib import Path
 
     try:
         md.distribution("stieltjes")
@@ -208,3 +210,41 @@ def test_console_script_is_wired():
     ep = md.EntryPoint(name="stieltjes", value=scripts["stieltjes"],
                        group="console_scripts")
     assert ep.load() is cli.main
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # Every CLI job is a fresh process; `dataclasses` would bring
+    # `inspect`, `ast`, `dis` and `tokenize` into each one.
+    probe = ("import sys; before = set(sys.modules); import stieltjes.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_public_records_are_immutable():
+    iv = Interval(0.0, 1.0)
+    step = stieltjes.StepFunction(iv, (0.0, 0.5, 1.0), (0.0, 1.0, 2.0), (0.0, 2.0))
+    division = stieltjes.Division(iv, (0.0, 0.5, 1.0))
+    partition = stieltjes.Partition(division, (0.25, 0.75))
+    result = stieltjes.integrate(step, step, IntegralKind.KURZWEIL)
+    report = stieltjes.check_sum_bounds(step, step, partition)
+    job = stieltjes.parse_spec(f"integrate {PAIR}")
+    records = [
+        iv, stieltjes.Affine(1.0), stieltjes.Power(2.0), stieltjes.SinWave(3.0),
+        step.approximate(1.0), division, partition, step.decompose(),
+        stieltjes.ElementaryIntegrand(stieltjes.IndicatorKind.ONE),
+        result, result.diagnostics, stieltjes.riemann_sum(step, step, partition),
+        report, next(iter(report)), stieltjes.oracle_refinement(step, step, IntegralKind.YOUNG),
+        job, job.f,
+    ]
+    for rec in records:
+        # A BoundsReport is a tuple of its checks; all_hold is its one attribute.
+        fields = getattr(rec, "_fields", None) or getattr(type(rec), "__slots__", ())
+        for name in fields or ("all_hold",):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)

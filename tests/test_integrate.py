@@ -385,18 +385,22 @@ def test_limit_route_cells_follow_the_exact_certificate():
 
 def test_limit_route_with_zero_factors():
     # A constant integrator (var g = 0) and a zero integrand (bv f = 0)
-    # put 0 in the certificate's factor; eps falls back to tol.
+    # put 0 in the certificate's factor, which certifies any approximant:
+    # one cell per piece at every tol.  The monotone side has two pieces,
+    # its base's one cell split by the jump at 0.5.
     wave = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (SinWave(4.0),))
     flat = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(0.0, 3.0),))
     zero = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(0.0),))
     mono = MonotoneFunction(IV, Power(2.0), jumps=((0.5, 0.25, 0.25),))
     assert flat.variation_bound == 0.0 and zero.variation_bound == 0.0
-    for f, g, method in ((wave, flat, "limit-integrand"),
-                         (zero, mono, "limit-integrator")):
+    for f, g, method, pieces in ((wave, flat, "limit-integrand", 1),
+                                 (zero, mono, "limit-integrator", 2)):
         for kind in (K, Y, D):
-            res = integrate_limit(f, g, kind, tol=1e-3)
-            assert res.diagnostics.method == method
-            assert res.value == 0.0 and res.error_bound == 0.0
+            for res in (integrate_limit(f, g, kind, tol=1e-3),
+                        integrate_limit(f, g, kind)):
+                assert res.diagnostics.method == method
+                assert res.diagnostics.approximant_pieces == pieces
+                assert res.value == 0.0 and res.error_bound == 0.0
 
 
 def test_limit_route_refusal_names_the_reachable_tolerance(monkeypatch):
@@ -478,4 +482,4 @@ def test_integral_bounds_report():
     shy = UncertifiedVariation.from_formulas(IV, (0.0, 1.0), (Affine(1.0),))
     res = integrate(shy, IDENT, Y, tol=1e-3)
     report = check_integral_bounds(res, shy, IDENT)
-    assert report.checks[1].holds is None and report.all_hold
+    assert report[1].holds is None and report.all_hold

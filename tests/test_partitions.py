@@ -105,7 +105,7 @@ def test_cousin_partition_is_fine_for_step_gauges():
     for _ in range(100):
         f = rand_step(rng)
         # Reuse the random shape but squash it into a positive range.
-        span = f.sup_norm() + 1.0
+        span = f.sup_bound + 1.0
         widths = (0.005 / span) * f + StepFunction.constant(IV, rng.uniform(0.02, 0.3))
         gauge = Gauge(widths)
         p = cousin_fine_partition(gauge, IV)
