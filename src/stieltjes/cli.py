@@ -29,7 +29,8 @@ import sys
 
 from .core import Interval
 from .errors import (ApproximationError, DomainError, DSLError, GaugeError,
-                     GaugeTooFineError, StepPairError, VariationUnknownError)
+                     GaugeTooFineError, StepPairError, VariationUnknownError,
+                     check_tol)
 from .dsl import COMMANDS, JobSpec, build_pair, parse_spec
 from .integrate import IntegralKind, check_integral_bounds, integrate
 from .oracle import oracle_gauge, oracle_refinement
@@ -153,8 +154,7 @@ def run_text(text: str, command: str, tol: float | None, seed: int | None) -> tu
             raise DSLError(
                 f"job says {job.command!r} but the subcommand is {command!r}")
         if tol is not None:
-            if not tol > 0:
-                raise DSLError(f"tol must be positive, got {tol!r}")
+            check_tol(tol, DSLError, "tol")
             job = job._replace(tol=tol)
         if seed is not None:
             job = job._replace(seed=seed)
@@ -254,30 +254,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.spec is not None:
         try:
             with open(args.spec, encoding="utf-8") as fh:
-                raw_lines = fh.readlines()
+                jobs = [line.strip() for line in fh]
         except OSError as exc:
             print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
             return 2
-        worst = 0
-        ran = False
-        for raw in raw_lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            ran = True
-            code, report = run_text(line, args.command, args.tol, args.seed)
-            _emit(report, args.json)
-            worst = max(worst, code)
-        if not ran:
+        jobs = [line for line in jobs if line and not line.startswith("#")]
+        if not jobs:
             print(f"error: {args.spec} contains no jobs", file=sys.stderr)
             return 2
-        return worst
-    if not args.text:
+    elif args.text:
+        jobs = [" ".join(args.text)]
+    else:
         print("error: missing job text (or --spec FILE)", file=sys.stderr)
         return 2
-    code, report = run_text(" ".join(args.text), args.command, args.tol, args.seed)
-    _emit(report, args.json)
-    return code
+    worst = 0
+    for text in jobs:
+        code, report = run_text(text, args.command, args.tol, args.seed)
+        _emit(report, args.json)
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

@@ -81,6 +81,13 @@ class Interval(Frozen):
             raise DomainError(f"point {t!r} outside interval [{self.a}, {self.b}]")
 
 
+@classmethod
+def checked_make(cls, iterable):
+    """``_make`` for a NamedTuple whose ``__new__`` validates: build
+    through ``cls(...)``, so ``_make`` and ``_replace`` re-run the checks."""
+    return cls(*iterable)
+
+
 class StepApproximation(NamedTuple):
     """A step function plus a certified uniform error bound for it."""
 

@@ -62,7 +62,7 @@ import re
 from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction
-from .errors import DomainError, DSLSemanticError, DSLSyntaxError
+from .errors import DomainError, DSLSemanticError, DSLSyntaxError, check_tol
 from .regulated import (Affine, MonotoneFunction, PiecewiseLipschitz, Power,
                         SinWave)
 from .stepfun import StepFunction
@@ -70,26 +70,21 @@ from .stepfun import StepFunction
 COMMANDS = ("integrate", "verify-main", "verify-bounds", "oracle")
 KINDS = ("K", "Y", "D")
 
-_FORMULA_FAMILIES = ("affine", "power", "sin")
-_KEY_ORDER = {
-    "step": ("nodes", "at", "on"),
-    "lipschitz_pieces": ("breaks", "formulas", "at"),
-    "monotone_jumps": ("base", "jumps"),
-    "affine": ("slope", "intercept"),
-    "power": ("exponent", "scale"),
-    "sin": ("freq", "amp", "phase"),
+# Every family's keys in canonical order, each with the _Parser method
+# that reads its value and the default taken when it is left out.
+_NEEDED = object()  # the default of a required key
+_SCHEMA = {
+    "step": {"nodes": ("numbers", _NEEDED), "at": ("numbers", _NEEDED),
+             "on": ("numbers", _NEEDED)},
+    "lipschitz_pieces": {"breaks": ("numbers", _NEEDED),
+                         "formulas": ("formulas", _NEEDED), "at": ("numbers", None)},
+    "monotone_jumps": {"base": ("formula", _NEEDED), "jumps": ("jumps", ())},
+    "affine": {"slope": ("number", _NEEDED), "intercept": ("number", 0.0)},
+    "power": {"exponent": ("number", _NEEDED), "scale": ("number", 1.0)},
+    "sin": {"freq": ("number", _NEEDED), "amp": ("number", 1.0),
+            "phase": ("number", 0.0)},
 }
-_REQUIRED = {
-    "step": ("nodes", "at", "on"),
-    "lipschitz_pieces": ("breaks", "formulas"),
-    "monotone_jumps": ("base",),
-    "affine": ("slope",),
-    "power": ("exponent",),
-    "sin": ("freq",),
-}
-_NUMLIST_KEYS = frozenset(("nodes", "at", "on", "breaks"))
-_NUMBER_KEYS = frozenset(("slope", "intercept", "exponent", "scale",
-                          "freq", "amp", "phase"))
+_FORMULAS = {"affine": Affine, "power": Power, "sin": SinWave}
 
 
 class FunctionSpec(NamedTuple):
@@ -146,10 +141,8 @@ def tokenize(text: str) -> list[Token]:
             raise DSLSyntaxError(f"unexpected character {text[pos]!r}", line, col)
         chunk = m.group(0)
         kind = m.lastgroup
-        if kind == "number":
-            out.append(Token("number", chunk, line, col))
-        elif kind == "name":
-            out.append(Token("name", chunk, line, col))
+        if kind in ("number", "name"):
+            out.append(Token(kind, chunk, line, col))
         elif kind == "punct":
             out.append(Token(chunk, chunk, line, col))
         newlines = chunk.count("\n")
@@ -177,15 +170,11 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise DSLSyntaxError(message, tok.line, tok.col)
-
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
             shown = tok.text or "end of input"
-            self.fail(f"expected {what}, got {shown!r}", tok)
+            raise DSLSyntaxError(f"expected {what}, got {shown!r}", tok.line, tok.col)
         return self.next()
 
     def number(self, what: str = "a number") -> float:
@@ -196,100 +185,73 @@ class _Parser:
 
     # -- payload values ----------------------------------------------------
 
-    def numbers(self) -> tuple[float, ...]:
-        out = [self.number()]
+    def _list(self, item) -> tuple:
+        out = [item()]
         while self.peek().kind == ",":
             self.next()
-            out.append(self.number())
+            out.append(item())
         return tuple(out)
 
+    def numbers(self) -> tuple[float, ...]:
+        return self._list(self.number)
+
     def jumps(self) -> tuple[tuple[float, float, float], ...]:
-        out = []
-        while True:
-            t = self.number("a jump location")
-            self.expect(":", "':' in t:pre:post")
-            pre = self.number("the pre-jump")
-            self.expect(":", "':' in t:pre:post")
-            post = self.number("the post-jump")
-            out.append((t, pre, post))
-            if self.peek().kind != ",":
-                return tuple(out)
-            self.next()
+        return self._list(self.jump)
+
+    def formulas(self) -> tuple[FunctionSpec, ...]:
+        return self._list(self.formula)
+
+    def jump(self) -> tuple[float, float, float]:
+        t = self.number("a jump location")
+        self.expect(":", "':' in t:pre:post")
+        pre = self.number("the pre-jump")
+        self.expect(":", "':' in t:pre:post")
+        return t, pre, self.number("the post-jump")
 
     def formula(self) -> FunctionSpec:
         fam = self.name("a formula family")
-        if fam not in _FORMULA_FAMILIES:
+        if fam not in _FORMULAS:
             raise DSLSemanticError(
-                f"unknown formula family {fam!r}; pick one of "
-                + ", ".join(_FORMULA_FAMILIES))
+                f"unknown formula family {fam!r}; pick one of " + ", ".join(_FORMULAS))
         self.expect("(", "'('")
+        return FunctionSpec(fam, fam, None, self.entries(fam, ",", ")"))
+
+    def entries(self, family: str, sep: str, close: str) -> tuple[tuple[str, object], ...]:
+        """``key: value`` entries separated by ``sep`` up to ``close``,
+        checked against the family's schema and put in canonical order."""
+        schema = _SCHEMA[family]
         seen: dict[str, object] = {}
         while True:
-            key = self.name("an argument name")
-            self._check_key(fam, key, seen)
+            key = self.name("a payload key" if sep == ";" else "an argument name")
+            if key in seen:
+                raise DSLSemanticError(f"duplicate argument {key!r} for {family}")
+            if key not in schema:
+                raise DSLSemanticError(
+                    f"unknown argument {key!r} for {family}; expected " + ", ".join(schema))
             self.expect(":", "':'")
-            seen[key] = self.number()
-            if self.peek().kind != ",":
+            seen[key] = getattr(self, schema[key][0])()
+            if self.peek().kind != sep:
                 break
             self.next()
-        self.expect(")", "')' or ','")
-        return FunctionSpec(fam, fam, None, self._ordered(fam, seen))
-
-    def formulas(self) -> tuple[FunctionSpec, ...]:
-        out = [self.formula()]
-        while self.peek().kind == ",":
-            self.next()
-            out.append(self.formula())
-        return tuple(out)
-
-    @staticmethod
-    def _check_key(family: str, key: str, seen: dict) -> None:
-        if key in seen:
-            raise DSLSemanticError(f"duplicate argument {key!r} for {family}")
-        if key not in _KEY_ORDER[family]:
-            raise DSLSemanticError(
-                f"unknown argument {key!r} for {family}; expected "
-                + ", ".join(_KEY_ORDER[family]))
-
-    @staticmethod
-    def _ordered(family: str, seen: dict) -> tuple[tuple[str, object], ...]:
-        for key in _REQUIRED[family]:
-            if key not in seen:
+        self.expect(close, f"'{close}' or '{sep}'")
+        for key, (_, default) in schema.items():
+            if default is _NEEDED and key not in seen:
                 raise DSLSemanticError(f"{family} needs {key}: ...")
-        return tuple((k, seen[k]) for k in _KEY_ORDER[family] if k in seen)
+        return tuple((k, seen[k]) for k in schema if k in seen)
 
     def function(self, slot: str) -> FunctionSpec:
         fam = self.name("a function family")
-        if fam not in _KEY_ORDER:
+        if fam not in _SCHEMA:
             raise DSLSemanticError(
                 f"unknown function family {fam!r}; pick one of "
-                + ", ".join(sorted(_KEY_ORDER)))
+                + ", ".join(sorted(_SCHEMA)))
         self.expect("[", "'[a, b]' with the interval")
         a = self.number("the interval start")
         self.expect(",", "','")
         b = self.number("the interval end")
         self.expect("]", "']'")
         self.expect("{", "'{'")
-        seen: dict[str, object] = {}
-        while True:
-            key = self.name("a payload key")
-            self._check_key(fam, key, seen)
-            self.expect(":", "':'")
-            if key in _NUMBER_KEYS:
-                seen[key] = self.number()
-            elif key in _NUMLIST_KEYS:
-                seen[key] = self.numbers()
-            elif key == "formulas":
-                seen[key] = self.formulas()
-            elif key == "base":
-                seen[key] = self.formula()
-            elif key == "jumps":
-                seen[key] = self.jumps()
-            if self.peek().kind != ";":
-                break
-            self.next()
-        self.expect("}", "'}' or ';'")
-        return FunctionSpec(slot, fam, (a, b), self._ordered(fam, seen))
+        return FunctionSpec(slot, fam, (a, b), self.entries(fam, ";", "}"))
 
     def job(self) -> JobSpec:
         command = self.name("a command")
@@ -316,8 +278,7 @@ class _Parser:
         if kind not in KINDS:
             raise DSLSemanticError(f"unknown integral kind {kind!r}")
         tol = float(fields.get("tol", 1e-9))
-        if not tol > 0:
-            raise DSLSemanticError(f"tol must be positive, got {tol!r}")
+        check_tol(tol, DSLSemanticError, "tol")
         raw_seed = fields.get("seed", 0)
         if isinstance(raw_seed, float) and not raw_seed.is_integer():
             raise DSLSemanticError(f"seed must be an integer, got {raw_seed!r}")
@@ -340,12 +301,13 @@ def _spanning(values: tuple[float, ...], interval: tuple[float, float],
             f"got {values[0]!r} to {values[-1]!r}")
 
 
+def _args(spec: FunctionSpec) -> list:
+    """The spec's values in schema order, defaults filled in."""
+    return [spec.get(key, default) for key, (_, default) in _SCHEMA[spec.family].items()]
+
+
 def _build_formula(spec: FunctionSpec):
-    if spec.family == "affine":
-        return Affine(spec.get("slope"), spec.get("intercept", 0.0))
-    if spec.family == "power":
-        return Power(spec.get("exponent"), spec.get("scale", 1.0))
-    return SinWave(spec.get("freq"), spec.get("amp", 1.0), spec.get("phase", 0.0))
+    return _FORMULAS[spec.family](*_args(spec))
 
 
 def build_function(spec: FunctionSpec) -> RegulatedFunction:
@@ -354,9 +316,8 @@ def build_function(spec: FunctionSpec) -> RegulatedFunction:
     try:
         interval = Interval(*spec.interval)
         if spec.family == "step":
-            nodes = spec.get("nodes")
+            nodes, at, on = _args(spec)
             _spanning(nodes, spec.interval, "nodes")
-            at, on = spec.get("at"), spec.get("on")
             if len(at) != len(nodes):
                 raise DSLSemanticError(
                     f"step needs one at: value per node ({len(nodes)}), got {len(at)}")
@@ -366,14 +327,12 @@ def build_function(spec: FunctionSpec) -> RegulatedFunction:
                     f"got {len(on)}")
             return StepFunction(interval, nodes, at, on)
         if spec.family == "lipschitz_pieces":
-            breaks = spec.get("breaks")
+            breaks, formulas, at = _args(spec)
             _spanning(breaks, spec.interval, "breaks")
-            formulas = spec.get("formulas")
             if len(formulas) != len(breaks) - 1:
                 raise DSLSemanticError(
                     f"lipschitz_pieces needs one formula per piece "
                     f"({len(breaks) - 1}), got {len(formulas)}")
-            at = spec.get("at")
             if at is not None and len(at) != len(breaks):
                 raise DSLSemanticError(
                     f"lipschitz_pieces needs one at: value per break "
@@ -381,11 +340,10 @@ def build_function(spec: FunctionSpec) -> RegulatedFunction:
             return PiecewiseLipschitz.from_formulas(
                 interval, breaks, tuple(_build_formula(s) for s in formulas), at)
         if spec.family == "monotone_jumps":
-            base = spec.get("base")
+            base, jumps = _args(spec)
             if base.family == "sin":
                 raise DSLSemanticError("monotone_jumps base must be affine or power")
-            return MonotoneFunction(interval, _build_formula(base),
-                                    spec.get("jumps", ()))
+            return MonotoneFunction(interval, _build_formula(base), jumps)
         return PiecewiseLipschitz.from_formulas(
             interval, (interval.a, interval.b), (_build_formula(spec),))
     except DomainError as exc:
@@ -404,11 +362,7 @@ def build_pair(job: JobSpec) -> tuple[RegulatedFunction, RegulatedFunction]:
 
 def parse_spec(text: str) -> JobSpec:
     """Parse and fully validate one job."""
-    parser = _Parser(text)
-    job = parser.job()
-    tok = parser.peek()
-    if tok.kind != "end":
-        parser.fail(f"unexpected trailing {tok.text!r}", tok)
+    job = _Parser(text).job()
     build_pair(job)
     return job
 
@@ -416,28 +370,23 @@ def parse_spec(text: str) -> JobSpec:
 # ----------------------------------------------------------------------
 # Canonical rendering; parse_spec(render_job(job)) == job.
 
-def _render_value(key: str, value) -> str:
-    if key in _NUMBER_KEYS:
-        return repr(value)
-    if key in _NUMLIST_KEYS:
-        return ", ".join(repr(x) for x in value)
-    if key == "formulas":
-        return ", ".join(_render_formula(s) for s in value)
-    if key == "base":
-        return _render_formula(value)
-    if key == "jumps":
-        return ", ".join(f"{t!r}:{pre!r}:{post!r}" for t, pre, post in value)
-    raise DSLSemanticError(f"unknown argument {key!r}")
-
-
-def _render_formula(spec: FunctionSpec) -> str:
-    args = ", ".join(f"{k}: {v!r}" for k, v in spec.payload)
-    return f"{spec.family}({args})"
+def _render_value(value, sep: str = ", ") -> str:
+    # A list entry joins its items with ", ", a t:pre:post jump with ":".
+    if isinstance(value, FunctionSpec):
+        return render_function(value)
+    if isinstance(value, tuple):
+        return sep.join(_render_value(v, ":") for v in value)
+    return repr(value)
 
 
 def render_function(spec: FunctionSpec) -> str:
+    """Canonical text of a function term, or of a formula term (one
+    without an interval)."""
+    if spec.interval is None:
+        args = ", ".join(f"{k}: {_render_value(v)}" for k, v in spec.payload)
+        return f"{spec.family}({args})"
     a, b = spec.interval
-    entries = "; ".join(f"{k}: {_render_value(k, v)}" for k, v in spec.payload)
+    entries = "; ".join(f"{k}: {_render_value(v)}" for k, v in spec.payload)
     return f"{spec.family}[{a!r}, {b!r}]{{{entries}}}"
 
 

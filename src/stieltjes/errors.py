@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check
+every entry point applies."""
+
+import math
 
 
 class StieltjesError(Exception):
@@ -57,3 +60,12 @@ class DSLSyntaxError(DSLError):
 
 class DSLSemanticError(DSLError):
     """Well-formed text describing an invalid job."""
+
+
+def check_tol(tol: float, error: type = DomainError, name: str = "tolerance") -> None:
+    """Refuse a tolerance outside (0, inf): nan and 0 can never be met,
+    and inf asks for an approximant no eps search can size."""
+    if not tol > 0:
+        raise error(f"{name} must be positive, got {tol!r}")
+    if tol == math.inf:
+        raise error(f"{name} must be finite, got {tol!r}")

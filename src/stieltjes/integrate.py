@@ -33,9 +33,9 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .core import Interval, RegulatedFunction
+from .core import Interval, RegulatedFunction, checked_make
 from .errors import (ApproximationError, DomainError, StepPairError,
-                     VariationUnknownError)
+                     VariationUnknownError, check_tol)
 from .stepfun import StepFunction, indicator
 from .sums import BoundsReport, _make_check
 
@@ -71,6 +71,7 @@ class ElementaryIntegrand(NamedTuple("ElementaryIntegrand",
     has one."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, kind: IndicatorKind, tau: float | None = None) -> "ElementaryIntegrand":
         needs_tau = kind in (IndicatorKind.OPEN_TAIL, IndicatorKind.CLOSED_TAIL)
@@ -262,8 +263,7 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     An approximant's ApproximationError is re-raised with ``best_error``
     times the factor: the smallest tol this route can certify.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    check_tol(tol)
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
     var_g = g.variation_bound
@@ -310,8 +310,7 @@ def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,
     """Front door: exact closed form whenever either argument is a
     step function (no variation bound needed then), the certified limit
     route otherwise."""
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    check_tol(tol)
     if isinstance(f, StepFunction) or isinstance(g, StepFunction):
         return integrate_step_pair(f, g, kind)
     return integrate_limit(f, g, kind, tol)

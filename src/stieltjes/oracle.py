@@ -26,7 +26,7 @@ import random
 from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction
-from .errors import DomainError, GaugeTooFineError
+from .errors import DomainError, GaugeTooFineError, check_tol
 from .integrate import IntegralKind
 from .partitions import (Division, Gauge, Partition, _cells_to_partition,
                          _generate_fine_cells, interior_tags)
@@ -64,8 +64,7 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
     (plain sums) integral, by sampling interior-tagged partitions."""
     if kind is IntegralKind.KURZWEIL:
         raise DomainError("the Kurzweil integral is a gauge limit; use oracle_gauge")
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    check_tol(tol)
     sum_fn = young_sum if kind is IntegralKind.YOUNG else riemann_sum
     jumps, seeds = _jumps_and_seeds(f, g)
     jumpset = frozenset(jumps)
@@ -144,8 +143,7 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
     jump then has to carry that jump itself as its tag, which is what
     makes plain sums settle.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    check_tol(tol)
     jumps, seeds = _jumps_and_seeds(f, g)
     width = f.interval.width
     global_dyadic = not (isinstance(f, StepFunction) or isinstance(g, StepFunction))

@@ -13,7 +13,7 @@ import math
 import random
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import Interval
+from .core import Interval, checked_make
 from .errors import DomainError, GaugeError, GaugeTooFineError
 
 TAG_FREE = "free"
@@ -26,6 +26,7 @@ class Division(NamedTuple("Division", [("interval", Interval),
     interval exactly."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, interval: Interval, points: Iterable[float]) -> "Division":
         pts = tuple(float(x) for x in points)
@@ -60,6 +61,7 @@ class Partition(NamedTuple("Partition", [("division", Division),
     """A division with one tag per cell."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, division: Division, tags: Iterable[float],
                 mode: str = TAG_FREE) -> "Partition":

@@ -297,7 +297,7 @@ class MonotoneFunction(RegulatedFunction):
     cell the base stays between its endpoint values.
     """
 
-    __slots__ = ("_base", "_jumps", "_jump_step", "_direction")
+    __slots__ = ("_base", "_jump_step", "_direction")
 
     def __init__(self, interval: Interval, base, jumps=()):
         super().__init__(interval)
@@ -321,7 +321,6 @@ class MonotoneFunction(RegulatedFunction):
                 interval, 0.0, plus_jumps=plus, minus_jumps=minus, endpoint=endpoint)
         else:
             self._jump_step = None
-        self._jumps = tuple(jlist)
 
         span = base(interval.b) - base(interval.a)
         direction = math.copysign(1.0, span) if span else 0.0
@@ -373,7 +372,7 @@ class MonotoneFunction(RegulatedFunction):
         return max(abs(self.value(self._interval.a)), abs(self.value(self._interval.b)))
 
     def jump_points(self) -> tuple[float, ...]:
-        return tuple(t for t, pre, post in self._jumps if pre != 0.0 or post != 0.0)
+        return self._jump_step.jump_points() if self._jump_step is not None else ()
 
     def approximate(self, eps: float) -> StepApproximation:
         """Bisect the continuous base until every cell's rise is at most

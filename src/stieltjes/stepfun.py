@@ -16,7 +16,7 @@ import operator
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .core import Interval, RegulatedFunction, StepApproximation
+from .core import Interval, RegulatedFunction, StepApproximation, checked_make
 from .errors import DomainError
 
 
@@ -280,6 +280,7 @@ class Decomposition(NamedTuple("Decomposition", [
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, interval: Interval, base: float, plus_jumps, minus_jumps,
                 endpoint: float) -> "Decomposition":
@@ -305,29 +306,37 @@ class Decomposition(NamedTuple("Decomposition", [
             acc += self.endpoint
         return acc
 
-    def _piece_value(self, x: float) -> float:
-        # Value on an open piece whose left end is the node x; both
-        # strict and non-strict comparisons collapse to sigma <= x.
-        acc = self.base
-        for s, w in self.plus_jumps:
-            if s <= x:
-                acc += w
-        for s, w in self.minus_jumps:
-            if s <= x:
-                acc += w
-        return acc
-
     def to_step(self) -> StepFunction:
-        pts = {self.interval.a, self.interval.b}
-        pts.update(s for s, _ in self.plus_jumps)
-        pts.update(s for s, _ in self.minus_jumps)
-        nodes = sorted(pts)
-        return StepFunction(
-            self.interval,
-            nodes,
-            [self.value(x) for x in nodes],
-            [self._piece_value(x) for x in nodes[:-1]],
-        )
+        """One walk over the sorted jump locations.  The running sum is
+        kept exactly, in units of 2**-1074 (every finite float is a whole
+        number of them), and rounded once per value, so each value is
+        the correctly rounded sum of the weights it collects."""
+        a, b = self.interval.a, self.interval.b
+        weights = {a: [0, 0], b: [0, 0]}  # location -> [plus, minus]
+        try:
+            for k, jumps in enumerate((self.plus_jumps, self.minus_jumps)):
+                for s, w in jumps:
+                    weights.setdefault(s, [0, 0])[k] += _scaled(w)
+            nodes = sorted(weights)
+            acc, at, on = _scaled(self.base), [], []
+            for x in nodes:
+                plus, minus = weights[x]
+                acc += minus
+                at.append((acc + _scaled(self.endpoint) if x == b else acc) / _SCALE)
+                acc += plus
+                on.append(acc / _SCALE)
+        except (OverflowError, ValueError) as exc:  # a non-finite weight or value
+            raise DomainError("step function values must be finite") from exc
+        return StepFunction(self.interval, nodes, at, on[:-1])
+
+
+_SCALE = 1 << 1074
+
+
+def _scaled(x: float) -> int:
+    # x * 2**1074 exactly; the ratio's denominator is a power of two.
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
 
 
 def step_from_jumps(interval: Interval, base: float = 0.0,

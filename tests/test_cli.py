@@ -248,3 +248,38 @@ def test_public_records_are_immutable():
                 setattr(rec, name, 0)
             with pytest.raises(AttributeError):
                 delattr(rec, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--tol", "inf", "f=affine[0,1]{slope:1} g=affine[0,1]{slope:1}"],
+    ["integrate", "--tol", "nan", "f=affine[0,1]{slope:1} g=affine[0,1]{slope:1}"],
+    ["integrate", "f=affine[0,1]{slope:1} g=affine[0,1]{slope:1} tol=1e999"],
+    ["oracle", "--tol", "inf", "kind=Y", PAIR],
+])
+def test_non_finite_tol_is_refused_fast(argv):
+    # An infinite tol once sent the eps search into an endless loop.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "stieltjes.cli", *argv],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=20)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "tol must be" in out.stderr
+
+
+def test_validated_records_rerun_their_checks_on_replace():
+    iv = Interval(0.0, 1.0)
+    division = stieltjes.Division(iv, (0.0, 0.5, 1.0))
+    partition = stieltjes.Partition(division, (0.25, 0.75))
+    one = stieltjes.ElementaryIntegrand(stieltjes.IndicatorKind.ONE)
+    dec = stieltjes.StepFunction.constant(iv, 1.0).decompose()
+    bad = [(division, {"points": (0.0, 0.6, 0.5, 1.0)}),
+           (partition, {"tags": (0.25, 0.5, 0.75)}),
+           (one, {"tau": 0.5}),
+           (dec, {"minus_jumps": ((1.0, 2.0),)})]
+    for rec, fields in bad:
+        with pytest.raises(stieltjes.DomainError):
+            rec._replace(**fields)
+        with pytest.raises(stieltjes.DomainError):
+            type(rec)._make(fields.get(n, v) for n, v in zip(rec._fields, rec))
+        assert rec._replace() == rec and type(rec)._make(rec) == rec

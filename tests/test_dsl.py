@@ -159,3 +159,51 @@ def test_jobspec_defaults():
     job = parse_spec("oracle f=affine[0,1]{slope:1} g=affine[0,1]{slope:1}")
     assert job == JobSpec(command="oracle", f=job.f, g=job.g,
                           kind="K", tol=1e-9, seed=0)
+
+
+G_AFFINE = " g=affine[0,1]{slope:1}"
+PINNED_ERRORS = [
+    ("integrate f=lipschitz_pieces[0,1]{breaks:0,1; formulas:cosh(slope:1)}"
+     + G_AFFINE, DSLSemanticError,
+     "unknown formula family 'cosh'; pick one of affine, power, sin"),
+    ("integrate f=lipschitz_pieces[0,1]{breaks:0,1; formulas:affine(intercept:1)}"
+     + G_AFFINE, DSLSemanticError, "affine needs slope: ..."),
+    ("integrate f=monotone_jumps[0,1]{base:power(scale:2)}" + G_AFFINE,
+     DSLSemanticError, "power needs exponent: ..."),
+    ("integrate f=lipschitz_pieces[0,1]{breaks:0,1; formulas:sin(freq:1, freq:2)}"
+     + G_AFFINE, DSLSemanticError, "duplicate argument 'freq' for sin"),
+    ("integrate f=lipschitz_pieces[0,1]{breaks:0,1; formulas:sin(amp:1, pitch:2)}"
+     + G_AFFINE, DSLSemanticError,
+     "unknown argument 'pitch' for sin; expected freq, amp, phase"),
+    ("integrate f=monotone_jumps[0,1]{base:affine(slope:1); jumps:0.5:0.1}"
+     + G_AFFINE, DSLSyntaxError, "1:68: expected ':' in t:pre:post, got '}'"),
+    ("integrate f=monotone_jumps[0,1]{base:affine(slope:1); jumps:0.5,0.1,0}"
+     + G_AFFINE, DSLSyntaxError, "1:64: expected ':' in t:pre:post, got ','"),
+    ("integrate f=affine[0,1]{slope:1}" + G_AFFINE + " ;", DSLSyntaxError,
+     "1:57: expected f=, g=, kind=, tol= or seed=, got ';'"),
+    ("integrate f=affine[0,1]{slope:1}" + G_AFFINE + " 3", DSLSyntaxError,
+     "1:57: expected f=, g=, kind=, tol= or seed=, got '3'"),
+    ("integrate f=step[0,1]{nodes:0,1; at:0,1; on:0,1}" + G_AFFINE,
+     DSLSemanticError, "step needs one on: value per piece (1), got 2"),
+    ("integrate f=step[0,1]{nodes:0; at:0; on:0}" + G_AFFINE,
+     DSLSemanticError, "at least 2 nodes needed, got 1"),
+    ("integrate f=lipschitz_pieces[0,1]{breaks:0,1; formulas:affine(slope:1); at:0}"
+     + G_AFFINE, DSLSemanticError,
+     "lipschitz_pieces needs one at: value per break (2), got 1"),
+    ("integrate f=zigzag[0,1]{a:1}" + G_AFFINE, DSLSemanticError,
+     "unknown function family 'zigzag'; pick one of affine, lipschitz_pieces, "
+     "monotone_jumps, power, sin, step"),
+    ("integrate f=step[0,1]{nodes:0,1; at:0,1}" + G_AFFINE, DSLSemanticError,
+     "step needs on: ..."),
+    ("integrate f=affine[0,1]{slope:1 intercept:2}" + G_AFFINE, DSLSyntaxError,
+     "1:33: expected '}' or ';', got 'intercept'"),
+    ("integrate f=lipschitz_pieces[0,1]{breaks:0,1; formulas:affine(slope:1; "
+     "intercept:2)}" + G_AFFINE, DSLSyntaxError, "1:70: expected ')' or ',', got ';'"),
+]
+
+
+@pytest.mark.parametrize("text, kind, message", PINNED_ERRORS)
+def test_error_messages_are_pinned(text, kind, message):
+    with pytest.raises(kind) as info:
+        parse_spec(text)
+    assert str(info.value) == message

@@ -22,7 +22,7 @@ from stieltjes import (Affine, ApproximationError, DomainError,
                        VariationUnknownError, by_parts, check_integral_bounds,
                        elementary_backward, elementary_forward, indicator,
                        integrate, integrate_limit, integrate_step_pair,
-                       step_from_jumps)
+                       oracle_gauge, oracle_refinement, step_from_jumps)
 from stieltjes import regulated
 
 IV = Interval(0.0, 1.0)
@@ -437,6 +437,17 @@ def test_limit_route_preconditions():
         Interval(0.0, 2.0), (0.0, 2.0), (Affine(1.0),))
     with pytest.raises(DomainError):
         integrate_limit(IDENT, other, K)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_every_entry_point_refuses_a_tol_outside_zero_to_inf(tol):
+    # An infinite tol once looped forever in the eps search.
+    for run in (lambda: integrate(IDENT, IDENT, K, tol),
+                lambda: integrate_limit(IDENT, IDENT, Y, tol),
+                lambda: oracle_refinement(IDENT, IDENT, D, tol),
+                lambda: oracle_gauge(IDENT, IDENT, tol)):
+        with pytest.raises(DomainError, match="tolerance must be"):
+            run()
 
 
 def test_facade_routes_by_argument_type():

@@ -145,6 +145,13 @@ def test_monotone_values_and_limits():
     assert f.jump_points() == (0.5,)
 
 
+def test_monotone_jump_points_lists_each_location_once():
+    f = MonotoneFunction(IV, Affine(1.0), [(0.5, 0.25, 0), (0.5, 0, 0.25)])
+    assert f.jump_points() == (0.5,)
+    assert f.left_jump(0.5) == 0.25 and f.right_jump(0.5) == 0.25
+    assert MonotoneFunction(IV, Affine(1.0), [(0.5, 0.0, 0.0)]).jump_points() == ()
+
+
 def test_monotone_variation_is_total_rise():
     f = mono()
     assert f.variation_bound == 1.5

@@ -153,6 +153,39 @@ def test_step_from_jumps_places_weights():
         Decomposition(IV, 0.0, ((1.0, 2.0),), (), 0.0)  # plus jump at b
 
 
+def test_to_step_values_are_correctly_rounded_prefix_sums():
+    # Locations repeat and weights span many binades, so a running float
+    # sum would round differently from math.fsum of the same weights.
+    rng = random.Random(20261018)
+    locs = [0.0, 0.125, 0.25, 0.5, 0.75, 0.875]
+
+    def weight():
+        return rng.choice((-1, 1)) * rng.uniform(0.5, 1.0) * 2.0 ** rng.randint(-60, 60)
+
+    for _ in range(100):
+        base, endpoint = weight(), weight()
+        plus = [(rng.choice(locs), weight()) for _ in range(rng.randint(0, 12))]
+        minus = [(rng.choice(locs[1:]), weight()) for _ in range(rng.randint(0, 12))]
+        f = step_from_jumps(IV, base, plus, minus, endpoint)
+        for x in locs + [1.0]:
+            at = [base] + [w for s, w in plus if s < x] + [w for s, w in minus if s <= x]
+            assert f(x) == math.fsum(at + ([endpoint] if x == 1.0 else []))
+            if x < 1.0:
+                on = [base] + [w for s, w in plus + minus if s <= x]
+                assert f.right_limit(x) == math.fsum(on)
+
+
+def test_to_step_refuses_values_beyond_float():
+    big = 1.5e308
+    with pytest.raises(DomainError):
+        step_from_jumps(IV, big, plus_jumps=((0.5, big),))
+    with pytest.raises(DomainError):
+        step_from_jumps(IV, 0.0, minus_jumps=((0.5, math.inf),))
+    # No value overflows here, only a left-to-right float sum would.
+    f = step_from_jumps(IV, big, plus_jumps=((0.5, big),), minus_jumps=((0.5, -big),))
+    assert (f(0.25), f(0.5), f(0.75)) == (big, 0.0, big)
+
+
 # ----------------------------------------------------------------- algebra
 
 def test_algebra_on_known_values():
