@@ -22,7 +22,7 @@ from .stepfun import (Decomposition, StepFunction, indicator, step_from_jumps)
 from .regulated import (Affine, MonotoneFunction, PiecewiseLipschitz, Power,
                         SinWave)
 from .partitions import (Division, Gauge, Partition, cousin_fine_partition,
-                         interior_tags, is_fine, random_fine_partition)
+                         interior_tags, is_fine)
 from .sums import (BoundCheck, BoundsReport, SumValue, check_sum_bounds,
                    riemann_sum, young_sum)
 from .integrate import (Diagnostics, ElementaryIntegrand, IndicatorKind,
@@ -51,6 +51,6 @@ __all__ = [
     "elementary_forward", "indicator", "integrate", "integrate_limit",
     "integrate_step_pair", "interior_tags", "is_fine",
     "oracle_gauge", "oracle_refinement", "parse_spec",
-    "random_fine_partition", "render_function", "render_job",
+    "render_function", "render_job",
     "riemann_sum", "step_from_jumps", "young_sum",
 ]

@@ -77,8 +77,8 @@ def _random_partition(interval: Interval, rng: random.Random, alternate: bool):
                     | {x for x in inner if interval.a < x < interval.b})
     division = Division(interval, tuple(points))
     if alternate:
-        return interior_tags(division, "midpoint")
-    return interior_tags(division, "random", rng.randrange(1 << 30))
+        return interior_tags(division)
+    return interior_tags(division, rng.randrange(1 << 30))
 
 
 def _cmd_verify_bounds(job: JobSpec) -> tuple[int, dict]:

@@ -22,16 +22,23 @@ error bound; certified bounds come from ``integrate``.
 from __future__ import annotations
 
 import math
-import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .core import Interval, RegulatedFunction
+from .core import RegulatedFunction
 from .errors import DomainError, GaugeTooFineError, check_tol
 from .integrate import IntegralKind
-from .partitions import (Division, Gauge, Partition, _cells_to_partition,
-                         _generate_fine_cells, interior_tags)
+from .partitions import Division, Gauge, _fine_partition, interior_tags
 from .stepfun import StepFunction
 from .sums import riemann_sum, young_sum
+
+# Levels either oracle tries before it reports no convergence.
+MAX_LEVELS = 18
+# Sum terms (refinement) or fine cells (gauge) one run may spend.
+MAX_TERMS = 1 << 17
+# Randomly tagged sums per refinement level, besides the midpoint sum.
+PROBES = 32
+# Fine partitions per gauge level, the deterministic one included.
+PARTITIONS = 16
 
 
 class OracleReport(NamedTuple):
@@ -43,97 +50,83 @@ class OracleReport(NamedTuple):
 
 
 def _jumps_and_seeds(f: RegulatedFunction, g: RegulatedFunction
-                     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The sorted jumps of f and g together, and the same points with
-    both endpoints added."""
+                     ) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
+    """The sorted jumps of f and g together, the same points with both
+    endpoints added, and whether neither function is a step function
+    (then cells away from the jumps need refining too)."""
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
     jumps = tuple(sorted(set(f.jump_points()) | set(g.jump_points())))
-    return jumps, tuple(sorted({f.interval.a, f.interval.b, *jumps}))
+    seeds = tuple(sorted({f.interval.a, f.interval.b, *jumps}))
+    return jumps, seeds, not (isinstance(f, StepFunction) or isinstance(g, StepFunction))
 
 
-def _probe_seed(seed: int, level: int, i: int) -> int:
-    return (seed * 1_000_003 + level) * 1_000_003 + i
+def _level_seeds(seed: int, level: int, probes: int) -> list[int | None]:
+    """None (midpoint tags, bisected cells) first, then one seed per probe."""
+    return [None] + [(seed * 1_000_003 + level) * 1_000_003 + i for i in range(probes)]
+
+
+def _converge(level_sums: Iterator[list[float]], kind: IntegralKind,
+              tol: float) -> OracleReport:
+    """Read one list of sums per level, center sum first, until every
+    sum of two consecutive levels lies within tol of the center."""
+    center, spread, levels = math.nan, math.inf, 0
+    prev_sums: list[float] = []
+    for levels, sums in enumerate(level_sums, 1):
+        center = sums[0]
+        spread = max(abs(s - center) for s in sums + prev_sums)
+        if levels >= 2 and spread <= tol:
+            return OracleReport(center, kind, spread, levels, True)
+        prev_sums = sums
+    return OracleReport(center, kind, spread, levels, False)
 
 
 def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
-                      kind: IntegralKind, tol: float = 1e-9, seed: int = 0, *,
-                      probes: int = 32, max_levels: int = 18,
-                      max_terms: int = 1 << 17) -> OracleReport:
+                      kind: IntegralKind, tol: float = 1e-9,
+                      seed: int = 0) -> OracleReport:
     """Refinement-limit value of the Young (jump-aware sums) or Dushnik
     (plain sums) integral, by sampling interior-tagged partitions."""
     if kind is IntegralKind.KURZWEIL:
         raise DomainError("the Kurzweil integral is a gauge limit; use oracle_gauge")
     check_tol(tol)
     sum_fn = young_sum if kind is IntegralKind.YOUNG else riemann_sum
-    jumps, seeds = _jumps_and_seeds(f, g)
+    jumps, seeds, global_split = _jumps_and_seeds(f, g)
     jumpset = frozenset(jumps)
-    global_split = not (isinstance(f, StepFunction) or isinstance(g, StepFunction))
+    a, b = f.interval.a, f.interval.b
 
-    division = Division(f.interval, seeds)
-    center = math.nan
-    spread = math.inf
-    terms = 0
-    levels = 0
-    prev_sums: list[float] = []
-    for level in range(max_levels):
-        terms += (probes + 1) * division.nu
-        if terms > max_terms:
-            break
-        levels = level + 1
-        center = sum_fn(f, g, interior_tags(division, "midpoint")).value
-        cur_sums = [center]
-        for i in range(probes):
-            part = interior_tags(division, "random", _probe_seed(seed, level, i))
-            cur_sums.append(sum_fn(f, g, part).value)
-        spread = max(abs(s - center) for s in cur_sums + prev_sums)
-        if level >= 1 and spread <= tol:
-            return OracleReport(center, kind, spread, levels, True)
-        prev_sums = cur_sums
+    def level_sums() -> Iterator[list[float]]:
+        division = Division(f.interval, seeds)
+        terms = 0
+        for level in range(MAX_LEVELS):
+            terms += (PROBES + 1) * division.nu
+            if terms > MAX_TERMS:
+                return
+            yield [sum_fn(f, g, interior_tags(division, s)).value
+                   for s in _level_seeds(seed, level, PROBES)]
+            extra: list[float] = []
+            for u, v in division.cells():
+                w = v - u
+                if w <= 8.0 * math.ulp(max(abs(u), abs(v), 1.0)):
+                    continue
+                if global_split:
+                    extra.append(0.5 * (u + v))
+                if u in jumpset:
+                    extra.append(u + w / 16.0)
+                if v in jumpset:
+                    extra.append(v - w / 16.0)
+            division = division.refine(x for x in extra if a < x < b)
 
-        extra: list[float] = []
-        a, b = f.interval.a, f.interval.b
-        for u, v in division.cells():
-            w = v - u
-            if w <= 8.0 * math.ulp(max(abs(u), abs(v), 1.0)):
-                continue
-            if global_split:
-                extra.append(0.5 * (u + v))
-            if u in jumpset:
-                extra.append(u + w / 16.0)
-            if v in jumpset:
-                extra.append(v - w / 16.0)
-        division = division.refine(x for x in extra if a < x < b)
-    return OracleReport(center, kind, spread, levels, False)
+    return _converge(level_sums(), kind, tol)
 
 
-def _distance_gauge(base: float, jumps: tuple[float, ...], floor: float) -> Gauge:
+def _distance_body(base: float, jumps: tuple[float, ...], floor: float):
     if not jumps:
-        return Gauge(base)
-
-    def body(t: float) -> float:
-        d = min(abs(t - p) for p in jumps)
-        return max(min(base, 0.5 * d), floor)
-
-    return Gauge(body)
-
-
-def _segmented_fine_partition(gauge: Gauge, seeds: tuple[float, ...],
-                              rng: random.Random | None,
-                              budget: list[int]) -> Partition:
-    """One delta-fine free-tagged partition of [seeds[0], seeds[-1]],
-    built per segment so inter-seed boundaries are division points and
-    the override tags are reachable."""
-    cells: list[tuple[float, float, float]] = []
-    for u, v in zip(seeds, seeds[1:]):
-        cells.extend(_generate_fine_cells(gauge, u, v, rng, 60, budget))
-    return _cells_to_partition(Interval(seeds[0], seeds[-1]), cells)
+        return base
+    return lambda t: max(min(base, 0.5 * min(abs(t - p) for p in jumps)), floor)
 
 
 def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
-                 tol: float = 1e-9, seed: int = 0, *,
-                 partitions: int = 16, max_levels: int = 18,
-                 max_terms: int = 1 << 17) -> OracleReport:
+                 tol: float = 1e-9, seed: int = 0) -> OracleReport:
     """Gauge-limit value of the Kurzweil integral.
 
     Level L uses gauge delta(t) = min(base, half the distance to the
@@ -141,42 +134,32 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
     the distance from p to the nearest other jump) at every jump p,
     gamma_L shrinking by 16 per level.  Any cell whose closure meets a
     jump then has to carry that jump itself as its tag, which is what
-    makes plain sums settle.
+    makes plain sums settle.  Each partition has every jump among its
+    nodes, so the override tags are reachable.
     """
     check_tol(tol)
-    jumps, seeds = _jumps_and_seeds(f, g)
+    jumps, seeds, global_dyadic = _jumps_and_seeds(f, g)
     width = f.interval.width
-    global_dyadic = not (isinstance(f, StepFunction) or isinstance(g, StepFunction))
     floor = 8.0 * math.ulp(width)
     # An override over half the gap to the nearest other jump would let
     # a cell tagged at p reach that jump and weigh its step by f(p).
     gaps = [math.inf] + [y - x for x, y in zip(jumps, jumps[1:])] + [math.inf]
     half_gaps = [0.5 * min(l, r) for l, r in zip(gaps, gaps[1:])]
 
-    center = math.nan
-    spread = math.inf
-    levels = 0
-    budget = [max_terms]
-    prev_sums: list[float] = []
-    for level in range(max_levels):
-        base = width * 2.0 ** (-(level + 1)) if global_dyadic else 0.25 * width
-        gamma = max(width * 16.0 ** (-(level + 1)), 64.0 * math.ulp(width))
-        gauge = _distance_gauge(base, jumps, floor).with_overrides(
-            {p: min(gamma, h) for p, h in zip(jumps, half_gaps)})
-        try:
-            parts = [_segmented_fine_partition(gauge, seeds, None, budget)]
-            for i in range(partitions - 1):
-                rng = random.Random(_probe_seed(seed, level, i))
-                parts.append(_segmented_fine_partition(gauge, seeds, rng, budget))
-        except GaugeTooFineError:
-            if budget[0] < 0:
-                break
-            raise
-        levels = level + 1
-        sums = [riemann_sum(f, g, p).value for p in parts]
-        center = sums[0]
-        spread = max(abs(s - center) for s in sums + prev_sums)
-        if level >= 1 and spread <= tol:
-            return OracleReport(center, IntegralKind.KURZWEIL, spread, levels, True)
-        prev_sums = sums
-    return OracleReport(center, IntegralKind.KURZWEIL, spread, levels, False)
+    def level_sums() -> Iterator[list[float]]:
+        budget = [MAX_TERMS]
+        for level in range(MAX_LEVELS):
+            base = width * 2.0 ** (-(level + 1)) if global_dyadic else 0.25 * width
+            gamma = max(width * 16.0 ** (-(level + 1)), 64.0 * math.ulp(width))
+            gauge = Gauge(_distance_body(base, jumps, floor),
+                          {p: min(gamma, h) for p, h in zip(jumps, half_gaps)})
+            try:
+                parts = [_fine_partition(gauge, seeds, s, budget)
+                         for s in _level_seeds(seed, level, PARTITIONS - 1)]
+            except GaugeTooFineError:
+                if budget[0] < 0:
+                    return
+                raise
+            yield [riemann_sum(f, g, p).value for p in parts]
+
+    return _converge(level_sums(), IntegralKind.KURZWEIL, tol)

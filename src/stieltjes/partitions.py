@@ -18,6 +18,8 @@ from .errors import DomainError, GaugeError, GaugeTooFineError
 
 TAG_FREE = "free"
 TAG_INTERIOR = "interior"
+# Splits a fine-partition cell may take before the gauge is refused.
+MAX_DEPTH = 60
 
 
 class Division(NamedTuple("Division", [("interval", Interval),
@@ -86,13 +88,11 @@ class Partition(NamedTuple("Partition", [("division", Division),
             yield u, v, t
 
 
-def interior_tags(division: Division, rule: str = "midpoint", seed: int | None = None) -> Partition:
-    """Tag every cell strictly inside, by midpoints or reproducibly at
-    random (``rule="random"`` with a seed)."""
+def interior_tags(division: Division, seed: int | None = None) -> Partition:
+    """Tag every cell strictly inside: at its midpoint, or, given a
+    seed, at a reproducible draw from the cell's middle 90%."""
     tags = []
-    rng = random.Random(seed) if rule == "random" else None
-    if rule not in ("midpoint", "random"):
-        raise DomainError(f"unknown tag rule {rule!r}")
+    rng = None if seed is None else random.Random(seed)
     for u, v in division.cells():
         mid = 0.5 * (u + v)
         if not u < mid < v:
@@ -120,11 +120,6 @@ class Gauge:
         self._body = body
         self._overrides = dict(overrides) if overrides else {}
 
-    def with_overrides(self, mapping: dict[float, float]) -> "Gauge":
-        merged = dict(self._overrides)
-        merged.update(mapping)
-        return Gauge(self._body, merged)
-
     def __call__(self, t: float) -> float:
         if t in self._overrides:
             d = self._overrides[t]
@@ -148,7 +143,7 @@ def is_fine(partition: Partition, gauge: Gauge) -> bool:
 
 
 def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
-                         rng: random.Random | None, max_depth: int,
+                         rng: random.Random | None,
                          budget: list[int] | None = None) -> list[tuple[float, float, float]]:
     """The cells (u, v, tag) of a gauge-fine partition of [u0, v0].
 
@@ -156,7 +151,8 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
     in two.  Without ``rng`` the candidates are u, the midpoint and v,
     and the split is at the midpoint; with it, u, v, the midpoint and
     one uniform draw are tried in shuffled order, and the split point is
-    drawn in the middle 30% of the cell."""
+    drawn in the middle 30% of the cell.  Each accepted cell takes one
+    unit of ``budget[0]``."""
     # Depth-first, left cell first, so the output arrives in order.
     out: list[tuple[float, float, float]] = []
     stack = [(u0, v0, 0)]
@@ -173,9 +169,9 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
             if u >= t - d and v <= t + d:
                 break
         else:
-            if depth >= max_depth:
+            if depth >= MAX_DEPTH:
                 raise GaugeTooFineError(
-                    f"no fine cell found above depth {max_depth} near [{u!r}, {v!r}]")
+                    f"no fine cell found above depth {MAX_DEPTH} near [{u!r}, {v!r}]")
             s = mid if rng is None else u + (v - u) * rng.uniform(0.35, 0.65)
             if not u < s < v:
                 s = mid
@@ -193,24 +189,25 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
     return out
 
 
-def _cells_to_partition(interval: Interval, cells: list[tuple[float, float, float]]) -> Partition:
-    points = [cells[0][0]] + [v for _, v, _ in cells]
-    tags = tuple(t for _, _, t in cells)
-    return Partition(Division(interval, tuple(points)), tags, TAG_FREE)
+def _fine_partition(gauge: Gauge, points, seed: int | None,
+                    budget: list[int] | None = None) -> Partition:
+    """A gauge-fine free-tagged partition of [points[0], points[-1]]
+    with every one of the sorted ``points`` among its nodes, built cell
+    by cell between consecutive points."""
+    rng = None if seed is None else random.Random(seed)
+    cells: list[tuple[float, float, float]] = []
+    for u, v in zip(points, points[1:]):
+        cells.extend(_generate_fine_cells(gauge, u, v, rng, budget))
+    nodes = [points[0]] + [v for _, v, _ in cells]
+    division = Division(Interval(points[0], points[-1]), nodes)
+    return Partition(division, [t for _, _, t in cells], TAG_FREE)
 
 
-def cousin_fine_partition(gauge: Gauge, interval: Interval, max_depth: int = 60) -> Partition:
-    """A gauge-fine free-tagged partition by bisection: accept a cell
-    when one of its endpoints or midpoint works as tag, else split at
-    the midpoint.  Raises GaugeTooFineError past ``max_depth``."""
-    cells = _generate_fine_cells(gauge, interval.a, interval.b, None, max_depth)
-    return _cells_to_partition(interval, cells)
-
-
-def random_fine_partition(gauge: Gauge, interval: Interval, seed: int,
-                          max_depth: int = 60) -> Partition:
-    """Like cousin_fine_partition with randomized split points and tag
-    choices; deterministic per seed."""
-    cells = _generate_fine_cells(gauge, interval.a, interval.b,
-                                 random.Random(seed), max_depth)
-    return _cells_to_partition(interval, cells)
+def cousin_fine_partition(gauge: Gauge, interval: Interval,
+                          seed: int | None = None) -> Partition:
+    """A gauge-fine free-tagged partition, which Cousin's lemma says
+    exists.  Without a seed, a cell is accepted when one of its
+    endpoints or its midpoint works as tag, else split at the midpoint;
+    a seed randomizes tag choices and split points reproducibly.
+    Raises GaugeTooFineError past ``MAX_DEPTH`` splits."""
+    return _fine_partition(gauge, (interval.a, interval.b), seed)

@@ -44,9 +44,6 @@ class Affine(Frozen):
     def variation_on(self, u: float, v: float) -> float:
         return abs(self.slope) * (v - u)
 
-    def monotone_direction_on(self, u: float, v: float) -> float | None:
-        return math.copysign(1.0, self.slope) if self.slope else 0.0
-
 
 class Power(Frozen):
     """t -> scale * t**exponent, exponent > 0.
@@ -86,13 +83,6 @@ class Power(Frozen):
             return abs(self.scale) * abs(v ** self.exponent - u ** self.exponent)
         return self.lipschitz_on(u, v) * (v - u)
 
-    def monotone_direction_on(self, u: float, v: float) -> float | None:
-        if u < 0:
-            e = self.exponent
-            if e.is_integer() and int(e) % 2 == 0:
-                return None  # even power straddling 0
-        return math.copysign(1.0, self.scale) if self.scale else 0.0
-
 
 class SinWave(Frozen):
     """t -> amplitude * sin(freq * t + phase)."""
@@ -114,9 +104,6 @@ class SinWave(Frozen):
         # Upper bound; the exact arc count is not worth tracking.
         return self.lipschitz_on(u, v) * (v - u)
 
-    def monotone_direction_on(self, u: float, v: float) -> float | None:
-        return None
-
 
 # ----------------------------------------------------------------------
 
@@ -137,6 +124,8 @@ class PiecewiseLipschitz(RegulatedFunction):
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
                  node_values=None):
         bks = [float(x) for x in breakpoints]
+        if len(bks) < 2:
+            raise DomainError("a piecewise function needs at least the two endpoints")
         if bks[0] != interval.a or bks[-1] != interval.b:
             raise DomainError("breakpoints must run from interval start to end")
         for i in range(1, len(bks)):
@@ -254,7 +243,7 @@ class PiecewiseLipschitz(RegulatedFunction):
         """Uniform grid per piece with spacing <= eps / Lipschitz;
         constant midpoint values inside cells, exact values at nodes.
         Achieved error is max over pieces of Lipschitz * spacing / 2."""
-        if eps <= 0:
+        if not eps > 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
         counts = []
         for c, u, v in zip(self._lipschitz, self._breaks, self._breaks[1:]):
@@ -383,7 +372,7 @@ class MonotoneFunction(RegulatedFunction):
         any bisection.  The refusal names the cells eps needs, and its
         ``best_error``, rise / (2 * MAX_APPROX_CELLS), is the floor no
         approximant within the cell limit can beat."""
-        if eps <= 0:
+        if not eps > 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
         a, b = self._interval.a, self._interval.b
         base_a, base_b = self._base(a), self._base(b)

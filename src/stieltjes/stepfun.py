@@ -150,7 +150,7 @@ class StepFunction(RegulatedFunction):
         return tuple(out)
 
     def approximate(self, eps: float) -> StepApproximation:
-        if eps <= 0:
+        if not eps > 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
         return StepApproximation(self, 0.0)
 

@@ -152,8 +152,8 @@ def test_criterion_3_norm_bounds_on_seeded_triples():
         else:
             f, g, tol = rand_smooth(rng), rand_smooth(rng), 1e-2
         division = Division(IV, rand_division_points(rng, IV))
-        part = interior_tags(division, "random" if i % 2 else "midpoint",
-                             seed=rng.randrange(1 << 30))
+        tag_seed = rng.randrange(1 << 30)
+        part = interior_tags(division, tag_seed if i % 2 else None)
         kind = KINDS[rng.randrange(3)]
         triples += 1
         res = integrate(f, g, kind, tol)

@@ -14,6 +14,7 @@ from stieltjes import (Affine, DomainError, ElementaryIntegrand,
                        elementary_forward, indicator, integrate,
                        integrate_step_pair, oracle_gauge, oracle_refinement,
                        parse_spec)
+from stieltjes import oracle
 
 IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK
@@ -157,8 +158,9 @@ def test_unreachable_tolerance_reported_honestly():
     assert rep.value == pytest.approx(0.5, abs=1e-6)
 
 
-def test_term_budget_stops_the_oracles():
-    rep = oracle_refinement(IDENT, IDENT, Y, tol=1e-12, max_terms=500)
-    assert not rep.converged
-    rep = oracle_gauge(IDENT, IDENT, tol=1e-12, max_terms=500)
-    assert not rep.converged
+def test_term_budget_stops_the_oracles(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_TERMS", 500)
+    rep = oracle_refinement(IDENT, IDENT, Y, tol=1e-12)
+    assert not rep.converged and rep.levels < oracle.MAX_LEVELS
+    rep = oracle_gauge(IDENT, IDENT, tol=1e-12)
+    assert not rep.converged and rep.levels < oracle.MAX_LEVELS

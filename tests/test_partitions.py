@@ -5,8 +5,7 @@ import pytest
 from conftest import rand_step
 from stieltjes import (Division, DomainError, Gauge, GaugeError,
                        GaugeTooFineError, Interval, Partition, StepFunction,
-                       cousin_fine_partition, interior_tags, is_fine,
-                       random_fine_partition)
+                       cousin_fine_partition, interior_tags, is_fine)
 
 IV = Interval(0.0, 1.0)
 
@@ -56,27 +55,25 @@ def test_interior_tags():
     d = Division(IV, (0.0, 0.25, 1.0))
     p = interior_tags(d)
     assert p.tags == (0.125, 0.625)
-    q1 = interior_tags(d, "random", seed=5)
-    q2 = interior_tags(d, "random", seed=5)
+    q1 = interior_tags(d, seed=5)
+    q2 = interior_tags(d, seed=5)
     assert q1.tags == q2.tags
     assert all(u < t < v for u, v, t in q1.cells())
-    assert q1.tags != interior_tags(d, "random", seed=6).tags
-    with pytest.raises(DomainError):
-        interior_tags(d, "clustered")
+    assert q1.tags != interior_tags(d, seed=6).tags
 
 
 def test_gauge_constant_and_overrides():
     g = Gauge(0.5)
     assert g(0.3) == 0.5
-    h = g.with_overrides({0.25: 0.01})
+    h = Gauge(0.5, {0.25: 0.01})
     assert h(0.25) == 0.01 and h(0.3) == 0.5
-    assert h.with_overrides({0.25: 0.02})(0.25) == 0.02
+    assert Gauge(0.5, {0.25: 0.02})(0.25) == 0.02
     with pytest.raises(GaugeError):
         Gauge(lambda t: 0.0)(0.5)
     with pytest.raises(GaugeError):
         Gauge(lambda t: -1.0)(0.5)
     with pytest.raises(GaugeError):
-        h.with_overrides({0.3: 0.0})(0.3)
+        Gauge(0.5, {0.25: 0.01, 0.3: 0.0})(0.3)
 
 
 def test_gauge_from_step():
@@ -115,15 +112,15 @@ def test_cousin_partition_is_fine_for_step_gauges():
 
 
 def test_random_fine_partition_reproducible_and_fine():
-    gauge = Gauge(0.07).with_overrides({0.5: 0.001})
-    p1 = random_fine_partition(gauge, IV, seed=42)
-    p2 = random_fine_partition(gauge, IV, seed=42)
+    gauge = Gauge(0.07, {0.5: 0.001})
+    p1 = cousin_fine_partition(gauge, IV, seed=42)
+    p2 = cousin_fine_partition(gauge, IV, seed=42)
     assert p1 == p2
     assert is_fine(p1, gauge)
-    assert p1 != random_fine_partition(gauge, IV, seed=43)
+    assert p1 != cousin_fine_partition(gauge, IV, seed=43)
     assert all(u <= t <= v for u, v, t in p1.cells())
 
 
 def test_unreachable_gauge_raises():
     with pytest.raises(GaugeTooFineError):
-        cousin_fine_partition(Gauge(1e-300), IV, max_depth=30)
+        cousin_fine_partition(Gauge(1e-300), IV)

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import brute_variation, rand_smooth
 from stieltjes import (Affine, ApproximationError, DomainError, Interval,
-                       MonotoneFunction, PiecewiseLipschitz, Power, SinWave)
+                       MonotoneFunction, PiecewiseLipschitz, Power, SinWave,
+                       StepFunction)
 from stieltjes.regulated import MAX_APPROX_CELLS
 
 IV = Interval(0.0, 1.0)
@@ -18,7 +19,6 @@ def test_affine_catalog_data():
     assert f(0.5) == 0.0
     assert f.lipschitz_on(0.0, 1.0) == 2.0
     assert f.variation_on(0.25, 0.75) == 1.0
-    assert f.monotone_direction_on(0.0, 1.0) == -1.0
 
 
 def test_power_catalog_data():
@@ -38,7 +38,6 @@ def test_sin_catalog_data():
     f = SinWave(freq=2.0, amplitude=3.0, phase=0.5)
     assert f(0.25) == pytest.approx(3.0 * math.sin(1.0))
     assert f.lipschitz_on(0.0, 1.0) == 6.0
-    assert f.monotone_direction_on(0.0, 1.0) is None
 
 
 # ------------------------------------------------------- piecewise Lipschitz
@@ -87,6 +86,8 @@ def test_construction_errors():
         PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1.0),) * 2)
     with pytest.raises(DomainError):
         PiecewiseLipschitz(IV, (0.0, 1.0), (Affine(1.0),), (-1.0,))
+    with pytest.raises(DomainError):
+        PiecewiseLipschitz(IV, (), (), ())
 
 
 def test_identity_approximant_on_quarter_grid():
@@ -233,3 +234,15 @@ def test_monotone_approximant_reads_each_node_once():
         assert len(calls) == 2 + (cells - 1)
         assert len(set(calls)) == len(calls)
         assert step.node_values == tuple(f.value(t) for t in step.nodes)
+
+
+def test_nan_tolerance_refused_and_inf_accepted_by_every_family():
+    # integrate_limit asks for eps = inf when the other side's factor
+    # is 0, so inf must approximate; nan is no tolerance at all.
+    smooth = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1.0),))
+    step = StepFunction(IV, (0.0, 0.5, 1.0), (0.0, 1.0, 2.0), (0.5, 1.5))
+    for f in (smooth, mono(), step):
+        with pytest.raises(DomainError):
+            f.approximate(math.nan)
+        approximant, err = f.approximate(math.inf)
+        assert math.isfinite(err) and approximant.interval == IV

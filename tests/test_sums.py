@@ -53,7 +53,7 @@ def test_riemann_sum_telescopes_for_constant_integrand():
     for _ in range(50):
         g = rand_step(rng)
         d = Division(IV, rand_division_points(rng, IV))
-        p = interior_tags(d, "random", seed=rng.randint(0, 10 ** 6))
+        p = interior_tags(d, seed=rng.randint(0, 10 ** 6))
         s = riemann_sum(one, g, p)
         assert s.kind == "S" and s.partition_size == d.nu
         assert abs(s.value - (g(1.0) - g(0.0))) <= 1e-12
@@ -89,7 +89,7 @@ def test_young_equals_riemann_for_continuous_integrator():
             (SinWave(rng.uniform(0.5, 6.0), rng.uniform(0.2, 2.0)),))
         f = rand_step(rng)
         d = Division(IV, rand_division_points(rng, IV))
-        p = interior_tags(d, "random", seed=rng.randint(0, 10 ** 6))
+        p = interior_tags(d, seed=rng.randint(0, 10 ** 6))
         assert abs(young_sum(f, g, p).value
                    - riemann_sum(f, g, p).value) <= 1e-12
 
@@ -108,7 +108,7 @@ def test_sum_bounds_hold_on_random_pairs():
     for _ in range(100):
         f, g = rand_step(rng), rand_step(rng)
         d = Division(IV, rand_division_points(rng, IV))
-        p = interior_tags(d, "random", seed=rng.randint(0, 10 ** 6))
+        p = interior_tags(d, seed=rng.randint(0, 10 ** 6))
         report = check_sum_bounds(f, g, p)
         assert report.all_hold
         assert [c.name for c in report] == [
