@@ -32,13 +32,12 @@ from .errors import (ApproximationError, DomainError, DSLError, GaugeError,
                      GaugeTooFineError, StepPairError, VariationUnknownError,
                      check_tol)
 from .dsl import COMMANDS, JobSpec, build_pair, parse_spec
-from .integrate import IntegralKind, check_integral_bounds, integrate
+from .integrate import IntegralKind, by_parts, check_integral_bounds, integrate
 from .oracle import oracle_gauge, oracle_refinement
 from .partitions import Division, interior_tags
 from .sums import check_sum_bounds
 
 RESIDUAL_TOL = 1e-12
-BOUND_SLACK = 1e-12
 _SUM_BOUND_NAMES = ("riemann_sup_var", "riemann_bv_sup",
                     "young_sup_var", "young_bv_sup")
 
@@ -57,13 +56,11 @@ def _cmd_verify_main(job: JobSpec) -> tuple[int, dict]:
     f, g = build_pair(job)
     res_k = integrate(f, g, IntegralKind.KURZWEIL, job.tol)
     res_y = integrate(f, g, IntegralKind.YOUNG, job.tol)
-    res_d = integrate(g, f, IntegralKind.DUSHNIK, job.tol)
-    a, b = f.interval.a, f.interval.b
-    boundary = f.value(b) * g.value(b) - f.value(a) * g.value(a)
+    res_parts = by_parts(f, g, IntegralKind.KURZWEIL, job.tol)
     r_ky = abs(res_k.value - res_y.value)
-    r_parts = abs(res_k.value - (boundary - res_d.value))
+    r_parts = abs(res_k.value - res_parts.value)
     ok = (r_ky <= res_k.error_bound + res_y.error_bound + RESIDUAL_TOL
-          and r_parts <= res_k.error_bound + res_d.error_bound + RESIDUAL_TOL)
+          and r_parts <= res_k.error_bound + res_parts.error_bound + RESIDUAL_TOL)
     report = {"command": "verify-main", "kind": "K", "value": res_k.value,
               "error_bound": res_k.error_bound,
               "residuals": {"k_minus_y": r_ky, "by_parts": r_parts},
@@ -90,7 +87,7 @@ def _cmd_verify_bounds(job: JobSpec) -> tuple[int, dict]:
 
     slacks: dict[str, float | None] = {}
     ok = True
-    for check in check_integral_bounds(res, f, g, BOUND_SLACK):
+    for check in check_integral_bounds(res, f, g):
         slacks[check.name] = check.slack
         ok = ok and check.holds is not False
     for name in _SUM_BOUND_NAMES:
@@ -98,7 +95,7 @@ def _cmd_verify_bounds(job: JobSpec) -> tuple[int, dict]:
     rng = random.Random(job.seed)
     for i in range(8):
         part = _random_partition(f.interval, rng, alternate=(i % 2 == 0))
-        for check in check_sum_bounds(f, g, part, BOUND_SLACK):
+        for check in check_sum_bounds(f, g, part):
             ok = ok and check.holds is not False
             if check.slack is not None:
                 prev = slacks[check.name]

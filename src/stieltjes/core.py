@@ -12,6 +12,7 @@ estimates.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -79,6 +80,20 @@ class Interval(Frozen):
     def require(self, t: float) -> None:
         if not self.contains(t):
             raise DomainError(f"point {t!r} outside interval [{self.a}, {self.b}]")
+
+    def check_division(self, points, what: str) -> list[float]:
+        """``points`` as floats, once they form a division of the interval:
+        two or more, increasing, from a to b.  ``what`` names them in errors."""
+        pts = [float(x) for x in points]
+        if len(pts) < 2:
+            raise DomainError(f"at least 2 {what} needed, got {len(pts)}")
+        if not all(map(operator.lt, pts, pts[1:])):
+            i = next(i for i in range(1, len(pts)) if not pts[i - 1] < pts[i])
+            raise DomainError(f"{what} not strictly increasing at index {i}")
+        if pts[0] != self.a or pts[-1] != self.b:
+            raise DomainError(f"{what} must run from {self.a!r} to {self.b!r}, "
+                              f"got {pts[0]!r} to {pts[-1]!r}")
+        return pts
 
 
 @classmethod

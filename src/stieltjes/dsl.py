@@ -288,19 +288,6 @@ class _Parser:
 # ----------------------------------------------------------------------
 # Building actual functions out of specs.
 
-def _spanning(values: tuple[float, ...], interval: tuple[float, float],
-              what: str) -> None:
-    if len(values) < 2:
-        raise DSLSemanticError(f"at least 2 {what} needed, got {len(values)}")
-    for k in range(1, len(values)):
-        if not values[k] > values[k - 1]:
-            raise DSLSemanticError(f"{what} not strictly increasing at index {k}")
-    if values[0] != interval[0] or values[-1] != interval[1]:
-        raise DSLSemanticError(
-            f"{what} must run from {interval[0]!r} to {interval[1]!r}, "
-            f"got {values[0]!r} to {values[-1]!r}")
-
-
 def _args(spec: FunctionSpec) -> list:
     """The spec's values in schema order, defaults filled in."""
     return [spec.get(key, default) for key, (_, default) in _SCHEMA[spec.family].items()]
@@ -317,7 +304,7 @@ def build_function(spec: FunctionSpec) -> RegulatedFunction:
         interval = Interval(*spec.interval)
         if spec.family == "step":
             nodes, at, on = _args(spec)
-            _spanning(nodes, spec.interval, "nodes")
+            nodes = interval.check_division(nodes, "nodes")
             if len(at) != len(nodes):
                 raise DSLSemanticError(
                     f"step needs one at: value per node ({len(nodes)}), got {len(at)}")
@@ -328,7 +315,7 @@ def build_function(spec: FunctionSpec) -> RegulatedFunction:
             return StepFunction(interval, nodes, at, on)
         if spec.family == "lipschitz_pieces":
             breaks, formulas, at = _args(spec)
-            _spanning(breaks, spec.interval, "breaks")
+            breaks = interval.check_division(breaks, "breaks")
             if len(formulas) != len(breaks) - 1:
                 raise DSLSemanticError(
                     f"lipschitz_pieces needs one formula per piece "

@@ -334,7 +334,7 @@ def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,
 
 
 def check_integral_bounds(result: IntegralResult, f: RegulatedFunction,
-                          g: RegulatedFunction, slack: float = 1e-12) -> BoundsReport:
+                          g: RegulatedFunction) -> BoundsReport:
     """The integral-level versions of the sum bounds, inflated by the
     result's own error bound."""
     a, b = f.interval.a, f.interval.b
@@ -343,6 +343,6 @@ def check_integral_bounds(result: IntegralResult, f: RegulatedFunction,
     bv_sup = None if var_f is None else \
         (abs(f.value(a)) + abs(f.value(b)) + var_f) * g.sup_bound + result.error_bound
     return BoundsReport((
-        _make_check("integral_sup_var", result.value, sup_var, slack),
-        _make_check("integral_bv_sup", result.value, bv_sup, slack),
+        _make_check("integral_sup_var", result.value, sup_var),
+        _make_check("integral_bv_sup", result.value, bv_sup),
     ))

@@ -22,6 +22,7 @@ error bound; certified bounds come from ``integrate``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterator, NamedTuple
 
 from .core import RegulatedFunction
@@ -33,7 +34,7 @@ from .sums import riemann_sum, young_sum
 
 # Levels either oracle tries before it reports no convergence.
 MAX_LEVELS = 18
-# Sum terms (refinement) or fine cells (gauge) one run may spend.
+# Sum terms (refinement) or fine cells (gauge) one run may spend; level 0 always runs.
 MAX_TERMS = 1 << 17
 # Randomly tagged sums per refinement level, besides the midpoint sum.
 PROBES = 32
@@ -99,7 +100,7 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
         terms = 0
         for level in range(MAX_LEVELS):
             terms += (PROBES + 1) * division.nu
-            if terms > MAX_TERMS:
+            if terms > MAX_TERMS and level:
                 return
             yield [sum_fn(f, g, interior_tags(division, s)).value
                    for s in _level_seeds(seed, level, PROBES)]
@@ -122,7 +123,13 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
 def _distance_body(base: float, jumps: tuple[float, ...], floor: float):
     if not jumps:
         return base
-    return lambda t: max(min(base, 0.5 * min(abs(t - p) for p in jumps)), floor)
+    fence = (-math.inf, *jumps, math.inf)
+
+    def body(t: float) -> float:
+        # The nearest jump is one of the two that bracket t.
+        i = bisect_left(fence, t)
+        return max(min(base, 0.5 * min(t - fence[i - 1], fence[i] - t)), floor)
+    return body
 
 
 def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
@@ -147,7 +154,7 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
     half_gaps = [0.5 * min(l, r) for l, r in zip(gaps, gaps[1:])]
 
     def level_sums() -> Iterator[list[float]]:
-        budget = [MAX_TERMS]
+        budget = [math.inf]  # the first level runs whatever it costs
         for level in range(MAX_LEVELS):
             base = width * 2.0 ** (-(level + 1)) if global_dyadic else 0.25 * width
             gamma = max(width * 16.0 ** (-(level + 1)), 64.0 * math.ulp(width))
@@ -160,6 +167,8 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
                 if budget[0] < 0:
                     return
                 raise
+            if not level:
+                budget[0] = MAX_TERMS - sum(p.size for p in parts)
             yield [riemann_sum(f, g, p).value for p in parts]
 
     return _converge(level_sums(), IntegralKind.KURZWEIL, tol)

@@ -31,15 +31,7 @@ class Division(NamedTuple("Division", [("interval", Interval),
     _make = checked_make
 
     def __new__(cls, interval: Interval, points: Iterable[float]) -> "Division":
-        pts = tuple(float(x) for x in points)
-        if len(pts) < 2:
-            raise DomainError("a division needs at least the two endpoints")
-        if pts[0] != interval.a or pts[-1] != interval.b:
-            raise DomainError(
-                f"division must span [{interval.a}, {interval.b}] exactly")
-        for i in range(1, len(pts)):
-            if not pts[i - 1] < pts[i]:
-                raise DomainError(f"division points not strictly increasing at index {i}")
+        pts = tuple(interval.check_division(points, "division points"))
         return super().__new__(cls, interval, pts)
 
     @property
@@ -144,7 +136,7 @@ def is_fine(partition: Partition, gauge: Gauge) -> bool:
 
 def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
                          rng: random.Random | None,
-                         budget: list[int] | None = None) -> list[tuple[float, float, float]]:
+                         budget: list[float] | None = None) -> list[tuple[float, float, float]]:
     """The cells (u, v, tag) of a gauge-fine partition of [u0, v0].
 
     A cell takes the first candidate tag the gauge accepts, else splits
@@ -190,7 +182,7 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
 
 
 def _fine_partition(gauge: Gauge, points, seed: int | None,
-                    budget: list[int] | None = None) -> Partition:
+                    budget: list[float] | None = None) -> Partition:
     """A gauge-fine free-tagged partition of [points[0], points[-1]]
     with every one of the sorted ``points`` among its nodes, built cell
     by cell between consecutive points."""

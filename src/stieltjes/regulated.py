@@ -119,18 +119,11 @@ class PiecewiseLipschitz(RegulatedFunction):
     """
 
     __slots__ = ("_breaks", "_pieces", "_lipschitz", "_node_values",
-                 "_variation", "_sup")
+                 "_gap_total", "_jumps", "_variation", "_sup")
 
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
                  node_values=None):
-        bks = [float(x) for x in breakpoints]
-        if len(bks) < 2:
-            raise DomainError("a piecewise function needs at least the two endpoints")
-        if bks[0] != interval.a or bks[-1] != interval.b:
-            raise DomainError("breakpoints must run from interval start to end")
-        for i in range(1, len(bks)):
-            if not bks[i - 1] < bks[i]:
-                raise DomainError(f"breakpoints not strictly increasing at index {i}")
+        bks = interval.check_division(breakpoints, "breakpoints")
         pieces = tuple(pieces)
         lipschitz = tuple(float(c) for c in lipschitz)
         if len(pieces) != len(bks) - 1 or len(lipschitz) != len(pieces):
@@ -138,8 +131,11 @@ class PiecewiseLipschitz(RegulatedFunction):
         for c in lipschitz:
             if not (math.isfinite(c) and c >= 0):
                 raise DomainError(f"bad Lipschitz constant {c!r}")
+        # The certificates below read the pieces only at their cell ends.
+        lefts = [p(u) for p, u in zip(pieces, bks)]
+        rights = [p(v) for p, v in zip(pieces, bks[1:])]
         if node_values is None:
-            node_values = [pieces[min(k, len(pieces) - 1)](bks[k]) for k in range(len(bks))]
+            node_values = lefts + rights[-1:]
         node_values = tuple(float(x) for x in node_values)
         if len(node_values) != len(bks):
             raise DomainError("need one node value per breakpoint")
@@ -149,53 +145,37 @@ class PiecewiseLipschitz(RegulatedFunction):
         self._pieces = pieces
         self._lipschitz = lipschitz
         self._node_values = node_values
-        self._variation = self._default_variation()
-        self._sup = self._default_sup()
+        # Gaps between each node value and the pieces' ends beside it.
+        gap_total, jumps = 0.0, []
+        for k, (t, val) in enumerate(zip(bks, node_values)):
+            ends = rights[k - 1:k] + lefts[k:k + 1]
+            for end in ends:
+                gap_total += abs(val - end)
+            if any(end != val for end in ends):
+                jumps.append(t)
+        self._gap_total = gap_total
+        self._jumps = tuple(jumps)
+        self._variation = math.fsum(
+            c * (v - u) for c, u, v in zip(lipschitz, bks, bks[1:])) + gap_total
+        # Any t in a cell [u, v] is within (v-u)/2 of the nearer end.
+        sup = max(abs(v) for v in node_values)
+        for fu, fv, c, u, v in zip(lefts, rights, lipschitz, bks, bks[1:]):
+            sup = max(sup, max(abs(fu), abs(fv)) + 0.5 * c * (v - u))
+        self._sup = sup
 
     @classmethod
     def from_formulas(cls, interval: Interval, breakpoints, formulas,
                       node_values=None) -> "PiecewiseLipschitz":
         """Build from catalog formulas, deriving Lipschitz constants and
         a tight variation bound analytically."""
-        bks = [float(x) for x in breakpoints]
+        bks = interval.check_division(breakpoints, "breakpoints")
         formulas = tuple(formulas)
-        if len(formulas) != len(bks) - 1:
-            raise DomainError("need one formula per cell")
         lips = [fm.lipschitz_on(u, v) for fm, u, v in zip(formulas, bks, bks[1:])]
         self = cls(interval, bks, formulas, lips, node_values)
         pieces_var = math.fsum(
             fm.variation_on(u, v) for fm, u, v in zip(formulas, bks, bks[1:]))
-        self._variation = pieces_var + self._jump_gap_total()
+        self._variation = pieces_var + self._gap_total
         return self
-
-    # -- helpers ---------------------------------------------------------
-
-    def _piece_index(self, t: float) -> int:
-        # Index of the piece whose open cell contains t (t not a node).
-        return bisect_left(self._breaks, t) - 1
-
-    def _jump_gap_total(self) -> float:
-        acc = 0.0
-        last = len(self._breaks) - 1
-        for k, t in enumerate(self._breaks):
-            val = self._node_values[k]
-            if k > 0:
-                acc += abs(val - self._pieces[k - 1](t))
-            if k < last:
-                acc += abs(self._pieces[k](t) - val)
-        return acc
-
-    def _default_variation(self) -> float:
-        pieces_var = math.fsum(
-            c * (v - u) for c, u, v in zip(self._lipschitz, self._breaks, self._breaks[1:]))
-        return pieces_var + self._jump_gap_total()
-
-    def _default_sup(self) -> float:
-        best = max(abs(v) for v in self._node_values)
-        for p, c, u, v in zip(self._pieces, self._lipschitz, self._breaks, self._breaks[1:]):
-            # Any t in [u, v] is within (v-u)/2 of the nearer endpoint.
-            best = max(best, max(abs(p(u)), abs(p(v))) + 0.5 * c * (v - u))
-        return best
 
     # -- RegulatedFunction interface --------------------------------------
 
@@ -229,15 +209,7 @@ class PiecewiseLipschitz(RegulatedFunction):
         return self._sup
 
     def jump_points(self) -> tuple[float, ...]:
-        out = []
-        last = len(self._breaks) - 1
-        for k, t in enumerate(self._breaks):
-            val = self._node_values[k]
-            jumps = (k > 0 and self._pieces[k - 1](t) != val) or \
-                    (k < last and self._pieces[k](t) != val)
-            if jumps:
-                out.append(t)
-        return tuple(out)
+        return self._jumps
 
     def approximate(self, eps: float) -> StepApproximation:
         """Uniform grid per piece with spacing <= eps / Lipschitz;

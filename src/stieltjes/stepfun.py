@@ -31,22 +31,13 @@ class StepFunction(RegulatedFunction):
     __slots__ = ("_nodes", "_node_values", "_interior_values")
 
     def __init__(self, interval: Interval, nodes, node_values, interior_values):
-        ns = [float(x) for x in nodes]
+        ns = interval.check_division(nodes, "nodes")
         cs = [float(x) for x in node_values]
         ds = [float(x) for x in interior_values]
-        if len(ns) < 2:
-            raise DomainError("a step function needs at least the two endpoint nodes")
         if len(cs) != len(ns) or len(ds) != len(ns) - 1:
             raise DomainError(
                 f"length mismatch: {len(ns)} nodes need {len(ns)} node values "
                 f"and {len(ns) - 1} interior values, got {len(cs)} and {len(ds)}")
-        if ns[0] != interval.a or ns[-1] != interval.b:
-            raise DomainError(
-                f"nodes must start at {interval.a!r} and end at {interval.b!r}, "
-                f"got {ns[0]!r} and {ns[-1]!r}")
-        for i in range(1, len(ns)):
-            if not ns[i - 1] < ns[i]:
-                raise DomainError(f"nodes not strictly increasing at index {i}")
         for x in cs + ds:
             if not math.isfinite(x):
                 raise DomainError("step function values must be finite")

@@ -23,6 +23,8 @@ from .core import RegulatedFunction
 from .errors import DomainError
 from .partitions import Partition
 
+BOUND_SLACK = 1e-12  # a bound check holds while |observed| <= bound + this
+
 
 class SumValue(NamedTuple):
     value: float
@@ -65,7 +67,7 @@ def young_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) 
 
 
 class BoundCheck(NamedTuple):
-    """One inequality: |observed| <= bound (within slack).
+    """One inequality: |observed| <= bound (within ``BOUND_SLACK``).
 
     ``holds`` is None when the needed norm is unknown and the check was
     skipped.
@@ -89,15 +91,15 @@ class BoundsReport(tuple):
         return all(c.holds is not False for c in self)
 
 
-def _make_check(name: str, observed: float, bound: float | None, slack: float) -> BoundCheck:
+def _make_check(name: str, observed: float, bound: float | None) -> BoundCheck:
     if bound is None:
         return BoundCheck(name, observed, None, None, None)
     margin = bound - abs(observed)
-    return BoundCheck(name, observed, bound, margin, margin >= -slack)
+    return BoundCheck(name, observed, bound, margin, margin >= -BOUND_SLACK)
 
 
 def check_sum_bounds(f: RegulatedFunction, g: RegulatedFunction,
-                     partition: Partition, slack: float = 1e-12) -> BoundsReport:
+                     partition: Partition) -> BoundsReport:
     """The four a-priori sum bounds:
 
         |S|, |SY| <= sup|f| * var g
@@ -113,8 +115,8 @@ def check_sum_bounds(f: RegulatedFunction, g: RegulatedFunction,
     bv_sup = None if var_f is None else \
         (abs(f.value(a)) + abs(f.value(b)) + var_f) * g.sup_bound
     return BoundsReport((
-        _make_check("riemann_sup_var", s, sup_var, slack),
-        _make_check("riemann_bv_sup", s, bv_sup, slack),
-        _make_check("young_sup_var", sy, sup_var, slack),
-        _make_check("young_bv_sup", sy, bv_sup, slack),
+        _make_check("riemann_sup_var", s, sup_var),
+        _make_check("riemann_bv_sup", s, bv_sup),
+        _make_check("young_sup_var", sy, sup_var),
+        _make_check("young_bv_sup", sy, bv_sup),
     ))

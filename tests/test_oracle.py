@@ -3,6 +3,7 @@ from raw sums must reproduce the closed forms, and the two oracles must
 reproduce each other.
 """
 
+import math
 import random
 
 import pytest
@@ -164,3 +165,13 @@ def test_term_budget_stops_the_oracles(monkeypatch):
     assert not rep.converged and rep.levels < oracle.MAX_LEVELS
     rep = oracle_gauge(IDENT, IDENT, tol=1e-12)
     assert not rep.converged and rep.levels < oracle.MAX_LEVELS
+
+
+def test_first_level_runs_past_the_term_budget(monkeypatch):
+    # One level of either oracle costs more than this budget; the first
+    # level still runs, and only later levels are cut.
+    monkeypatch.setattr(oracle, "MAX_TERMS", 1)
+    f, g = chi(True), IDENT
+    for rep in (oracle_refinement(f, g, Y, tol=1e-9), oracle_gauge(f, g, tol=1e-9)):
+        assert rep.levels == 1 and not rep.converged
+        assert math.isfinite(rep.value)

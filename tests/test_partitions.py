@@ -4,7 +4,8 @@ import pytest
 
 from conftest import rand_step
 from stieltjes import (Division, DomainError, Gauge, GaugeError,
-                       GaugeTooFineError, Interval, Partition, StepFunction,
+                       GaugeTooFineError, Interval, Partition,
+                       PiecewiseLipschitz, StepFunction,
                        cousin_fine_partition, interior_tags, is_fine)
 
 IV = Interval(0.0, 1.0)
@@ -124,3 +125,21 @@ def test_random_fine_partition_reproducible_and_fine():
 def test_unreachable_gauge_raises():
     with pytest.raises(GaugeTooFineError):
         cousin_fine_partition(Gauge(1e-300), IV)
+
+
+def test_every_node_list_gets_the_shared_division_check():
+    builders = {
+        "nodes": lambda pts: StepFunction(IV, pts, [0.0] * len(pts),
+                                          [0.0] * (len(pts) - 1)),
+        "breakpoints": lambda pts: PiecewiseLipschitz(
+            IV, pts, [abs] * (len(pts) - 1), [1.0] * (len(pts) - 1)),
+        "division points": lambda pts: Division(IV, pts),
+    }
+    for what, build in builders.items():
+        for pts, message in [
+                ((0.0,), f"at least 2 {what} needed, got 1"),
+                ((0.0, 0.5, 0.5, 1.0), f"{what} not strictly increasing at index 2"),
+                ((0.0, 0.5), f"{what} must run from 0.0 to 1.0, got 0.0 to 0.5")]:
+            with pytest.raises(DomainError) as info:
+                build(pts)
+            assert str(info.value) == message

@@ -90,6 +90,42 @@ def test_construction_errors():
         PiecewiseLipschitz(IV, (), (), ())
 
 
+def test_from_formulas_checks_breakpoints_before_reading_formulas():
+    # Power(1.5) is undefined left of 0, but the order is what is wrong.
+    with pytest.raises(DomainError) as info:
+        PiecewiseLipschitz.from_formulas(IV, (0, -0.5, 1), [Power(1.5)] * 2)
+    assert str(info.value) == "breakpoints not strictly increasing at index 1"
+
+
+class CountingPiece:
+    def __init__(self, slope):
+        self.slope, self.calls = slope, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.slope * t
+
+    def lipschitz_on(self, u, v):
+        return abs(self.slope)
+
+    def variation_on(self, u, v):
+        return abs(self.slope) * (v - u)
+
+
+def test_construction_reads_each_piece_at_its_two_ends_only():
+    breaks = (0.0, 0.25, 0.5, 1.0)
+    builds = (
+        lambda ps, at: PiecewiseLipschitz.from_formulas(IV, breaks, ps, at),
+        lambda ps, at: PiecewiseLipschitz(IV, breaks, ps, [1.0, 2.0, 3.0], at))
+    for build in builds:
+        for at in (None, (0.0, 1.0, 2.0, 3.0)):
+            pieces = [CountingPiece(s) for s in (1.0, -2.0, 3.0)]
+            f = build(pieces, at)
+            assert [p.calls for p in pieces] == [2, 2, 2]
+            assert f.jump_points() == f.jump_points() == (0.25, 0.5)
+            assert [p.calls for p in pieces] == [2, 2, 2]
+
+
 def test_identity_approximant_on_quarter_grid():
     f = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1.0),))
     step, err = f.approximate(0.25)
