@@ -9,7 +9,8 @@ Exit codes
 ----------
 0   computed, verified, or converged
 1   a verification failed, or the oracle did not converge
-2   job text could not be parsed, or usage error
+2   job text could not be parsed, or usage error; also a DSLError that
+    ``run_job`` meets building a job nobody validated
 3   the computation itself refused (no variation bound, tolerance
     needs too many cells, gauge below float resolution, ...); the
     report's ``best_error`` is the smallest tol the route could certify,
@@ -28,9 +29,7 @@ import random
 import sys
 
 from .core import Interval
-from .errors import (ApproximationError, DomainError, DSLError, GaugeError,
-                     GaugeTooFineError, StepPairError, VariationUnknownError,
-                     check_tol)
+from .errors import DSLError, StieltjesError, check_tol
 from .dsl import COMMANDS, JobSpec, build_pair, parse_spec
 from .integrate import IntegralKind, by_parts, check_integral_bounds, integrate
 from .oracle import oracle_gauge, oracle_refinement
@@ -38,22 +37,20 @@ from .partitions import Division, interior_tags
 from .sums import check_sum_bounds
 
 RESIDUAL_TOL = 1e-12
-_SUM_BOUND_NAMES = ("riemann_sup_var", "riemann_bv_sup",
-                    "young_sup_var", "young_bv_sup")
+
+# A runner takes (job, f, g, kind) and returns (exit code, fields): the
+# report's kind, value and error_bound, then any fields of its own.
+# run_job wraps them in the command and the seed.
 
 
-def _cmd_integrate(job: JobSpec) -> tuple[int, dict]:
-    f, g = build_pair(job)
-    kind = IntegralKind.from_letter(job.kind)
+def _cmd_integrate(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
     res = integrate(f, g, kind, job.tol)
-    return 0, {"command": "integrate", "kind": kind.letter, "value": res.value,
-               "error_bound": res.error_bound, "seed": job.seed}
+    return 0, {"kind": kind.letter, "value": res.value, "error_bound": res.error_bound}
 
 
-def _cmd_verify_main(job: JobSpec) -> tuple[int, dict]:
+def _cmd_verify_main(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
     """Check the two structural identities the three kinds satisfy:
     K = Y, and K = boundary - D with the roles of f and g swapped."""
-    f, g = build_pair(job)
     res_k = integrate(f, g, IntegralKind.KURZWEIL, job.tol)
     res_y = integrate(f, g, IntegralKind.YOUNG, job.tol)
     res_parts = by_parts(f, g, IntegralKind.KURZWEIL, job.tol)
@@ -61,11 +58,9 @@ def _cmd_verify_main(job: JobSpec) -> tuple[int, dict]:
     r_parts = abs(res_k.value - res_parts.value)
     ok = (r_ky <= res_k.error_bound + res_y.error_bound + RESIDUAL_TOL
           and r_parts <= res_k.error_bound + res_parts.error_bound + RESIDUAL_TOL)
-    report = {"command": "verify-main", "kind": "K", "value": res_k.value,
-              "error_bound": res_k.error_bound,
-              "residuals": {"k_minus_y": r_ky, "by_parts": r_parts},
-              "ok": ok, "seed": job.seed}
-    return (0 if ok else 1), report
+    return (0 if ok else 1), {
+        "kind": "K", "value": res_k.value, "error_bound": res_k.error_bound,
+        "residuals": {"k_minus_y": r_ky, "by_parts": r_parts}, "ok": ok}
 
 
 def _random_partition(interval: Interval, rng: random.Random, alternate: bool):
@@ -78,46 +73,35 @@ def _random_partition(interval: Interval, rng: random.Random, alternate: bool):
     return interior_tags(division, rng.randrange(1 << 30))
 
 
-def _cmd_verify_bounds(job: JobSpec) -> tuple[int, dict]:
+def _cmd_verify_bounds(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
     """Check |sum| and |integral| against the two norm products, the
-    sums over a handful of seeded partitions."""
-    f, g = build_pair(job)
-    kind = IntegralKind.from_letter(job.kind)
+    sums over a handful of seeded partitions; each residual is the
+    smallest slack a check of that name left (null when all skipped)."""
     res = integrate(f, g, kind, job.tol)
-
-    slacks: dict[str, float | None] = {}
-    ok = True
-    for check in check_integral_bounds(res, f, g):
-        slacks[check.name] = check.slack
-        ok = ok and check.holds is not False
-    for name in _SUM_BOUND_NAMES:
-        slacks[name] = None
     rng = random.Random(job.seed)
-    for i in range(8):
-        part = _random_partition(f.interval, rng, alternate=(i % 2 == 0))
-        for check in check_sum_bounds(f, g, part):
-            ok = ok and check.holds is not False
-            if check.slack is not None:
-                prev = slacks[check.name]
-                slacks[check.name] = check.slack if prev is None else min(prev, check.slack)
+    reports = [check_integral_bounds(res, f, g)] + [
+        check_sum_bounds(f, g, _random_partition(f.interval, rng, alternate=(i % 2 == 0)))
+        for i in range(8)]
+    slacks: dict[str, float | None] = {}
+    for check in (check for report in reports for check in report):
+        prev = slacks.get(check.name)
+        if prev is None:
+            slacks[check.name] = check.slack
+        elif check.slack is not None:
+            slacks[check.name] = min(prev, check.slack)
+    ok = all(report.all_hold for report in reports)
+    return (0 if ok else 1), {"kind": kind.letter, "value": res.value,
+                              "error_bound": res.error_bound, "residuals": slacks, "ok": ok}
 
-    report = {"command": "verify-bounds", "kind": kind.letter, "value": res.value,
-              "error_bound": res.error_bound, "residuals": slacks,
-              "ok": ok, "seed": job.seed}
-    return (0 if ok else 1), report
 
-
-def _cmd_oracle(job: JobSpec) -> tuple[int, dict]:
-    f, g = build_pair(job)
-    kind = IntegralKind.from_letter(job.kind)
+def _cmd_oracle(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
     if kind is IntegralKind.KURZWEIL:
         rep = oracle_gauge(f, g, tol=job.tol, seed=job.seed)
     else:
         rep = oracle_refinement(f, g, kind, tol=job.tol, seed=job.seed)
-    report = {"command": "oracle", "kind": kind.letter, "value": rep.value,
-              "error_bound": rep.achieved_spread, "converged": rep.converged,
-              "levels": rep.levels, "seed": job.seed}
-    return (0 if rep.converged else 1), report
+    return (0 if rep.converged else 1), {
+        "kind": kind.letter, "value": rep.value, "error_bound": rep.achieved_spread,
+        "converged": rep.converged, "levels": rep.levels}
 
 
 _RUNNERS = {
@@ -129,13 +113,18 @@ _RUNNERS = {
 
 
 def run_job(job: JobSpec) -> tuple[int, dict]:
-    """Execute one parsed job; (exit code, report dict)."""
+    """Build the pair, run the job's command; (exit code, report dict).
+    A DSLError (a job that was never validated) exits 2, any other
+    library refusal 3."""
     try:
-        return _RUNNERS[job.command](job)
-    except (ApproximationError, VariationUnknownError, GaugeError,
-            GaugeTooFineError, StepPairError, DomainError) as exc:
+        f, g = build_pair(job)
+        code, fields = _RUNNERS[job.command](job, f, g, IntegralKind.from_letter(job.kind))
+    except DSLError as exc:
+        return 2, {"error": str(exc)}
+    except StieltjesError as exc:
         # An unknown best_error (inf, or none at all) prints as null.
         return 3, {"error": str(exc), "best_error": getattr(exc, "best_error", None)}
+    return code, {"command": job.command, **fields, "seed": job.seed}
 
 
 def run_text(text: str, command: str, tol: float | None, seed: int | None) -> tuple[int, dict]:

@@ -329,8 +329,7 @@ def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,
                   else IntegralKind.KURZWEIL)
     inner = integrate(g, f, inner_kind, tol)
     return IntegralResult(boundary - inner.value, kind, inner.error_bound,
-                          Diagnostics("by-parts", inner.diagnostics.approximant_error,
-                                      inner.diagnostics.approximant_pieces))
+                          inner.diagnostics._replace(method="by-parts"))
 
 
 def check_integral_bounds(result: IntegralResult, f: RegulatedFunction,

@@ -109,17 +109,11 @@ class Gauge:
     __slots__ = ("_body", "_overrides")
 
     def __init__(self, body, overrides: dict[float, float] | None = None):
-        self._body = body
+        self._body = body if callable(body) else (lambda t: body)
         self._overrides = dict(overrides) if overrides else {}
 
     def __call__(self, t: float) -> float:
-        if t in self._overrides:
-            d = self._overrides[t]
-        elif callable(self._body):
-            d = self._body(t)
-        else:
-            d = self._body
-        d = float(d)
+        d = float(self._overrides[t] if t in self._overrides else self._body(t))
         if not (math.isfinite(d) and d > 0.0):
             raise GaugeError(f"gauge must be positive and finite, got {d!r} at t={t!r}")
         return d

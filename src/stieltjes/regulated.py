@@ -258,34 +258,21 @@ class MonotoneFunction(RegulatedFunction):
     cell the base stays between its endpoint values.
     """
 
-    __slots__ = ("_base", "_jump_step", "_direction")
+    __slots__ = ("_base", "_jump_step")
 
     def __init__(self, interval: Interval, base, jumps=()):
         super().__init__(interval)
         self._base = base
-        jlist = sorted((float(t), float(pre), float(post)) for t, pre, post in jumps)
-        plus, minus, endpoint = [], [], 0.0
-        for t, pre, post in jlist:
-            interval.require(t)
-            if t == interval.a and pre != 0.0:
-                raise DomainError("no left limit exists at the interval start")
-            if t == interval.b and post != 0.0:
-                raise DomainError("no right limit exists at the interval end")
-            if t == interval.b:
-                endpoint += pre
-            elif pre != 0.0:
-                minus.append((t, pre))
-            if post != 0.0:
-                plus.append((t, post))
-        if plus or minus or endpoint:
-            self._jump_step = step_from_jumps(
-                interval, 0.0, plus_jumps=plus, minus_jumps=minus, endpoint=endpoint)
-        else:
-            self._jump_step = None
-
-        span = base(interval.b) - base(interval.a)
+        a, b = interval.a, interval.b
+        span = base(b) - base(a)
         direction = math.copysign(1.0, span) if span else 0.0
-        for t, pre, post in jlist:
+        plus, minus, endpoint = [], [], 0.0
+        for t, pre, post in sorted((float(t), float(pre), float(post)) for t, pre, post in jumps):
+            interval.require(t)
+            if t == a and pre != 0.0:
+                raise DomainError("no left limit exists at the interval start")
+            if t == b and post != 0.0:
+                raise DomainError("no right limit exists at the interval end")
             for gap in (pre, post):
                 if gap == 0.0:
                     continue
@@ -294,17 +281,20 @@ class MonotoneFunction(RegulatedFunction):
                 elif math.copysign(1.0, gap) != direction:
                     raise DomainError(
                         f"jump at {t!r} points against the monotone direction")
-        self._direction = direction
-        self._sanity_check_base()
-
-    def _sanity_check_base(self) -> None:
+            if t == b:
+                endpoint += pre
+            elif pre != 0.0:
+                minus.append((t, pre))
+            if post != 0.0:
+                plus.append((t, post))
         # Cheap guardrail, not certification: a handful of increments
         # must not contradict the claimed direction.
-        a, b = self._interval.a, self._interval.b
-        samples = [self._base(a + (b - a) * i / 8) for i in range(9)]
-        for x, y in zip(samples, samples[1:]):
-            if self._direction * (y - x) < 0:
-                raise DomainError("base function violates its monotone direction")
+        samples = [base(a + (b - a) * i / 8) for i in range(9)]
+        if any(direction * (y - x) < 0 for x, y in zip(samples, samples[1:])):
+            raise DomainError("base function violates its monotone direction")
+        self._jump_step = (step_from_jumps(interval, 0.0, plus_jumps=plus, minus_jumps=minus,
+                                           endpoint=endpoint)
+                           if plus or minus or endpoint else None)
 
     def value(self, t: float) -> float:
         self._interval.require(t)
@@ -369,9 +359,9 @@ class MonotoneFunction(RegulatedFunction):
                 node_values.append(fv)
                 achieved = max(achieved, 0.5 * osc)
                 if len(interior) > MAX_APPROX_CELLS:
+                    # No tolerance is known to fit: best_error stays inf.
                     raise ApproximationError(
-                        f"tolerance {eps!r} exceeds the cell limit {MAX_APPROX_CELLS}",
-                        best_error=max(achieved, 0.5 * osc))
+                        f"tolerance {eps!r} exceeds the cell limit {MAX_APPROX_CELLS}")
                 continue
             mid = 0.5 * (u + v)
             if depth >= 60 or not u < mid < v:

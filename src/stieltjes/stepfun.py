@@ -216,10 +216,7 @@ class StepFunction(RegulatedFunction):
         return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return StepFunction(
-            self._interval, self._nodes,
-            [-v for v in self._node_values],
-            [-v for v in self._interior_values])
+        return self * -1.0
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float)):

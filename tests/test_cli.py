@@ -129,11 +129,20 @@ def test_refusal_reports_the_reachable_tolerance(capsys, monkeypatch):
     assert report["best_error"] == pytest.approx(6 / 2**20)
     assert "can certify" in report["error"]
     # A refusal that names no reachable tolerance reports null.
-    def refuse(job):
+    def refuse(*_):
         raise ApproximationError("no certificate")
     monkeypatch.setitem(cli._RUNNERS, "integrate", refuse)
     code, report, _ = run_json(capsys, job)
     assert code == 3 and report == {"error": "no certificate", "best_error": None}
+
+
+def test_run_job_maps_a_build_error_to_exit_2():
+    # run_job builds the pair itself, so a job nobody validated can still
+    # fail in the DSL: a job error, exit 2, not an exception.
+    job = stieltjes.parse_spec(f"integrate {PAIR}")
+    bad = job._replace(f=job.f._replace(interval=(1.0, 0.0)))
+    code, report = cli.run_job(bad)
+    assert code == 2 and list(report) == ["error"] and isinstance(report["error"], str)
 
 
 def test_spec_batch_runs_all_lines(tmp_path, capsys):

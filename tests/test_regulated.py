@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import brute_variation, rand_smooth
 from stieltjes import (Affine, ApproximationError, DomainError, Interval,
                        MonotoneFunction, PiecewiseLipschitz, Power, SinWave,
                        StepFunction)
+from stieltjes import regulated
 from stieltjes.regulated import MAX_APPROX_CELLS
 
 IV = Interval(0.0, 1.0)
@@ -38,6 +40,16 @@ def test_sin_catalog_data():
     f = SinWave(freq=2.0, amplitude=3.0, phase=0.5)
     assert f(0.25) == pytest.approx(3.0 * math.sin(1.0))
     assert f.lipschitz_on(0.0, 1.0) == 6.0
+
+
+def test_value_types_pickle_and_repr():
+    # Frozen.__reduce__ rebuilds through __init__; __repr__ names each slot.
+    for value in (Interval(0.0, 1.0), Affine(2.0, 0.5), Power(1.5, -2.0),
+                  SinWave(3.0, 0.5, 0.25)):
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value) and copy == value and repr(copy) == repr(value)
+    assert repr(Interval(0.0, 1.0)) == "Interval(a=0.0, b=1.0)"
+    assert repr(Affine(2.0)) == "Affine(slope=2.0, intercept=0.0)"
 
 
 # ------------------------------------------------------- piecewise Lipschitz
@@ -249,6 +261,20 @@ def test_monotone_refuses_before_bisecting():
     assert len(calls) <= 4
     assert info.value.best_error == 1.0 / (2 * MAX_APPROX_CELLS)
     assert "5e+09 cells" in str(info.value)
+
+
+def test_monotone_cell_limit_refusal_names_no_unreachable_tolerance(monkeypatch):
+    # t**3 passes the rise pre-check at 64 cells but bisection needs more.
+    # best_error names a tol a retry can meet, or inf; the error reached so
+    # far (0.009875) is below the refused eps and would be refused again.
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 64)
+    f = MonotoneFunction(IV, Power(3.0))
+    with pytest.raises(ApproximationError) as info:
+        f.approximate(0.01)
+    best = info.value.best_error
+    assert best > 0.01
+    if math.isfinite(best):
+        assert f.approximate(best).error <= best
 
 
 def test_monotone_approximant_reads_each_node_once():
