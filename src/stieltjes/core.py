@@ -84,7 +84,7 @@ class Interval(Frozen):
     def check_division(self, points, what: str) -> list[float]:
         """``points`` as floats, once they form a division of the interval:
         two or more, increasing, from a to b.  ``what`` names them in errors."""
-        pts = [float(x) for x in points]
+        pts = list(map(float, points))
         if len(pts) < 2:
             raise DomainError(f"at least 2 {what} needed, got {len(pts)}")
         if not all(map(operator.lt, pts, pts[1:])):
@@ -153,6 +153,21 @@ class RegulatedFunction(ABC):
     @abstractmethod
     def right_limit(self, t: float) -> float:
         """f(t+) for t in [a, b); DomainError at b or outside."""
+
+    def _limits_at(self, nodes) -> tuple[list, list, list]:
+        """``(lefts, values, rights)``: f(t-), f(t) and f(t+) at each of
+        ``nodes``, with f(a-) := f(a) and f(b+) := f(b).
+
+        Precondition, not checked: ``nodes`` are the sorted nodes of an
+        already-checked ``StepFunction`` on this interval, so they
+        increase strictly from a to b.  The step-pair walks in
+        ``integrate`` are the only callers.  This default reads the
+        three point methods; families override it with one forward walk
+        that gives bit-identical values."""
+        values = [self.value(t) for t in nodes]
+        lefts = [values[0]] + [self.left_limit(t) for t in nodes[1:]]
+        rights = [self.right_limit(t) for t in nodes[:-1]] + [values[-1]]
+        return lefts, values, rights
 
     def left_jump(self, t: float) -> float:
         """f(t) - f(t-), with the convention of 0 at t = a."""

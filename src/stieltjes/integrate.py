@@ -23,14 +23,20 @@ against any regulated g are one-sided limit expressions (the table in
 ``elementary_forward`` / ``elementary_backward``; cross-checked
 definitionally by the oracle module's tests).  Summed by parts, that
 table collapses into one walk over the step argument's nodes, which
-``integrate_step_pair`` adds up with ``math.fsum``.  Everything else
-goes through certified step approximants.
+``integrate_step_pair`` adds up with ``math.fsum``.  The walk reads the
+other argument once, through ``_limits_at``: its left limits, values
+and right limits at all the nodes, which each built-in family gives by
+one forward walk instead of a bisecting point read per limit.  The sums
+and the oracles keep the point reads, so they share no code with it.
+Everything else goes through certified step approximants.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import chain
+from operator import mul, sub
 from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction, checked_make
@@ -167,41 +173,38 @@ def elementary_backward(g: RegulatedFunction, e: ElementaryIntegrand,
 def _step_integrand_terms(f: StepFunction, g: RegulatedFunction, dushnik: bool):
     # D: sum_k d_k [g(sigma_{k+1}) - g(sigma_k)].
     # K, Y: sum_k c_k [g(sigma_k+) - g(sigma_k-)]
-    #       + sum_k d_k [g(sigma_{k+1}-) - g(sigma_k+)].
-    ns, cs, ds = f.nodes, f.node_values, f.interior_values
+    #       + sum_k d_k [g(sigma_{k+1}-) - g(sigma_k+)],
+    # with g(a-) := g(a) and g(b+) := g(b).  The terms come in node
+    # order, c_0 first and then d_k before c_{k+1}, as iterators rather
+    # than lists (fsum's order matters only when a partial sum overflows).
+    cs, ds = f.node_values, f.interior_values
+    lefts, values, rights = g._limits_at(f.nodes)
     if dushnik:
-        g_prev = g.value(ns[0])
-        for k, d in enumerate(ds):
-            g_next = g.value(ns[k + 1])
-            yield d * (g_next - g_prev)
-            g_prev = g_next
-        return
-    g_left = g.value(ns[0])  # g(a-) := g(a)
-    for k, d in enumerate(ds):
-        g_right = g.right_limit(ns[k])
-        yield cs[k] * (g_right - g_left)
-        g_left = g.left_limit(ns[k + 1])
-        yield d * (g_left - g_right)
-    yield cs[-1] * (g.value(ns[-1]) - g_left)  # g(b+) := g(b)
+        return map(mul, ds, map(sub, values[1:], values))
+    at_node = map(mul, cs, map(sub, rights, lefts))
+    on_piece = map(mul, ds, map(sub, lefts[1:], rights))
+    return chain((next(at_node),), chain.from_iterable(zip(on_piece, at_node)))
 
 
 def _step_integrator_terms(f: RegulatedFunction, g: StepFunction, dushnik: bool):
     # K, Y: sum_k f(sigma_k) [g(sigma_k+) - g(sigma_k-)].
     # D: sum_k f(sigma_k+) [g(sigma_k+) - g(sigma_k)]
     #          + f(sigma_k-) [g(sigma_k) - g(sigma_k-)].
-    # Nodes where g does not move contribute nothing and read no f.
-    ns, cs, ds = g.nodes, g.node_values, g.interior_values
-    m = len(ds)
-    for k, x in enumerate(ns):
-        before = ds[k - 1] if k else cs[0]  # g(a-) := g(a)
-        after = ds[k] if k < m else cs[m]   # g(b+) := g(b)
-        if dushnik:
-            if after != cs[k]:
-                yield f.right_limit(x) * (after - cs[k])
-            if cs[k] != before:
-                yield f.left_limit(x) * (cs[k] - before)
-        elif after != before:
-            yield f.value(x) * (after - before)
+    # f is read at every node of g.  A node where g does not move (only
+    # an endpoint can be one, by the canonical form) adds no term.
+    cs, ds = g.node_values, g.interior_values
+    lefts, values, rights = f._limits_at(g.nodes)
+    before = cs[:1] + ds  # g(a-) := g(a)
+    after = ds + cs[-1:]  # g(b+) := g(b)
+    if not dushnik:
+        return [fv * (hi - lo) for fv, lo, hi in zip(values, before, after) if hi != lo]
+    terms = []
+    for fl, fr, lo, c, hi in zip(lefts, rights, before, cs, after):
+        if hi != c:
+            terms.append(fr * (hi - c))
+        if c != lo:
+            terms.append(fl * (c - lo))
+    return terms
 
 
 def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
@@ -261,7 +264,8 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     result is then exact with error_bound 0.)
 
     An approximant's ApproximationError is re-raised with ``best_error``
-    times the factor: the smallest tol this route can certify.
+    times the factor: the smallest tol this route can certify, named in
+    the message when it is finite.
     """
     check_tol(tol)
     if f.interval != g.interval:
@@ -293,10 +297,11 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
         step, err = side.approximate(_budget(tol, factor))
     except ApproximationError as exc:
         # Without a positive factor eps was already inf: no tol helps.
+        # An infinite floor names no tol, so the message leaves it out.
         best = exc.best_error * factor if factor else math.inf
-        raise ApproximationError(
-            f"{exc}; the smallest tol this route can certify is {best:.3g}",
-            best_error=best) from exc
+        floor = (f"; the smallest tol this route can certify is {best:.3g}"
+                 if math.isfinite(best) else "")
+        raise ApproximationError(f"{exc}{floor}", best_error=best) from exc
     fn, gn = (step, g) if take_f else (f, step)
     exact = integrate_step_pair(fn, gn, kind)
     return IntegralResult(

@@ -200,6 +200,31 @@ class PiecewiseLipschitz(RegulatedFunction):
             return self._pieces[i](t)
         return self._pieces[i - 1](t)
 
+    def _limits_at(self, nodes) -> tuple[list, list, list]:
+        """``RegulatedFunction._limits_at`` (same precondition) by one
+        forward walk over the nodes and the breakpoints: one piece call
+        per node inside a cell, the node value and a call to each piece
+        beside it at an interior break."""
+        bks, pieces, at = self._breaks, self._pieces, self._node_values
+        last = len(bks) - 1
+        values, hits = [], []
+        i = 0
+        for k, t in enumerate(nodes):
+            while bks[i] < t:
+                i += 1
+            if bks[i] == t:
+                values.append(at[i])
+                hits.append((k, i, t))
+            else:
+                values.append(pieces[i - 1](t))
+        lefts, rights = values[:], values[:]
+        for k, i, t in hits:
+            if i:  # f(a-) := f(a)
+                lefts[k] = pieces[i - 1](t)
+            if i < last:  # f(b+) := f(b)
+                rights[k] = pieces[i](t)
+        return lefts, values, rights
+
     @property
     def variation_bound(self) -> float:
         return self._variation
@@ -312,6 +337,17 @@ class MonotoneFunction(RegulatedFunction):
             raise DomainError(f"right limit needs t in [{self._interval.a}, {self._interval.b})")
         jump = self._jump_step.right_limit(t) if self._jump_step is not None else 0.0
         return self._base(t) + jump
+
+    def _limits_at(self, nodes) -> tuple[list, list, list]:
+        """``RegulatedFunction._limits_at`` (same precondition): one base
+        call per node, plus the jump step's limits from its own forward
+        walk, matched by index."""
+        base = list(map(self._base, nodes))
+        if self._jump_step is None:
+            values = [y + 0.0 for y in base]  # as in value(): -0.0 reads 0.0
+            return values[:], values, values[:]
+        return tuple([y + j for y, j in zip(base, jumps)]
+                     for jumps in self._jump_step._limits_at(nodes))
 
     @property
     def variation_bound(self) -> float:

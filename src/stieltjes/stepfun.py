@@ -32,18 +32,18 @@ class StepFunction(RegulatedFunction):
 
     def __init__(self, interval: Interval, nodes, node_values, interior_values):
         ns = interval.check_division(nodes, "nodes")
-        cs = [float(x) for x in node_values]
-        ds = [float(x) for x in interior_values]
+        cs = list(map(float, node_values))
+        ds = list(map(float, interior_values))
         if len(cs) != len(ns) or len(ds) != len(ns) - 1:
             raise DomainError(
                 f"length mismatch: {len(ns)} nodes need {len(ns)} node values "
                 f"and {len(ns) - 1} interior values, got {len(cs)} and {len(ds)}")
-        for x in cs + ds:
-            if not math.isfinite(x):
-                raise DomainError("step function values must be finite")
+        if not (all(map(math.isfinite, cs)) and all(map(math.isfinite, ds))):
+            raise DomainError("step function values must be finite")
         # Canonical form: drop interior nodes invisible to the function.
         # A kept node's right piece is the one it had before the merge.
-        drop = {k for k in range(1, len(ns) - 1) if cs[k] == ds[k - 1] == ds[k]}
+        drop = {k for k, c, left, right in zip(range(1, len(ns) - 1), cs[1:], ds, ds[1:])
+                if c == left == right}
         if drop:
             keep = [k for k in range(len(ns)) if k not in drop]
             ns = [ns[k] for k in keep]
@@ -114,6 +114,30 @@ class StepFunction(RegulatedFunction):
         if self._nodes[i] == t:
             return self._interior_values[i]
         return self._interior_values[i - 1]
+
+    def _limits_at(self, nodes) -> tuple[list, list, list]:
+        """``RegulatedFunction._limits_at`` (same precondition) by one
+        forward walk over both node lists: a node inside a piece reads
+        the piece's value three times; a shared node reads its own value
+        between the two pieces beside it."""
+        xs, cs, ds = self._nodes, self._node_values, self._interior_values
+        values, hits = [], []
+        i = 0
+        for k, t in enumerate(nodes):
+            while xs[i] < t:
+                i += 1
+            if xs[i] == t:
+                values.append(cs[i])
+                hits.append((k, i))
+            else:
+                values.append(ds[i - 1])
+        before = cs[:1] + ds  # f(a-) := f(a)
+        after = ds + cs[-1:]  # f(b+) := f(b)
+        lefts, rights = values[:], values[:]
+        for k, i in hits:
+            lefts[k] = before[i]
+            rights[k] = after[i]
+        return lefts, values, rights
 
     # -- exact norms -----------------------------------------------------
 

@@ -425,6 +425,21 @@ def test_limit_route_refusal_names_the_reachable_tolerance(monkeypatch):
             integrate_limit(f, g, K, tol=0.9 * best)
 
 
+def test_limit_route_refusal_names_no_infinite_floor(monkeypatch):
+    # t**3 passes the monotone rise pre-check at 64 cells, then bisection
+    # needs more: that refusal knows no reachable tol, so the message
+    # must not claim that none exists; a larger tol still succeeds.
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 64)
+    f = MonotoneFunction(IV, Power(3.0))
+    g = MonotoneFunction(IV, Power(1.0))
+    with pytest.raises(ApproximationError) as info:
+        integrate(f, g, K, 0.01)
+    assert info.value.best_error == math.inf
+    assert "can certify" not in str(info.value)
+    assert "inf" not in str(info.value)
+    assert integrate(f, g, K, 0.012).error_bound <= 0.012
+
+
 def test_limit_route_preconditions():
     wave = NoCertificate(IV)
     with pytest.raises(VariationUnknownError):
