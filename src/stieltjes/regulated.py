@@ -119,13 +119,19 @@ class PiecewiseLipschitz(RegulatedFunction):
     """
 
     __slots__ = ("_breaks", "_pieces", "_lipschitz", "_node_values",
-                 "_gap_total", "_jumps", "_variation", "_sup")
+                 "_jumps", "_variation", "_sup")
 
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
                  node_values=None):
         bks = interval.check_division(breakpoints, "breakpoints")
-        pieces = tuple(pieces)
         lipschitz = tuple(float(c) for c in lipschitz)
+        self._setup(interval, bks, tuple(pieces), lipschitz, node_values,
+                    (c * (v - u) for c, u, v in zip(lipschitz, bks, bks[1:])))
+
+    def _setup(self, interval, bks, pieces, lipschitz, node_values, piece_variations):
+        """Both constructors' checks and certificates, on checked
+        breakpoints; ``piece_variations``, one bound per cell, is summed
+        once the checks have passed."""
         if len(pieces) != len(bks) - 1 or len(lipschitz) != len(pieces):
             raise DomainError("need one piece and one Lipschitz constant per cell")
         for c in lipschitz:
@@ -153,10 +159,8 @@ class PiecewiseLipschitz(RegulatedFunction):
                 gap_total += abs(val - end)
             if any(end != val for end in ends):
                 jumps.append(t)
-        self._gap_total = gap_total
         self._jumps = tuple(jumps)
-        self._variation = math.fsum(
-            c * (v - u) for c, u, v in zip(lipschitz, bks, bks[1:])) + gap_total
+        self._variation = math.fsum(piece_variations) + gap_total
         # Any t in a cell [u, v] is within (v-u)/2 of the nearer end.
         sup = max(abs(v) for v in node_values)
         for fu, fv, c, u, v in zip(lefts, rights, lipschitz, bks, bks[1:]):
@@ -170,11 +174,11 @@ class PiecewiseLipschitz(RegulatedFunction):
         a tight variation bound analytically."""
         bks = interval.check_division(breakpoints, "breakpoints")
         formulas = tuple(formulas)
-        lips = [fm.lipschitz_on(u, v) for fm, u, v in zip(formulas, bks, bks[1:])]
-        self = cls(interval, bks, formulas, lips, node_values)
-        pieces_var = math.fsum(
-            fm.variation_on(u, v) for fm, u, v in zip(formulas, bks, bks[1:]))
-        self._variation = pieces_var + self._gap_total
+        cells = list(zip(formulas, bks, bks[1:]))
+        self = cls.__new__(cls)
+        self._setup(interval, bks, formulas,
+                    tuple(float(fm.lipschitz_on(u, v)) for fm, u, v in cells),
+                    node_values, (fm.variation_on(u, v) for fm, u, v in cells))
         return self
 
     # -- RegulatedFunction interface --------------------------------------
@@ -340,14 +344,32 @@ class MonotoneFunction(RegulatedFunction):
 
     def _limits_at(self, nodes) -> tuple[list, list, list]:
         """``RegulatedFunction._limits_at`` (same precondition): one base
-        call per node, plus the jump step's limits from its own forward
-        walk, matched by index."""
+        call per node, then a walk over the jump step's few nodes.  Query
+        nodes between two jumps share one list for all three reads."""
         base = list(map(self._base, nodes))
         if self._jump_step is None:
             values = [y + 0.0 for y in base]  # as in value(): -0.0 reads 0.0
             return values[:], values, values[:]
-        return tuple([y + j for y, j in zip(base, jumps)]
-                     for jumps in self._jump_step._limits_at(nodes))
+        js = self._jump_step
+        ys, yc, yd = js._nodes, js._node_values, js._interior_values
+        before = yc[:1] + yd  # f(a-) := f(a)
+        after = yd + yc[-1:]  # f(b+) := f(b)
+        lefts, values, rights = [], [], []
+        lo = 0
+        for j, y in enumerate(ys):  # both node lists start at a and end at b
+            k = bisect_left(nodes, y, lo)
+            d = yd[j - 1]
+            piece = [x + d for x in base[lo:k]]
+            lefts += piece
+            values += piece
+            rights += piece
+            lo = k
+            if nodes[k] == y:
+                lefts.append(base[k] + before[j])
+                values.append(base[k] + yc[j])
+                rights.append(base[k] + after[j])
+                lo = k + 1
+        return lefts, values, rights
 
     @property
     def variation_bound(self) -> float:
@@ -363,7 +385,10 @@ class MonotoneFunction(RegulatedFunction):
 
     def approximate(self, eps: float) -> StepApproximation:
         """Bisect the continuous base until every cell's rise is at most
-        2 * eps, take mid-range values, then add the jump part exactly.
+        2 * eps and take mid-range values.  The cells come left to right,
+        so the jump part is added in the same pass: a jump inside a cell
+        splits its piece, and every node and piece gets the jump step's
+        value there, the additions ``base_step + jump_step`` would make.
 
         The cells' rises add up to the base's total rise, so a base that
         rises by more than 2 * eps * MAX_APPROX_CELLS is refused before
@@ -372,29 +397,48 @@ class MonotoneFunction(RegulatedFunction):
         approximant within the cell limit can beat."""
         if not eps > 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
+        base = self._base
         a, b = self._interval.a, self._interval.b
-        base_a, base_b = self._base(a), self._base(b)
+        base_a, base_b = base(a), base(b)
         rise = abs(base_b - base_a)
-        needed = rise / (2.0 * eps)
+        limit = 2.0 * eps
+        needed = rise / limit
         if needed > MAX_APPROX_CELLS:
             raise ApproximationError(
                 f"tolerance {eps!r} needs at least {needed:.3g} cells "
                 f"(limit {MAX_APPROX_CELLS})",
                 best_error=rise / (2.0 * MAX_APPROX_CELLS))
-        nodes = [a]
-        node_values = [base_a]
-        interior = []
-        achieved = 0.0
+        js = self._jump_step
+        nodes, at, on = [a], [base_a], []
+        if js is not None:
+            ys, yc, yd = js._nodes, js._node_values, js._interior_values
+            at[0] += yc[0]
+        j = 1  # the first jump node right of the cells emitted so far
+        cells, worst = 0, 0.0
         stack = [(a, b, base_a, base_b, 0)]
         while stack:
             u, v, fu, fv, depth = stack.pop()
             osc = abs(fv - fu)
-            if osc <= 2.0 * eps:
-                interior.append(0.5 * (fu + fv))
+            if osc <= limit:
+                m = 0.5 * (fu + fv)
+                if js is None:  # values kept exactly: -0.0 stays -0.0
+                    on.append(m)
+                    at.append(fv)
+                else:
+                    while ys[j] < v:  # a jump inside the cell splits its piece
+                        nodes.append(ys[j])
+                        on.append(m + yd[j - 1])
+                        at.append(m + yc[j])
+                        j += 1
+                    on.append(m + yd[j - 1])
+                    hit = ys[j] == v  # the cell ends on a jump
+                    at.append(fv + (yc[j] if hit else yd[j - 1]))
+                    j += hit
                 nodes.append(v)
-                node_values.append(fv)
-                achieved = max(achieved, 0.5 * osc)
-                if len(interior) > MAX_APPROX_CELLS:
+                if osc > worst:
+                    worst = osc
+                cells += 1
+                if cells > MAX_APPROX_CELLS:
                     # No tolerance is known to fit: best_error stays inf.
                     raise ApproximationError(
                         f"tolerance {eps!r} exceeds the cell limit {MAX_APPROX_CELLS}")
@@ -405,10 +449,7 @@ class MonotoneFunction(RegulatedFunction):
                     f"tolerance {eps!r} unreachable near {u!r} "
                     "(discontinuity or resolution limit in the base)",
                     best_error=0.5 * osc)
-            fm = self._base(mid)
+            fm = base(mid)
             stack.append((mid, v, fm, fv, depth + 1))
             stack.append((u, mid, fu, fm, depth + 1))
-        base_step = StepFunction(self._interval, nodes, node_values, interior)
-        if self._jump_step is not None:
-            base_step = base_step + self._jump_step
-        return StepApproximation(base_step, achieved)
+        return StepApproximation(StepFunction(self._interval, nodes, at, on), 0.5 * worst)

@@ -7,7 +7,7 @@ import pytest
 from conftest import brute_variation, rand_smooth
 from stieltjes import (Affine, ApproximationError, DomainError, Interval,
                        MonotoneFunction, PiecewiseLipschitz, Power, SinWave,
-                       StepFunction)
+                       StepApproximation, StepFunction)
 from stieltjes import regulated
 from stieltjes.regulated import MAX_APPROX_CELLS
 
@@ -107,6 +107,46 @@ def test_from_formulas_checks_breakpoints_before_reading_formulas():
     with pytest.raises(DomainError) as info:
         PiecewiseLipschitz.from_formulas(IV, (0, -0.5, 1), [Power(1.5)] * 2)
     assert str(info.value) == "breakpoints not strictly increasing at index 1"
+
+
+def test_from_formulas_checks_its_breakpoints_once(monkeypatch):
+    checks = []
+    check = Interval.check_division
+
+    def counted(self, points, what):
+        checks.append(what)
+        return check(self, points, what)
+
+    monkeypatch.setattr(Interval, "check_division", counted)
+    PiecewiseLipschitz.from_formulas(IV, (0.0, 0.5, 1.0), (Affine(1.0), Power(2.0)))
+    assert checks == ["breakpoints"]
+    PiecewiseLipschitz(IV, (0.0, 0.5, 1.0), (Affine(1.0), Power(2.0)), (1.0, 2.0))
+    assert checks == ["breakpoints"] * 2
+
+
+def test_variation_bound_sums_each_constructors_piece_bounds_once():
+    # from_formulas sums the formulas' variation_on, __init__ the
+    # Lipschitz constant times the cell width; both add the gaps between
+    # each node value and the piece ends beside it, in node order.
+    rng = random.Random(515)
+    for _ in range(200):
+        f = rand_smooth(rng)
+        bks, forms, at = f._breaks, f._pieces, f._node_values
+        cells = list(zip(forms, bks, bks[1:]))
+        lips = [fm.lipschitz_on(u, v) for fm, u, v in cells]
+        g = PiecewiseLipschitz(IV, bks, forms, lips, at)
+        gaps = 0.0
+        for k, val in enumerate(at):
+            if k:
+                gaps += abs(val - forms[k - 1](bks[k]))
+            if k < len(forms):
+                gaps += abs(val - forms[k](bks[k]))
+        want_f = math.fsum(fm.variation_on(u, v) for fm, u, v in cells) + gaps
+        want_g = math.fsum(c * (v - u) for c, (_, u, v) in zip(lips, cells)) + gaps
+        assert f.variation_bound.hex() == want_f.hex()
+        assert g.variation_bound.hex() == want_g.hex()
+        assert f.variation_bound <= g.variation_bound * (1 + 1e-12)
+        assert g.sup_bound == f.sup_bound and g.jump_points() == f.jump_points()
 
 
 class CountingPiece:
@@ -296,6 +336,108 @@ def test_monotone_approximant_reads_each_node_once():
         assert len(calls) == 2 + (cells - 1)
         assert len(set(calls)) == len(calls)
         assert step.node_values == tuple(f.value(t) for t in step.nodes)
+
+
+# ---------------------------------------- one-pass monotone approximant
+
+def two_step_approximant(f: MonotoneFunction, eps: float) -> StepApproximation:
+    """The approximant as built before the jumps joined the bisection:
+    the base cells' step function, plus ``f._jump_step``."""
+    base, a, b = f._base, IV.a, IV.b
+    nodes, at, on, worst = [a], [base(a)], [], 0.0
+    stack = [(a, b, base(a), base(b))]
+    while stack:
+        u, v, fu, fv = stack.pop()
+        if abs(fv - fu) <= 2.0 * eps:
+            nodes.append(v)
+            at.append(fv)
+            on.append(0.5 * (fu + fv))
+            worst = max(worst, 0.5 * abs(fv - fu))
+            continue
+        mid = 0.5 * (u + v)
+        stack += [(mid, v, base(mid), fv), (u, mid, fu, base(mid))]
+    step = StepFunction(IV, nodes, at, on)
+    if f._jump_step is not None:
+        step = step + f._jump_step
+    return StepApproximation(step, worst)
+
+
+def approximant_bits(approximation):
+    step, err = approximation
+    return ([x.hex() for x in step.nodes], [x.hex() for x in step.node_values],
+            [x.hex() for x in step.interior_values], err.hex())
+
+
+# The ends, bisection nodes, and points no bisection reaches.
+BISECTION_NODES = (0.5, 0.25, 0.75, 0.375)
+JUMP_SITES = (0.0, 1.0) + BISECTION_NODES + (0.1, 0.3, 0.6, 0.9)
+
+
+def rand_monotone_with_jumps(rng: random.Random) -> MonotoneFunction:
+    """Rising or falling affine or power base, the falling powers giving
+    -0.0 at 0, with 0 to 5 jumps: at a (after only), at b (before only),
+    on bisection nodes and inside cells, with pre-only, post-only or two
+    gaps."""
+    sign = rng.choice((1.0, -1.0))
+    base = rng.choice((Affine(sign * rng.uniform(0.0, 3.0), rng.uniform(-1, 1)),
+                       Power(rng.choice((1.0, 2.0, 3.0)), sign * rng.uniform(0.1, 2.0))))
+    sites = rng.sample(JUMP_SITES, rng.randint(0, 5))
+    jumps = []
+    for t in sites:
+        if rng.random() < 0.5:
+            t = rng.uniform(0.0, 1.0) if 0.0 < t < 1.0 else t
+        pre, post = (sign * rng.choice((0.0, rng.uniform(0.0, 0.5))) for _ in "pp")
+        jumps.append((t, 0.0 if t == 0.0 else pre, 0.0 if t == 1.0 else post))
+    return MonotoneFunction(IV, base, jumps)
+
+
+def test_one_pass_approximant_is_bit_identical_to_base_plus_jumps():
+    rng = random.Random(1218)
+    seen = set()
+    for _ in range(400):
+        f = rand_monotone_with_jumps(rng)
+        for eps in (0.05, 0.006, 0.0013):
+            got = f.approximate(eps)
+            assert approximant_bits(got) == approximant_bits(two_step_approximant(f, eps))
+            for t in f.jump_points():
+                seen.add(t if t in (0.0, 1.0) + BISECTION_NODES else "inside a cell")
+            seen.add("no jumps" if f._jump_step is None else "jumps")
+            if any(v == 0.0 and math.copysign(1.0, v) < 0 for v in got.step.node_values):
+                seen.add("-0.0")
+    assert set(JUMP_SITES[:6]) | {"inside a cell", "no jumps", "jumps", "-0.0"} <= seen
+
+
+def test_one_pass_approximant_on_chosen_jumps():
+    cases = (
+        (Power(2.0), ()),
+        (Power(2.0, -1.0), ()),                              # -0.0 at 0 kept
+        (Power(2.0, -1.0), ((0.5, -0.25, 0.0),)),
+        (Affine(1.0), ((0.0, 0.0, 0.5), (1.0, 0.5, 0.0))),   # at a and at b
+        (Affine(1.0), ((0.5, 0.25, 0.0), (0.25, 0.0, 0.25))),  # bisection nodes
+        (Power(3.0), ((0.3, 0.1, 0.2), (0.31, 0.0, 0.1), (0.7, 0.2, 0.0))),
+        (Affine(0.0), ((0.6, 1.0, 1.0),)),                   # one cell, split
+        (Affine(2.0, -1.0), ((1.0, 0.75, 0.0),)),            # endpoint jump only
+    )
+    for base, jumps in cases:
+        f = MonotoneFunction(IV, base, jumps)
+        for eps in (1.0, 0.1, 0.01, 0.001):
+            got = f.approximate(eps)
+            assert approximant_bits(got) == approximant_bits(two_step_approximant(f, eps))
+    no_jumps = MonotoneFunction(IV, Power(2.0, -1.0)).approximate(0.1).step
+    assert math.copysign(1.0, no_jumps.node_values[0]) == -1.0
+
+
+def test_cell_limit_counts_base_cells_not_jump_splits(monkeypatch):
+    # Eight base cells of rise 1/8 at eps = 1/16; two jumps inside cells
+    # make ten pieces, and a limit of eight still accepts them.
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 8)
+    f = MonotoneFunction(IV, Affine(1.0), ((0.3, 0.25, 0.0), (0.6, 0.0, 0.25)))
+    step, err = f.approximate(1 / 16)
+    assert step.piece_count == 10 and err == 1 / 16
+    assert approximant_bits((step, err)) == approximant_bits(two_step_approximant(f, 1 / 16))
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 7)
+    with pytest.raises(ApproximationError):
+        f.approximate(1 / 16)
 
 
 def test_nan_tolerance_refused_and_inf_accepted_by_every_family():
