@@ -13,7 +13,8 @@ factor of 16 per level on the jump side, because that is where the
 sums actually move; cells away from jumps are bisected only when
 neither function is a step function.  A candidate value counts as
 converged once all probe sums of two consecutive levels agree with the
-current center sum to within ``tol``.
+current center sum to within ``tol``.  A level's sums differ only in
+their tags, so they share one read of f and g at the division's nodes.
 
 The reported spread is a diagnostic stability measure, not a certified
 error bound; certified bounds come from ``integrate``.
@@ -30,7 +31,7 @@ from .errors import DomainError, GaugeTooFineError, check_tol
 from .integrate import IntegralKind
 from .partitions import Division, Gauge, _fine_partition, interior_tags
 from .stepfun import StepFunction
-from .sums import riemann_sum, young_sum
+from .sums import _riemann_values, _young_values, riemann_sum
 
 # Levels either oracle tries before it reports no convergence.
 MAX_LEVELS = 18
@@ -90,7 +91,7 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
     if kind is IntegralKind.KURZWEIL:
         raise DomainError("the Kurzweil integral is a gauge limit; use oracle_gauge")
     check_tol(tol)
-    sum_fn = young_sum if kind is IntegralKind.YOUNG else riemann_sum
+    sum_fn = _young_values if kind is IntegralKind.YOUNG else _riemann_values
     jumps, seeds, global_split = _jumps_and_seeds(f, g)
     jumpset = frozenset(jumps)
     a, b = f.interval.a, f.interval.b
@@ -102,8 +103,8 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
             terms += (PROBES + 1) * division.nu
             if terms > MAX_TERMS and level:
                 return
-            yield [sum_fn(f, g, interior_tags(division, s)).value
-                   for s in _level_seeds(seed, level, PROBES)]
+            yield sum_fn(f, g, [interior_tags(division, s)
+                                for s in _level_seeds(seed, level, PROBES)])
             extra: list[float] = []
             for u, v in division.cells():
                 w = v - u
