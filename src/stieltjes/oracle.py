@@ -18,6 +18,13 @@ their tags, so they share one read of f and g at the division's nodes.
 
 The reported spread is a diagnostic stability measure, not a certified
 error bound; certified bounds come from ``integrate``.
+
+Reports are reproducible from their seed.  Seeded tags and split points
+come from ``random.Random(seed).random``, whose sequence Python promises
+to keep across versions, through ``Random.uniform``'s formula written
+out.  The gauge oracle also orders candidate tags with
+``Random.shuffle``, whose algorithm Python does not promise to keep; it
+is the same in 3.10-3.13.
 """
 
 from __future__ import annotations
@@ -127,9 +134,13 @@ def _distance_body(base: float, jumps: tuple[float, ...], floor: float):
     fence = (-math.inf, *jumps, math.inf)
 
     def body(t: float) -> float:
-        # The nearest jump is one of the two that bracket t.
+        # The nearest jump is one of the two that bracket t.  This is
+        # max(min(base, 0.5 * min(left, right)), floor), spelled out.
         i = bisect_left(fence, t)
-        return max(min(base, 0.5 * min(t - fence[i - 1], fence[i] - t)), floor)
+        left, right = t - fence[i - 1], fence[i] - t
+        d = 0.5 * (right if right < left else left)
+        d = d if d < base else base
+        return floor if floor > d else d
     return body
 
 

@@ -5,6 +5,14 @@ A division is a finite node set containing both endpoints; a partition
 adds one tag per cell.  Tags come in two flavours: ``free`` tags may
 sit anywhere in the closed cell (gauge-limit integrals), ``interior``
 tags must be strictly inside (refinement-limit integrals).
+
+A gauge-fine partition is built by splitting cells until each accepts
+one of its candidate tags.  A cell splits only after reading the gauge
+at all of its candidates, its two ends among them, so each child is
+handed the value at the end it shares with its parent, and at the split
+point too when that is the parent's midpoint (always, unseeded).  The
+gauge is therefore read once at each end of a cell tree, and, unseeded,
+once at every point of it.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ TAG_FREE = "free"
 TAG_INTERIOR = "interior"
 # Splits a fine-partition cell may take before the gauge is refused.
 MAX_DEPTH = 60
+_NO_OVERRIDE = object()
 
 
 class Division(NamedTuple("Division", [("interval", Interval),
@@ -59,15 +68,16 @@ class Partition(NamedTuple("Partition", [("division", Division),
 
     def __new__(cls, division: Division, tags: Iterable[float],
                 mode: str = TAG_FREE) -> "Partition":
-        tags = tuple(float(x) for x in tags)
+        tags = tuple(map(float, tags))
         if mode not in (TAG_FREE, TAG_INTERIOR):
             raise DomainError(f"unknown tag mode {mode!r}")
         if len(tags) != division.nu:
             raise DomainError(
                 f"{division.nu} cells need {division.nu} tags, got {len(tags)}")
-        for (u, v), t in zip(division.cells(), tags):
-            ok = u <= t <= v if mode == TAG_FREE else u < t < v
-            if not ok:
+        free = mode == TAG_FREE
+        pts = division.points
+        for u, v, t in zip(pts, pts[1:], tags):
+            if not (u <= t <= v if free else u < t < v):
                 raise DomainError(f"tag {t!r} not valid for cell [{u}, {v}] in {mode} mode")
         return super().__new__(cls, division, tags, mode)
 
@@ -84,17 +94,18 @@ def interior_tags(division: Division, seed: int | None = None) -> Partition:
     """Tag every cell strictly inside: at its midpoint, or, given a
     seed, at a reproducible draw from the cell's middle 90%."""
     tags = []
-    rng = None if seed is None else random.Random(seed)
+    draw = None if seed is None else random.Random(seed).random
     for u, v in division.cells():
         mid = 0.5 * (u + v)
         if not u < mid < v:
             raise DomainError(f"cell [{u}, {v}] too narrow for a strictly interior tag")
-        if rng is None:
+        if draw is None:
             tags.append(mid)
         else:
-            t = u + (v - u) * rng.uniform(0.05, 0.95)
+            # rng.uniform(0.05, 0.95), by its own formula.
+            t = u + (v - u) * (0.05 + (0.95 - 0.05) * draw())
             tags.append(t if u < t < v else mid)
-    return Partition(division, tuple(tags), TAG_INTERIOR)
+    return Partition(division, tags, TAG_INTERIOR)
 
 
 class Gauge:
@@ -113,8 +124,9 @@ class Gauge:
         self._overrides = dict(overrides) if overrides else {}
 
     def __call__(self, t: float) -> float:
-        d = float(self._overrides[t] if t in self._overrides else self._body(t))
-        if not (math.isfinite(d) and d > 0.0):
+        d = self._overrides.get(t, _NO_OVERRIDE)
+        d = float(self._body(t) if d is _NO_OVERRIDE else d)
+        if not 0.0 < d < math.inf:
             raise GaugeError(f"gauge must be positive and finite, got {d!r} at t={t!r}")
         return d
 
@@ -138,34 +150,50 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
     and the split is at the midpoint; with it, u, v, the midpoint and
     one uniform draw are tried in shuffled order, and the split point is
     drawn in the middle 30% of the cell.  Each accepted cell takes one
-    unit of ``budget[0]``."""
-    # Depth-first, left cell first, so the output arrives in order.
+    unit of ``budget[0]``.  A child reuses the gauge values its parent
+    read at their shared end and, when it is the midpoint, at the split
+    point."""
+    if rng is None:
+        order, imid, iv = (0, 1, 2), 1, 2
+    else:
+        draw, shuffle, imid, iv = rng.random, rng.shuffle, 2, 1
+    # Depth-first, left cell first, so the output arrives in order.  A
+    # stacked cell carries the gauge's values at its ends, None if unread.
     out: list[tuple[float, float, float]] = []
-    stack = [(u0, v0, 0)]
+    stack = [(u0, v0, 0, None, None)]
     while stack:
-        u, v, depth = stack.pop()
+        u, v, depth, du, dv = stack.pop()
         mid = 0.5 * (u + v)
         if rng is None:
-            candidates = [u, mid, v]
+            points, values = (u, mid, v), [du, None, dv]
         else:
-            candidates = [u, v, mid, u + (v - u) * rng.uniform(0.1, 0.9)]
-            rng.shuffle(candidates)
-        for t in candidates:
-            d = gauge(t)
+            # rng.uniform(0.1, 0.9) by its own formula; shuffling the
+            # indices is the permutation that shuffling the points was.
+            points = (u, v, mid, u + (v - u) * (0.1 + (0.9 - 0.1) * draw()))
+            values = [du, dv, None, None]
+            order = [0, 1, 2, 3]
+            shuffle(order)
+        for i in order:
+            t, d = points[i], values[i]
+            if d is None:
+                d = values[i] = gauge(t)
             if u >= t - d and v <= t + d:
                 break
         else:
             if depth >= MAX_DEPTH:
                 raise GaugeTooFineError(
                     f"no fine cell found above depth {MAX_DEPTH} near [{u!r}, {v!r}]")
-            s = mid if rng is None else u + (v - u) * rng.uniform(0.35, 0.65)
+            s, ds = mid, values[imid]
+            if rng is not None:
+                # rng.uniform(0.35, 0.65), as above.
+                r = u + (v - u) * (0.35 + (0.65 - 0.35) * draw())
+                if u < r < v:
+                    s, ds = r, None
             if not u < s < v:
-                s = mid
-                if not u < s < v:
-                    raise GaugeTooFineError(
-                        f"gauge demands cells below float resolution near {u!r}")
-            stack.append((s, v, depth + 1))
-            stack.append((u, s, depth + 1))
+                raise GaugeTooFineError(
+                    f"gauge demands cells below float resolution near {u!r}")
+            stack.append((s, v, depth + 1, ds, values[iv]))
+            stack.append((u, s, depth + 1, values[0], ds))
             continue
         out.append((u, v, t))
         if budget is not None:

@@ -18,6 +18,15 @@ division: the node data (g's values and one-sided limits, f's values)
 is read once and only the tag terms are computed per partition.  A
 refinement level's probe sums share that read; ``riemann_sum`` and
 ``young_sum`` are its one-partition calls.
+
+A term whose g factor is exactly zero is left out: S(P) reads f only at
+the tags of cells with g(a_j) != g(a_{j-1}), and SY(P) only at the tags
+of cells with g(a_j-) != g(a_{j-1}+), in every partition.  With f finite,
+as ``RegulatedFunction`` requires, such a term is +-0.0 and adds nothing
+to ``math.fsum``, whose result is the correctly rounded sum of its terms
+in any order, short of overflow; a sum of no terms, or of zeros only, is
++0.0 either way.
+Against a step g whose jumps are all nodes, no Young tag term is left.
 """
 
 from __future__ import annotations
@@ -53,35 +62,36 @@ def _check_pair(f: RegulatedFunction, g: RegulatedFunction,
 
 def _riemann_values(f: RegulatedFunction, g: RegulatedFunction,
                     partitions: Sequence[Partition]) -> list[float]:
-    """S(P) for each of ``partitions`` (one division): g read once per node."""
+    """S(P) for each of ``partitions`` (one division): g read once per
+    node, f only at the tags of cells where g's increment is nonzero."""
     pts = _check_pair(f, g, partitions).points
     gvals = [g.value(x) for x in pts]
-    dg = [r - l for l, r in zip(gvals, gvals[1:])]
-    return [math.fsum([f.value(t) * d for t, d in zip(p.tags, dg)]) for p in partitions]
+    live = [(j, r - l) for j, (l, r) in enumerate(zip(gvals, gvals[1:])) if r - l]
+    fv = f.value
+    return [math.fsum([fv(p.tags[j]) * d for j, d in live]) for p in partitions]
 
 
 def _young_values(f: RegulatedFunction, g: RegulatedFunction,
                   partitions: Sequence[Partition]) -> list[float]:
     """SY(P) for each of ``partitions`` (one division): g's values and
-    one-sided limits and f's values read once per node.  Each sum sees
-    the terms c_j, tag term, d_j of cell j, in cell order."""
+    one-sided limits and f's values read once per node, f at the tags
+    of cells where g(a_j-) - g(a_{j-1}+) is nonzero.  Each sum sees the
+    nonzero node terms c_j and d_j in cell order, then the nonzero tag
+    terms in cell order."""
     pts = _check_pair(f, g, partitions).points
     gvals = [g.value(x) for x in pts]
     grights = [g.right_limit(x) for x in pts[:-1]]   # alpha_0 .. alpha_{nu-1}
     glefts = [g.left_limit(x) for x in pts[1:]]      # alpha_1 .. alpha_nu
     fvals = [f.value(x) for x in pts]
-    inner = [l - r for r, l in zip(grights, glefts)]
-    # c_j and d_j depend on the nodes alone; each partition fills in the
-    # tag terms between them.
-    frame = [0.0] * (3 * len(inner))
-    frame[0::3] = [fx * (r - gx) for fx, r, gx in zip(fvals, grights, gvals)]
-    frame[2::3] = [fx * (gx - l) for fx, gx, l in zip(fvals[1:], gvals[1:], glefts)]
-    sums = []
-    for p in partitions:
-        terms = frame.copy()
-        terms[1::3] = [f.value(t) * w for t, w in zip(p.tags, inner)]
-        sums.append(math.fsum(terms))
-    return sums
+    live = [(j, l - r) for j, (r, l) in enumerate(zip(grights, glefts)) if l - r]
+    # c_j and d_j depend on the nodes alone; each partition adds its
+    # tag terms to them.
+    frame = [0.0] * (2 * len(grights))
+    frame[0::2] = [fx * (r - gx) for fx, r, gx in zip(fvals, grights, gvals)]
+    frame[1::2] = [fx * (gx - l) for fx, gx, l in zip(fvals[1:], gvals[1:], glefts)]
+    frame = [c for c in frame if c]
+    fv = f.value
+    return [math.fsum(frame + [fv(p.tags[j]) * w for j, w in live]) for p in partitions]
 
 
 def riemann_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) -> SumValue:

@@ -1,0 +1,277 @@
+"""The oracles do only the work that reaches a sum.
+
+The sums read f only at the tags of cells whose increment is nonzero,
+and the fine-cell generator hands the gauge values a split has already
+read down to the children.  These tests pin the generator, bit for bit,
+to a tests-only copy of the one that re-read them, count the reads that
+are left, and check that every refusal keeps its text.
+"""
+
+import math
+import random
+from collections import Counter
+
+import pytest
+
+from stieltjes import (Affine, Division, DomainError, Gauge, GaugeError,
+                       GaugeTooFineError, IntegralKind, Interval, Partition,
+                       PiecewiseLipschitz, StepFunction, cousin_fine_partition,
+                       interior_tags, oracle_refinement)
+from stieltjes import oracle, partitions
+from stieltjes.partitions import MAX_DEPTH, TAG_FREE, _fine_partition
+
+IV = Interval(0.0, 1.0)
+
+
+# ---------------------------------------- the generator that re-read
+
+def reread_fine_cells(gauge, u0, v0, rng, budget=None):
+    """``_generate_fine_cells`` as it was before it handed gauge values
+    down: every cell reads the gauge at each candidate it tries."""
+    out = []
+    stack = [(u0, v0, 0)]
+    while stack:
+        u, v, depth = stack.pop()
+        mid = 0.5 * (u + v)
+        if rng is None:
+            candidates = [u, mid, v]
+        else:
+            candidates = [u, v, mid, u + (v - u) * rng.uniform(0.1, 0.9)]
+            rng.shuffle(candidates)
+        for t in candidates:
+            d = gauge(t)
+            if u >= t - d and v <= t + d:
+                break
+        else:
+            if depth >= MAX_DEPTH:
+                raise GaugeTooFineError(
+                    f"no fine cell found above depth {MAX_DEPTH} near [{u!r}, {v!r}]")
+            s = mid if rng is None else u + (v - u) * rng.uniform(0.35, 0.65)
+            if not u < s < v:
+                s = mid
+                if not u < s < v:
+                    raise GaugeTooFineError(
+                        f"gauge demands cells below float resolution near {u!r}")
+            stack.append((s, v, depth + 1))
+            stack.append((u, s, depth + 1))
+            continue
+        out.append((u, v, t))
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise GaugeTooFineError("fine partition exceeds its cell budget")
+    return out
+
+
+def reread_fine_partition(gauge, points, seed, budget=None):
+    rng = None if seed is None else random.Random(seed)
+    cells = []
+    for u, v in zip(points, points[1:]):
+        cells.extend(reread_fine_cells(gauge, u, v, rng, budget))
+    nodes = [points[0]] + [v for _, v, _ in cells]
+    return Partition(Division(Interval(points[0], points[-1]), nodes),
+                     [t for _, _, t in cells], TAG_FREE)
+
+
+def outcome(build, *args):
+    """Nodes and tags by ``float.hex``, or the refusal's type and text."""
+    try:
+        p = build(*args)
+    except GaugeTooFineError as exc:
+        return type(exc).__name__, str(exc)
+    return ([x.hex() for x in p.division.points], [t.hex() for t in p.tags])
+
+
+def distance_gauges(jumps, width=1.0, levels=4):
+    """The gauge oracle's gauges of its first ``levels`` levels."""
+    floor = 8.0 * math.ulp(width)
+    gaps = [math.inf] + [y - x for x, y in zip(jumps, jumps[1:])] + [math.inf]
+    half_gaps = [0.5 * min(l, r) for l, r in zip(gaps, gaps[1:])]
+    for level in range(levels):
+        for base in (width * 2.0 ** (-(level + 1)), 0.25 * width):
+            gamma = max(width * 16.0 ** (-(level + 1)), 64.0 * math.ulp(width))
+            yield Gauge(oracle._distance_body(base, jumps, floor),
+                        {p: min(gamma, h) for p, h in zip(jumps, half_gaps)})
+
+
+SEEDS = (None, 0, 1, 7, 135, 1_000_003)
+
+
+def test_fine_partitions_equal_the_generator_that_reread():
+    rng = random.Random(20261018)
+    nodes = (0.0, 0.125, 0.3, 0.7, 1.0)
+    widths = StepFunction(IV, nodes, (0.05, 0.01, 0.2, 0.03, 0.1), (0.08, 0.002, 0.04, 0.3))
+    gauges = [Gauge(0.07), Gauge(0.013), Gauge(1),
+              Gauge(lambda t: 0.004 + 0.05 * abs(math.sin(9.0 * t))),
+              Gauge(widths),
+              Gauge(0.05, {p: 1e-4 for p in nodes}),
+              Gauge(widths, {0.3: 1e-6, 0.7: 0.5})]
+    gauges += distance_gauges(nodes[1:-1])
+    for _ in range(4):
+        jumps = tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 6))))
+        gauges += distance_gauges(jumps)
+    for gauge in gauges:
+        for seed in SEEDS:
+            want = outcome(reread_fine_partition, gauge, (0.0, 1.0), seed)
+            assert outcome(cousin_fine_partition, gauge, IV, seed) == want
+            assert outcome(_fine_partition, gauge, nodes, seed) == \
+                outcome(reread_fine_partition, gauge, nodes, seed)
+
+
+def test_a_budget_runs_out_at_the_same_cell():
+    gauge = Gauge(0.01, {0.5: 1e-7})
+    for seed in SEEDS:
+        for size in (0, 3, 40, 150):
+            budgets = [size], [size]
+            got = outcome(_fine_partition, gauge, (0.0, 0.5, 1.0), seed, budgets[0])
+            want = outcome(reread_fine_partition, gauge, (0.0, 0.5, 1.0), seed, budgets[1])
+            assert got == want
+            assert budgets[0] == budgets[1]
+        assert got[0] != "GaugeTooFineError"
+        assert outcome(_fine_partition, gauge, (0.0, 1.0), seed, [3]) == \
+            ("GaugeTooFineError", "fine partition exceeds its cell budget")
+
+
+def test_unreachable_gauges_are_refused_with_the_same_text():
+    one = 1.0 + 4 * math.ulp(1.0)
+    cases = [
+        (Gauge(1e-300), IV, f"no fine cell found above depth {MAX_DEPTH} near"),
+        (Gauge(1e-300), Interval(1.0, one), "gauge demands cells below float resolution near 1.0"),
+        # Only a tag at c itself could cover c, and its width is too small.
+        (Gauge(lambda t: 0.25 * abs(t - 1e-5) + 1e-300), IV, f"above depth {MAX_DEPTH}"),
+        (Gauge(lambda t: 0.25 * abs(t - 0.3) + 1e-300), IV, "below float resolution near 0.29999"),
+    ]
+    for gauge, iv, text in cases:
+        for seed in SEEDS:
+            want = outcome(reread_fine_partition, gauge, (iv.a, iv.b), seed)
+            assert want[0] == "GaugeTooFineError" and text in want[1]
+            assert outcome(cousin_fine_partition, gauge, iv, seed) == want
+
+
+# ------------------------------------------------------- read counts
+
+class CountingGauge(Gauge):
+    __slots__ = ("reads",)
+
+    def __init__(self, body, overrides=None):
+        super().__init__(body, overrides)
+        self.reads = Counter()
+
+    def __call__(self, t):
+        self.reads[t] += 1
+        return super().__call__(t)
+
+
+def test_one_cell_tree_reads_its_ends_once():
+    for body, overrides in ((0.001, None), (0.02, {0.5: 1e-5, 0.25: 1e-4}),
+                            (lambda t: 0.002 + 0.03 * t * t, None)):
+        for seed in SEEDS:
+            gauge = CountingGauge(body, overrides)
+            rng = None if seed is None else random.Random(seed)
+            cells = partitions._generate_fine_cells(gauge, 0.0, 1.0, rng)
+            assert len(cells) > 10
+            assert gauge.reads[0.0] <= 1 and gauge.reads[1.0] <= 1
+            if seed is None:
+                # Every point of the tree is a root end or some cell's
+                # midpoint, and each is handed down once read.
+                assert max(gauge.reads.values()) == 1
+
+
+def test_one_refinement_level_reads_f_only_where_g_moves(monkeypatch):
+    # f jumps at 0.3 and 0.4, where g is constant, so g does not move
+    # on the cell [0.3, 0.4] between them.
+    f = PiecewiseLipschitz.from_formulas(IV, (0.0, 0.3, 0.4, 1.0),
+                                         (Affine(2.0), Affine(-1.0, 3.0), Affine(0.5)))
+    g = StepFunction(IV, (0.0, 0.2, 0.5, 0.9, 1.0), (1.0, 2.0, -1.0, 0.5, 3.0),
+                     (0.0, 1.5, 2.5, -2.0))
+    reads = Counter()
+    value = PiecewiseLipschitz.value
+
+    def counting(self, t):
+        if self is f:
+            reads[t] += 1
+        return value(self, t)
+
+    monkeypatch.setattr(PiecewiseLipschitz, "value", counting)
+    monkeypatch.setattr(oracle, "MAX_LEVELS", 1)
+    division = Division(IV, oracle._jumps_and_seeds(f, g)[1])
+    live = [j for j, (u, v) in enumerate(division.cells()) if g.value(v) != g.value(u)]
+    assert 0 < len(live) < division.nu
+    parts = [interior_tags(division, s) for s in oracle._level_seeds(5, 0, oracle.PROBES)]
+    assert len(parts) == 33
+    rep = oracle_refinement(f, g, IntegralKind.DUSHNIK, seed=5)
+    assert rep.levels == 1
+    assert reads == Counter(p.tags[j] for p in parts for j in live)
+    # g is a step function with every jump a node, so no Young tag term
+    # moves: f is read at the nodes only, once each.
+    reads.clear()
+    assert oracle_refinement(f, g, IntegralKind.YOUNG, seed=5).levels == 1
+    assert reads == Counter(division.points)
+
+
+# -------------------------------------------------------- refusals
+
+def test_the_distance_body_is_the_min_max_formula():
+    jumps = (0.1, 0.35, 0.4, 0.9)
+    fence = (-math.inf, *jumps, math.inf)
+    ts = [0.0, 0.1, 0.225, 0.35, 0.375, 0.4, 0.65, 0.9, 0.95, 1.0, 0.1 + 1e-17, 0.4 - 1e-17]
+    ts += [random.Random(3).uniform(0.0, 1.0) for _ in range(200)]
+    for base in (0.0625, 0.125, 0.025, 0.5):
+        for floor in (0.0, 8.0 * math.ulp(1.0), 0.0125, 0.025):
+            body = oracle._distance_body(base, jumps, floor)
+            for t in ts:
+                i = oracle.bisect_left(fence, t)
+                want = max(min(base, 0.5 * min(t - fence[i - 1], fence[i] - t)), floor)
+                assert body(t).hex() == want.hex()
+    assert oracle._distance_body(0.25, (), 1e-15) == 0.25
+
+
+def test_gauge_refuses_every_width_that_is_not_positive_and_finite():
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-300, 0):
+        text = f"gauge must be positive and finite, got {float(bad)!r} at t=0.5"
+        for gauge in (Gauge(bad), Gauge(lambda t: bad), Gauge(0.1, {0.5: bad}),
+                      Gauge(lambda t: 0.1, {0.25: 0.2, 0.5: bad})):
+            with pytest.raises(GaugeError) as info:
+                gauge(0.5)
+            assert str(info.value) == text
+    assert Gauge(0.1, {0.5: math.nan})(0.25) == 0.1
+    assert Gauge(2, {0.5: 1})(0.5) == 1.0 and type(Gauge(2)(0.5)) is float
+
+
+def test_partition_names_its_first_bad_tag():
+    d = Division(IV, (0.0, 0.25, 0.5, 1.0))
+    cases = [
+        ((0.1, 0.6, 0.2), TAG_FREE, "tag 0.6 not valid for cell [0.25, 0.5] in free mode"),
+        ((0.3, 0.6, 0.2), TAG_FREE, "tag 0.3 not valid for cell [0.0, 0.25] in free mode"),
+        ((0.1, 0.3, 1.5), TAG_FREE, "tag 1.5 not valid for cell [0.5, 1.0] in free mode"),
+        ((0.1, math.nan, 0.7), TAG_FREE, "tag nan not valid for cell [0.25, 0.5] in free mode"),
+        ((0.1, 0.5, 0.5), "interior", "tag 0.5 not valid for cell [0.25, 0.5] in interior mode"),
+        ((0.0, 0.3, 0.7), "interior", "tag 0.0 not valid for cell [0.0, 0.25] in interior mode"),
+        ((0.1, 0.3, 1.0), "interior", "tag 1.0 not valid for cell [0.5, 1.0] in interior mode"),
+    ]
+    for tags, mode, text in cases:
+        with pytest.raises(DomainError) as info:
+            Partition(d, tags, mode)
+        assert str(info.value) == text
+    assert Partition(d, (0, 0.5, 1), TAG_FREE).tags == (0.0, 0.5, 1.0)
+
+
+def test_interior_tags_draw_what_uniform_drew():
+    rng = random.Random(4)
+    nodes = sorted({0.0, 1.0, *(rng.uniform(0.0, 1.0) for _ in range(40))})
+    d = Division(IV, nodes)
+    for seed in (0, 5, 1_000_003):
+        draws = random.Random(seed)
+        want = [u + (v - u) * draws.uniform(0.05, 0.95) for u, v in d.cells()]
+        assert [t.hex() for t in interior_tags(d, seed).tags] == [t.hex() for t in want]
+    assert interior_tags(d).tags == tuple(0.5 * (u + v) for u, v in d.cells())
+
+
+def test_interior_tags_refuse_a_cell_too_narrow():
+    nodes = (0.0, 0.5, 1.0 - math.ulp(0.5), 1.0)
+    d = Division(IV, nodes)
+    for seed in (None, 0, 9):
+        with pytest.raises(DomainError) as info:
+            interior_tags(d, seed)
+        assert str(info.value) == \
+            f"cell [{nodes[2]}, 1.0] too narrow for a strictly interior tag"
