@@ -19,12 +19,13 @@ their tags, so they share one read of f and g at the division's nodes.
 The reported spread is a diagnostic stability measure, not a certified
 error bound; certified bounds come from ``integrate``.
 
-Reports are reproducible from their seed.  Seeded tags and split points
-come from ``random.Random(seed).random``, whose sequence Python promises
-to keep across versions, through ``Random.uniform``'s formula written
-out.  The gauge oracle also orders candidate tags with
-``Random.shuffle``, whose algorithm Python does not promise to keep; it
-is the same in 3.10-3.13.
+Reports are reproducible from their seed.  They rest only on the word
+streams of ``random.Random(seed)``'s ``random`` and ``getrandbits``.
+Seeded tags and split points come from ``random``, through
+``Random.uniform``'s formula written out.  The gauge oracle orders its
+candidate tags by ``Random.shuffle``'s draws, made here with
+``getrandbits``, so reports do not depend on ``shuffle``'s algorithm,
+which Python does not promise to keep.
 """
 
 from __future__ import annotations

@@ -10,13 +10,15 @@ A gauge-fine partition is built by splitting cells until each accepts
 one of its candidate tags.  A cell splits only after reading the gauge
 at all of its candidates, its two ends among them, so each child is
 handed the value at the end it shares with its parent, and at the split
-point too when that is the parent's midpoint (always, unseeded).  The
-gauge is therefore read once at each end of a cell tree, and, unseeded,
-once at every point of it.
+point too when that is the parent's midpoint (always, unseeded).  A
+drawn split point's value comes from the cell accepted just before, as
+does the value at each point a partition is built through.  The gauge
+is therefore read once at each point of a fine partition.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Iterable, Iterator, NamedTuple
@@ -29,6 +31,23 @@ TAG_INTERIOR = "interior"
 # Splits a fine-partition cell may take before the gauge is refused.
 MAX_DEPTH = 60
 _NO_OVERRIDE = object()
+# rng.uniform(0.05, 0.95)'s span as its formula computes it: 0.8999999999999999.
+_TAG_SPAN = 0.95 - 0.05
+
+
+def _shuffled_orders() -> tuple[tuple[int, ...], ...]:
+    """The order ``Random.shuffle`` leaves [0, 1, 2, 3] in, at index
+    6 * j3 + 2 * j2 + j1 for its draws j3 < 4, j2 < 3 and j1 < 2."""
+    orders = []
+    for j3, j2, j1 in itertools.product(range(4), range(3), range(2)):
+        x = [0, 1, 2, 3]
+        for i, j in ((3, j3), (2, j2), (1, j1)):
+            x[i], x[j] = x[j], x[i]
+        orders.append(tuple(x))
+    return tuple(orders)
+
+
+_ORDERS = _shuffled_orders()
 
 
 class Division(NamedTuple("Division", [("interval", Interval),
@@ -103,9 +122,11 @@ def interior_tags(division: Division, seed: int | None = None) -> Partition:
             tags.append(mid)
         else:
             # rng.uniform(0.05, 0.95), by its own formula.
-            t = u + (v - u) * (0.05 + (0.95 - 0.05) * draw())
+            t = u + (v - u) * (0.05 + _TAG_SPAN * draw())
             tags.append(t if u < t < v else mid)
-    return Partition(division, tags, TAG_INTERIOR)
+    # Every tag is strictly inside its cell, which is all the checked
+    # constructor's loop would test again.
+    return tuple.__new__(Partition, (division, tuple(tags), TAG_INTERIOR))
 
 
 class Gauge:
@@ -114,7 +135,8 @@ class Gauge:
     The body is a constant or a callable, such as a step function;
     finitely many pointwise overrides (exact float keys) sit on top.
     Positivity of callable bodies can only be checked where they are
-    evaluated, and is.
+    evaluated, and is.  A body must be a pure function of t: a fine
+    partition reads it once at a point and reuses the value there.
     """
 
     __slots__ = ("_body", "_overrides")
@@ -142,7 +164,9 @@ def is_fine(partition: Partition, gauge: Gauge) -> bool:
 
 def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
                          rng: random.Random | None,
-                         budget: list[float] | None = None) -> list[tuple[float, float, float]]:
+                         budget: list[float] | None = None, *,
+                         edge: list[float | None] | None = None
+                         ) -> list[tuple[float, float, float]]:
     """The cells (u, v, tag) of a gauge-fine partition of [u0, v0].
 
     A cell takes the first candidate tag the gauge accepts, else splits
@@ -152,27 +176,44 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
     drawn in the middle 30% of the cell.  Each accepted cell takes one
     unit of ``budget[0]``.  A child reuses the gauge values its parent
     read at their shared end and, when it is the midpoint, at the split
-    point."""
+    point; a cell that starts at a drawn split point reuses the value
+    the cell accepted before it read there.  ``edge[0]``, if given, is
+    the gauge's value at u0 or None, and is left holding the value at
+    v0 if one was read."""
     if rng is None:
         order, imid, iv = (0, 1, 2), 1, 2
     else:
-        draw, shuffle, imid, iv = rng.random, rng.shuffle, 2, 1
-    # Depth-first, left cell first, so the output arrives in order.  A
+        draw, bits, imid, iv = rng.random, rng.getrandbits, 2, 1
+    # Depth-first, left cell first, so the output arrives in order and
+    # each popped cell starts where the last accepted one ended.  A
     # stacked cell carries the gauge's values at its ends, None if unread.
     out: list[tuple[float, float, float]] = []
+    d_end = None if edge is None else edge[0]
     stack = [(u0, v0, 0, None, None)]
     while stack:
         u, v, depth, du, dv = stack.pop()
+        if du is None:
+            du = d_end
         mid = 0.5 * (u + v)
         if rng is None:
             points, values = (u, mid, v), [du, None, dv]
         else:
-            # rng.uniform(0.1, 0.9) by its own formula; shuffling the
-            # indices is the permutation that shuffling the points was.
+            # rng.uniform(0.1, 0.9) by its own formula.
             points = (u, v, mid, u + (v - u) * (0.1 + (0.9 - 0.1) * draw()))
             values = [du, dv, None, None]
-            order = [0, 1, 2, 3]
-            shuffle(order)
+            # rng.shuffle of four indices, by its own draws:
+            # _randbelow(4), (3) and (2), each getrandbits of n's bit
+            # length, redrawn while not below n.
+            j3 = bits(3)
+            while j3 >= 4:
+                j3 = bits(3)
+            j2 = bits(2)
+            while j2 >= 3:
+                j2 = bits(2)
+            j1 = bits(2)
+            while j1 >= 2:
+                j1 = bits(2)
+            order = _ORDERS[6 * j3 + 2 * j2 + j1]
         for i in order:
             t, d = points[i], values[i]
             if d is None:
@@ -196,10 +237,13 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
             stack.append((u, s, depth + 1, values[0], ds))
             continue
         out.append((u, v, t))
+        d_end = values[iv]
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise GaugeTooFineError("fine partition exceeds its cell budget")
+    if edge is not None:
+        edge[0] = d_end
     return out
 
 
@@ -207,11 +251,13 @@ def _fine_partition(gauge: Gauge, points, seed: int | None,
                     budget: list[float] | None = None) -> Partition:
     """A gauge-fine free-tagged partition of [points[0], points[-1]]
     with every one of the sorted ``points`` among its nodes, built cell
-    by cell between consecutive points."""
+    by cell between consecutive points, each tree handing the next the
+    gauge's value at the point they share."""
     rng = None if seed is None else random.Random(seed)
     cells: list[tuple[float, float, float]] = []
+    edge: list[float | None] = [None]
     for u, v in zip(points, points[1:]):
-        cells.extend(_generate_fine_cells(gauge, u, v, rng, budget))
+        cells.extend(_generate_fine_cells(gauge, u, v, rng, budget, edge=edge))
     nodes = [points[0]] + [v for _, v, _ in cells]
     division = Division(Interval(points[0], points[-1]), nodes)
     return Partition(division, [t for _, _, t in cells], TAG_FREE)

@@ -1,10 +1,12 @@
 """The oracles do only the work that reaches a sum.
 
 The sums read f only at the tags of cells whose increment is nonzero,
-and the fine-cell generator hands the gauge values a split has already
-read down to the children.  These tests pin the generator, bit for bit,
-to a tests-only copy of the one that re-read them, count the reads that
-are left, and check that every refusal keeps its text.
+and the fine-cell generator reads the gauge once at each point of a
+fine partition.  These tests pin the generator, bit for bit, to a
+tests-only copy of the one that re-read them and shuffled its
+candidates with ``Random.shuffle``, count the reads that are left, and
+check that every refusal keeps its text and every shortcut builds what
+the long way built.
 """
 
 import math
@@ -18,7 +20,7 @@ from stieltjes import (Affine, Division, DomainError, Gauge, GaugeError,
                        PiecewiseLipschitz, StepFunction, cousin_fine_partition,
                        interior_tags, oracle_refinement)
 from stieltjes import oracle, partitions
-from stieltjes.partitions import MAX_DEPTH, TAG_FREE, _fine_partition
+from stieltjes.partitions import MAX_DEPTH, TAG_FREE, TAG_INTERIOR, _fine_partition
 
 IV = Interval(0.0, 1.0)
 
@@ -177,6 +179,44 @@ def test_one_cell_tree_reads_its_ends_once():
                 assert max(gauge.reads.values()) == 1
 
 
+def counting(gauge):
+    """A copy of ``gauge`` that counts its reads."""
+    return CountingGauge(gauge._body, gauge._overrides)
+
+
+def random_step(rng):
+    nodes = sorted({0.0, 1.0, *(rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 5)))})
+    return StepFunction(IV, nodes, [rng.uniform(-1.0, 1.0) for _ in nodes],
+                        [rng.uniform(-1.0, 1.0) for _ in nodes[1:]])
+
+
+def test_a_seeded_cell_tree_reads_each_point_once():
+    # A cell that starts at a drawn split point takes the value there
+    # from the cell accepted just before it.
+    for body, overrides in ((0.001, None), (0.02, {0.5: 1e-5, 0.25: 1e-4}),
+                            (lambda t: 0.002 + 0.03 * t * t, None),
+                            (lambda t: 0.001 + 0.02 * abs(math.sin(7.0 * t)), {0.6: 1e-6})):
+        for seed in SEEDS[1:] + (42, 2024):
+            gauge = CountingGauge(body, overrides)
+            cells = partitions._generate_fine_cells(gauge, 0.0, 1.0, random.Random(seed))
+            assert len(cells) > 10
+            assert max(gauge.reads.values()) == 1
+
+
+def test_a_fine_partition_reads_each_point_once():
+    # Each cell tree also hands the next the value at the seed point
+    # they share.
+    rng = random.Random(15)
+    for _ in range(6):
+        jumps, seeds, _ = oracle._jumps_and_seeds(random_step(rng), random_step(rng))
+        assert len(seeds) > 2
+        for gauge in distance_gauges(jumps):
+            for seed in SEEDS:
+                counted = counting(gauge)
+                _fine_partition(counted, seeds, seed)
+                assert max(counted.reads.values()) == 1
+
+
 def test_one_refinement_level_reads_f_only_where_g_moves(monkeypatch):
     # f jumps at 0.3 and 0.4, where g is constant, so g does not move
     # on the cell [0.3, 0.4] between them.
@@ -275,3 +315,62 @@ def test_interior_tags_refuse_a_cell_too_narrow():
             interior_tags(d, seed)
         assert str(info.value) == \
             f"cell [{nodes[2]}, 1.0] too narrow for a strictly interior tag"
+
+
+# ------------------------------------------------------- shortcuts
+
+class _Stop(Exception):
+    pass
+
+
+def test_candidate_order_is_the_one_shuffle_drew():
+    """The root of a seeded cell tree reads its four candidates in the
+    order ``Random.shuffle`` puts them in, and leaves the stream where
+    ``shuffle`` leaves it."""
+    for seed in range(5000):
+        read = []
+
+        def body(t):
+            read.append(t)
+            if len(read) == 4:
+                raise _Stop
+            return 1e-300
+
+        rng = random.Random(seed)
+        with pytest.raises(_Stop):
+            partitions._generate_fine_cells(Gauge(body), 0.0, 1.0, rng)
+        want = random.Random(seed)
+        candidates = [0.0, 1.0, 0.5, want.uniform(0.1, 0.9)]
+        want.shuffle(candidates)
+        assert read == candidates
+        assert rng.random() == want.random()
+
+
+def test_interior_tags_build_what_the_checked_constructor_builds():
+    rng = random.Random(8)
+    divisions = [Division(IV, sorted({0.0, 1.0, *(rng.uniform(0.0, 1.0)
+                                                 for _ in range(rng.randint(1, 40)))}))
+                 for _ in range(200)]
+    # Cells two to nine ulps wide, where a drawn tag can round onto an
+    # end of its cell and the midpoint stands in for it.
+    x, ulp = 0.3, math.ulp(0.3)
+    divisions.append(Division(IV, (0.0, x, x + 2 * ulp, x + 4 * ulp, x + 7 * ulp,
+                                   x + 16 * ulp, 0.6, 1.0)))
+    fallbacks = 0
+    for d in divisions:
+        mids = [0.5 * (u + v) for u, v in d.cells()]
+        p = interior_tags(d)
+        assert p == Partition(d, mids, TAG_INTERIOR)
+        assert type(p) is Partition and type(p.tags) is tuple
+        for seed in (0, 3, 77, 1_000_003, rng.randrange(1 << 30)):
+            draws = random.Random(seed)
+            tags = []
+            for (u, v), mid in zip(d.cells(), mids):
+                t = u + (v - u) * draws.uniform(0.05, 0.95)
+                tags.append(t if u < t < v else mid)
+                fallbacks += not u < t < v
+            p = interior_tags(d, seed)
+            assert p == Partition(d, tags, TAG_INTERIOR)
+            assert type(p) is Partition and type(p.tags) is tuple
+            assert all(type(t) is float for t in p.tags)
+    assert fallbacks > 0
