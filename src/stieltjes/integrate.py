@@ -43,7 +43,7 @@ from .core import Interval, RegulatedFunction, checked_make
 from .errors import (ApproximationError, DomainError, StepPairError,
                      VariationUnknownError, check_tol)
 from .stepfun import StepFunction, indicator
-from .sums import BoundsReport, _make_check
+from .sums import BoundsReport, _norm_checks
 
 
 class IntegralKind(Enum):
@@ -341,12 +341,4 @@ def check_integral_bounds(result: IntegralResult, f: RegulatedFunction,
                           g: RegulatedFunction) -> BoundsReport:
     """The integral-level versions of the sum bounds, inflated by the
     result's own error bound."""
-    a, b = f.interval.a, f.interval.b
-    var_f, var_g = f.variation_bound, g.variation_bound
-    sup_var = None if var_g is None else f.sup_bound * var_g + result.error_bound
-    bv_sup = None if var_f is None else \
-        (abs(f.value(a)) + abs(f.value(b)) + var_f) * g.sup_bound + result.error_bound
-    return BoundsReport((
-        _make_check("integral_sup_var", result.value, sup_var),
-        _make_check("integral_bv_sup", result.value, bv_sup),
-    ))
+    return _norm_checks(f, g, (("integral", result.value),), result.error_bound)

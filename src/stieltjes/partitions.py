@@ -162,12 +162,10 @@ def is_fine(partition: Partition, gauge: Gauge) -> bool:
     return True
 
 
-def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
-                         rng: random.Random | None,
-                         budget: list[float] | None = None, *,
-                         edge: list[float | None] | None = None
-                         ) -> list[tuple[float, float, float]]:
-    """The cells (u, v, tag) of a gauge-fine partition of [u0, v0].
+def _generate_fine_cells(gauge: Gauge, points, rng: random.Random | None,
+                         budget: list[float] | None = None) -> list[tuple[float, float, float]]:
+    """The cells (u, v, tag) of a gauge-fine partition of [points[0],
+    points[-1]] with every one of the sorted ``points`` among its nodes.
 
     A cell takes the first candidate tag the gauge accepts, else splits
     in two.  Without ``rng`` the candidates are u, the midpoint and v,
@@ -176,31 +174,29 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
     drawn in the middle 30% of the cell.  Each accepted cell takes one
     unit of ``budget[0]``.  A child reuses the gauge values its parent
     read at their shared end and, when it is the midpoint, at the split
-    point; a cell that starts at a drawn split point reuses the value
-    the cell accepted before it read there.  ``edge[0]``, if given, is
-    the gauge's value at u0 or None, and is left holding the value at
-    v0 if one was read."""
+    point; a cell that starts at a drawn split point or at one of the
+    ``points`` reuses the value the cell accepted before it read there."""
     if rng is None:
-        order, imid, iv = (0, 1, 2), 1, 2
+        order = (0, 2, 1)
     else:
-        draw, bits, imid, iv = rng.random, rng.getrandbits, 2, 1
+        draw, bits = rng.random, rng.getrandbits
     # Depth-first, left cell first, so the output arrives in order and
     # each popped cell starts where the last accepted one ended.  A
     # stacked cell carries the gauge's values at its ends, None if unread.
     out: list[tuple[float, float, float]] = []
-    d_end = None if edge is None else edge[0]
-    stack = [(u0, v0, 0, None, None)]
+    d_end = None
+    stack = [(u, v, 0, None, None) for u, v in zip(points, points[1:])][::-1]
     while stack:
         u, v, depth, du, dv = stack.pop()
         if du is None:
             du = d_end
         mid = 0.5 * (u + v)
+        values = [du, dv, None, None]
         if rng is None:
-            points, values = (u, mid, v), [du, None, dv]
+            tags = (u, v, mid)
         else:
             # rng.uniform(0.1, 0.9) by its own formula.
-            points = (u, v, mid, u + (v - u) * (0.1 + (0.9 - 0.1) * draw()))
-            values = [du, dv, None, None]
+            tags = (u, v, mid, u + (v - u) * (0.1 + (0.9 - 0.1) * draw()))
             # rng.shuffle of four indices, by its own draws:
             # _randbelow(4), (3) and (2), each getrandbits of n's bit
             # length, redrawn while not below n.
@@ -215,7 +211,7 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
                 j1 = bits(2)
             order = _ORDERS[6 * j3 + 2 * j2 + j1]
         for i in order:
-            t, d = points[i], values[i]
+            t, d = tags[i], values[i]
             if d is None:
                 d = values[i] = gauge(t)
             if u >= t - d and v <= t + d:
@@ -224,7 +220,7 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
             if depth >= MAX_DEPTH:
                 raise GaugeTooFineError(
                     f"no fine cell found above depth {MAX_DEPTH} near [{u!r}, {v!r}]")
-            s, ds = mid, values[imid]
+            s, ds = mid, values[2]
             if rng is not None:
                 # rng.uniform(0.35, 0.65), as above.
                 r = u + (v - u) * (0.35 + (0.65 - 0.35) * draw())
@@ -233,31 +229,24 @@ def _generate_fine_cells(gauge: Gauge, u0: float, v0: float,
             if not u < s < v:
                 raise GaugeTooFineError(
                     f"gauge demands cells below float resolution near {u!r}")
-            stack.append((s, v, depth + 1, ds, values[iv]))
+            stack.append((s, v, depth + 1, ds, values[1]))
             stack.append((u, s, depth + 1, values[0], ds))
             continue
         out.append((u, v, t))
-        d_end = values[iv]
+        d_end = values[1]
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise GaugeTooFineError("fine partition exceeds its cell budget")
-    if edge is not None:
-        edge[0] = d_end
     return out
 
 
 def _fine_partition(gauge: Gauge, points, seed: int | None,
                     budget: list[float] | None = None) -> Partition:
     """A gauge-fine free-tagged partition of [points[0], points[-1]]
-    with every one of the sorted ``points`` among its nodes, built cell
-    by cell between consecutive points, each tree handing the next the
-    gauge's value at the point they share."""
+    with every one of the sorted ``points`` among its nodes."""
     rng = None if seed is None else random.Random(seed)
-    cells: list[tuple[float, float, float]] = []
-    edge: list[float | None] = [None]
-    for u, v in zip(points, points[1:]):
-        cells.extend(_generate_fine_cells(gauge, u, v, rng, budget, edge=edge))
+    cells = _generate_fine_cells(gauge, points, rng, budget)
     nodes = [points[0]] + [v for _, v, _ in cells]
     division = Division(Interval(points[0], points[-1]), nodes)
     return Partition(division, [t for _, _, t in cells], TAG_FREE)

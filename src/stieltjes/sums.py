@@ -136,6 +136,23 @@ def _make_check(name: str, observed: float, bound: float | None) -> BoundCheck:
     return BoundCheck(name, observed, bound, margin, margin >= -BOUND_SLACK)
 
 
+def _norm_checks(f: RegulatedFunction, g: RegulatedFunction,
+                 observed: Sequence[tuple[str, float]],
+                 error_bound: float = -0.0) -> BoundsReport:
+    """For each (name, value) of ``observed``, the checks ``name_sup_var``
+    and ``name_bv_sup`` of |value| against the two norm products, each
+    plus ``error_bound`` (by default -0.0, which leaves every float as
+    it is).  A bound whose norm is unknown is skipped."""
+    a, b = f.interval.a, f.interval.b
+    var_f, var_g = f.variation_bound, g.variation_bound
+    sup_var = None if var_g is None else f.sup_bound * var_g + error_bound
+    bv_sup = None if var_f is None else \
+        (abs(f.value(a)) + abs(f.value(b)) + var_f) * g.sup_bound + error_bound
+    return BoundsReport(check for name, value in observed
+                        for check in (_make_check(f"{name}_sup_var", value, sup_var),
+                                      _make_check(f"{name}_bv_sup", value, bv_sup)))
+
+
 def check_sum_bounds(f: RegulatedFunction, g: RegulatedFunction,
                      partition: Partition) -> BoundsReport:
     """The four a-priori sum bounds:
@@ -145,16 +162,5 @@ def check_sum_bounds(f: RegulatedFunction, g: RegulatedFunction,
 
     Bounds whose norms are unavailable are reported as skipped.
     """
-    s = riemann_sum(f, g, partition).value
-    sy = young_sum(f, g, partition).value
-    a, b = f.interval.a, f.interval.b
-    var_f, var_g = f.variation_bound, g.variation_bound
-    sup_var = None if var_g is None else f.sup_bound * var_g
-    bv_sup = None if var_f is None else \
-        (abs(f.value(a)) + abs(f.value(b)) + var_f) * g.sup_bound
-    return BoundsReport((
-        _make_check("riemann_sup_var", s, sup_var),
-        _make_check("riemann_bv_sup", s, bv_sup),
-        _make_check("young_sup_var", sy, sup_var),
-        _make_check("young_bv_sup", sy, bv_sup),
-    ))
+    return _norm_checks(f, g, (("riemann", riemann_sum(f, g, partition).value),
+                               ("young", young_sum(f, g, partition).value)))

@@ -64,6 +64,29 @@ def test_verify_bounds_reports_six_slacks(capsys):
     assert all(v is None or v >= -1e-12 for v in report["residuals"].values())
 
 
+STEP_AFFINE = "f=step[0,1]{nodes:0,0.5,1; at:0,0,1; on:0,1} g=affine[0,1]{slope:1}"
+
+
+def test_verify_main_human_report(capsys):
+    code, out, err = run(capsys, ["verify-main", STEP_AFFINE])
+    assert code == 0 and err == ""
+    assert out == ("command: verify-main\nkind: K\nvalue: 0.5\nerror_bound: 0\n"
+                   "residuals.k_minus_y: 0\nresiduals.by_parts: 0\nok: true\nseed: 0\n")
+
+
+def test_verify_bounds_human_report(capsys):
+    code, out, err = run(capsys, ["verify-bounds", STEP_AFFINE])
+    assert code == 0 and err == ""
+    assert out == ("command: verify-bounds\nkind: K\nvalue: 0.5\nerror_bound: 0\n"
+                   "residuals.integral_sup_var: 0.5\n"
+                   "residuals.integral_bv_sup: 2.5\n"
+                   "residuals.riemann_sup_var: 0.333135\n"
+                   "residuals.riemann_bv_sup: 2.33314\n"
+                   "residuals.young_sup_var: 0.333135\n"
+                   "residuals.young_bv_sup: 2.33314\n"
+                   "ok: true\nseed: 0\n")
+
+
 def test_oracle_converges_and_reports_levels(capsys):
     code, report, _ = run_json(capsys, ["oracle", "--json", "kind=Y", PAIR])
     assert code == 0 and report["converged"] is True

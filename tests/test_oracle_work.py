@@ -17,9 +17,10 @@ import pytest
 
 from stieltjes import (Affine, Division, DomainError, Gauge, GaugeError,
                        GaugeTooFineError, IntegralKind, Interval, Partition,
-                       PiecewiseLipschitz, StepFunction, cousin_fine_partition,
-                       interior_tags, oracle_refinement)
-from stieltjes import oracle, partitions
+                       PiecewiseLipschitz, StepFunction, build_pair,
+                       cousin_fine_partition, interior_tags, oracle_refinement,
+                       parse_spec)
+from stieltjes import cli, oracle, partitions
 from stieltjes.partitions import MAX_DEPTH, TAG_FREE, TAG_INTERIOR, _fine_partition
 
 IV = Interval(0.0, 1.0)
@@ -170,7 +171,7 @@ def test_one_cell_tree_reads_its_ends_once():
         for seed in SEEDS:
             gauge = CountingGauge(body, overrides)
             rng = None if seed is None else random.Random(seed)
-            cells = partitions._generate_fine_cells(gauge, 0.0, 1.0, rng)
+            cells = partitions._generate_fine_cells(gauge, (0.0, 1.0), rng)
             assert len(cells) > 10
             assert gauge.reads[0.0] <= 1 and gauge.reads[1.0] <= 1
             if seed is None:
@@ -198,7 +199,7 @@ def test_a_seeded_cell_tree_reads_each_point_once():
                             (lambda t: 0.001 + 0.02 * abs(math.sin(7.0 * t)), {0.6: 1e-6})):
         for seed in SEEDS[1:] + (42, 2024):
             gauge = CountingGauge(body, overrides)
-            cells = partitions._generate_fine_cells(gauge, 0.0, 1.0, random.Random(seed))
+            cells = partitions._generate_fine_cells(gauge, (0.0, 1.0), random.Random(seed))
             assert len(cells) > 10
             assert max(gauge.reads.values()) == 1
 
@@ -264,6 +265,30 @@ def test_the_distance_body_is_the_min_max_formula():
                 want = max(min(base, 0.5 * min(t - fence[i - 1], fence[i] - t)), floor)
                 assert body(t).hex() == want.hex()
     assert oracle._distance_body(0.25, (), 1e-15) == 0.25
+
+
+def test_the_gauge_oracle_passes_on_a_depth_refusal(monkeypatch):
+    """A GaugeTooFineError that is no budget stop reaches the caller,
+    whichever level meets it, and the CLI reports it as a refusal."""
+    job = parse_spec("oracle kind=K f=step[0,1]{nodes:0,0.5,1; at:0,1,2; on:0,1} "
+                     "g=step[0,1]{nodes:0,0.5,1; at:0,1,1; on:0,1}")
+    f, g = build_pair(job)
+    max_levels = oracle.MAX_LEVELS
+    for depth, refusing_level in ((3, 0), (5, 1)):
+        monkeypatch.setattr(partitions, "MAX_DEPTH", depth)
+        text = f"no fine cell found above depth {depth} near ["
+        # The levels before the refusing one build their partitions.
+        monkeypatch.setattr(oracle, "MAX_LEVELS", refusing_level)
+        report = oracle.oracle_gauge(f, g, tol=job.tol, seed=job.seed)
+        assert (report.levels, report.converged) == (refusing_level, False)
+        for levels in (refusing_level + 1, max_levels):
+            monkeypatch.setattr(oracle, "MAX_LEVELS", levels)
+            with pytest.raises(GaugeTooFineError) as info:
+                oracle.oracle_gauge(f, g, tol=job.tol, seed=job.seed)
+            assert str(info.value).startswith(text)
+        code, report = cli.run_job(job)
+        assert code == 3 and report["best_error"] is None
+        assert report["error"].startswith(text)
 
 
 def test_gauge_refuses_every_width_that_is_not_positive_and_finite():
@@ -338,7 +363,7 @@ def test_candidate_order_is_the_one_shuffle_drew():
 
         rng = random.Random(seed)
         with pytest.raises(_Stop):
-            partitions._generate_fine_cells(Gauge(body), 0.0, 1.0, rng)
+            partitions._generate_fine_cells(Gauge(body), (0.0, 1.0), rng)
         want = random.Random(seed)
         candidates = [0.0, 1.0, 0.5, want.uniform(0.1, 0.9)]
         want.shuffle(candidates)
