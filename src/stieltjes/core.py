@@ -162,8 +162,12 @@ class RegulatedFunction(ABC):
         already-checked ``StepFunction`` on this interval, so they
         increase strictly from a to b.  The step-pair walks in
         ``integrate`` are the only callers.  This default reads the
-        three point methods; families override it with one forward walk
-        that gives bit-identical values."""
+        three point methods.  The built-in families override it with one
+        of two walks that give bit-identical values: ``StepFunction``
+        merges its nodes with the query nodes one by one, since the two
+        lists may be equally dense; the families with few breaks
+        (``PiecewiseLipschitz``, ``MonotoneFunction``'s jumps) bisect
+        once per break and slice the query nodes between breaks."""
         values = [self.value(t) for t in nodes]
         lefts = [values[0]] + [self.left_limit(t) for t in nodes[1:]]
         rights = [self.right_limit(t) for t in nodes[:-1]] + [values[-1]]

@@ -25,9 +25,12 @@ definitionally by the oracle module's tests).  Summed by parts, that
 table collapses into one walk over the step argument's nodes, which
 ``integrate_step_pair`` adds up with ``math.fsum``.  The walk reads the
 other argument once, through ``_limits_at``: its left limits, values
-and right limits at all the nodes, which each built-in family gives by
-one forward walk instead of a bisecting point read per limit.  The sums
-and the oracles keep the point reads, so they share no code with it.
+and right limits at all the nodes, in place of a bisecting point read
+per limit.  A step function gives them by a per-node merge of the two
+node lists, which may be equally dense; the smooth families, with few
+breaks, by a break walk that bisects once per break and reads the
+nodes between breaks in one slice.  The sums and the oracles keep the
+point reads, so they share no code with either walk.
 Everything else goes through certified step approximants.
 """
 
@@ -270,15 +273,16 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     check_tol(tol)
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
-    var_g = g.variation_bound
-    var_f = f.variation_bound
-    if var_g is None and var_f is None:
-        raise VariationUnknownError(
-            "the limit route needs a certified variation bound on f or g")
-
     a, b = f.interval.a, f.interval.b
-    predicted_f = None if var_g is None else tol * var_g / (2.0 * var_g + 1.0)
+    var_g, var_f = g.variation_bound, f.variation_bound
     bv_f = None if var_f is None else abs(f.value(a)) + abs(f.value(b)) + var_f
+    # A factor that overflowed certifies nothing: it counts as unknown.
+    var_g, bv_f = (None if x is None or not math.isfinite(x) else x for x in (var_g, bv_f))
+    if var_g is None and bv_f is None:
+        raise VariationUnknownError(
+            "the limit route needs a certified finite variation bound on f or g")
+
+    predicted_f = None if var_g is None else tol * var_g / (2.0 * var_g + 1.0)
     predicted_g = None if bv_f is None else tol * bv_f / (bv_f + 1.0)
 
     # A step argument approximates to itself at zero cost, so that side

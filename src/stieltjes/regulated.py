@@ -108,6 +108,26 @@ class SinWave(Frozen):
 # ----------------------------------------------------------------------
 
 
+def _break_walk(nodes, breaks, inside, on_break) -> tuple[list, list, list]:
+    """``_limits_at`` over a family's few sorted ``breaks``, from a to b,
+    by one bisection into ``nodes`` per break.  ``inside(j, lo, k)`` gives
+    the values at ``nodes[lo:k]``, inside the cell left of break j;
+    ``on_break(j, k)`` the (left, value, right) triple at a node on it."""
+    out = [], [], []
+    lo = 0
+    for j, y in enumerate(breaks):
+        k = bisect_left(nodes, y, lo)
+        piece = inside(j, lo, k)
+        for part in out:
+            part += piece
+        lo = k
+        if nodes[k] == y:
+            for part, x in zip(out, on_break(j, k)):
+                part.append(x)
+            lo = k + 1
+    return out
+
+
 class PiecewiseLipschitz(RegulatedFunction):
     """One Lipschitz-continuous formula per piece, arbitrary values at
     the piece boundaries.  Jumps happen at breakpoints and nowhere else.
@@ -119,7 +139,7 @@ class PiecewiseLipschitz(RegulatedFunction):
     """
 
     __slots__ = ("_breaks", "_pieces", "_lipschitz", "_node_values",
-                 "_jumps", "_variation", "_sup")
+                 "_limits", "_jumps", "_variation", "_sup")
 
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
                  node_values=None):
@@ -151,13 +171,18 @@ class PiecewiseLipschitz(RegulatedFunction):
         self._pieces = pieces
         self._lipschitz = lipschitz
         self._node_values = node_values
-        # Gaps between each node value and the pieces' ends beside it.
+        # f(t-), f(t), f(t+) at each break from the pieces' raw ends, with
+        # f(a-) := f(a) and f(b+) := f(b); a limit off f(t) makes a jump.
+        self._limits = tuple(zip(node_values[:1] + tuple(rights), node_values,
+                                 tuple(lefts) + node_values[-1:]))
         gap_total, jumps = 0.0, []
-        for k, (t, val) in enumerate(zip(bks, node_values)):
-            ends = rights[k - 1:k] + lefts[k:k + 1]
-            for end in ends:
-                gap_total += abs(val - end)
-            if any(end != val for end in ends):
+        for t, row in zip(bks, self._limits):
+            if not all(map(math.isfinite, row)):
+                raise DomainError(f"limits {row!r} at break {t!r} overflow: not finite")
+            left, val, right = row
+            gap_total += abs(val - left)
+            gap_total += abs(val - right)
+            if left != val or right != val:
                 jumps.append(t)
         self._jumps = tuple(jumps)
         self._variation = math.fsum(piece_variations) + gap_total
@@ -205,29 +230,13 @@ class PiecewiseLipschitz(RegulatedFunction):
         return self._pieces[i - 1](t)
 
     def _limits_at(self, nodes) -> tuple[list, list, list]:
-        """``RegulatedFunction._limits_at`` (same precondition) by one
-        forward walk over the nodes and the breakpoints: one piece call
-        per node inside a cell, the node value and a call to each piece
-        beside it at an interior break."""
-        bks, pieces, at = self._breaks, self._pieces, self._node_values
-        last = len(bks) - 1
-        values, hits = [], []
-        i = 0
-        for k, t in enumerate(nodes):
-            while bks[i] < t:
-                i += 1
-            if bks[i] == t:
-                values.append(at[i])
-                hits.append((k, i, t))
-            else:
-                values.append(pieces[i - 1](t))
-        lefts, rights = values[:], values[:]
-        for k, i, t in hits:
-            if i:  # f(a-) := f(a)
-                lefts[k] = pieces[i - 1](t)
-            if i < last:  # f(b+) := f(b)
-                rights[k] = pieces[i](t)
-        return lefts, values, rights
+        """``RegulatedFunction._limits_at`` (same precondition) by the
+        break walk: one piece call per node inside a cell, the stored
+        limits at a node on a break."""
+        pieces, limits = self._pieces, self._limits
+        return _break_walk(nodes, self._breaks,
+                           lambda j, lo, k: list(map(pieces[j - 1], nodes[lo:k])),
+                           lambda j, k: limits[j])
 
     @property
     def variation_bound(self) -> float:
@@ -246,10 +255,11 @@ class PiecewiseLipschitz(RegulatedFunction):
         Achieved error is max over pieces of Lipschitz * spacing / 2."""
         if not eps > 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
-        counts = []
-        for c, u, v in zip(self._lipschitz, self._breaks, self._breaks[1:]):
-            n = max(1, math.ceil(c * (v - u) / eps)) if c > 0 else 1
-            counts.append(n)
+        need = [c * (v - u) / eps
+                for c, u, v in zip(self._lipschitz, self._breaks, self._breaks[1:])]
+        if not all(map(math.isfinite, need)):  # best_error stays inf: no tol fits
+            raise ApproximationError(f"tolerance {eps!r} needs a cell count that overflows")
+        counts = [max(1, math.ceil(x)) for x in need]
         total = sum(counts)
         if total > MAX_APPROX_CELLS:
             scale = total / MAX_APPROX_CELLS
@@ -344,32 +354,20 @@ class MonotoneFunction(RegulatedFunction):
 
     def _limits_at(self, nodes) -> tuple[list, list, list]:
         """``RegulatedFunction._limits_at`` (same precondition): one base
-        call per node, then a walk over the jump step's few nodes.  Query
-        nodes between two jumps share one list for all three reads."""
+        call per node, then the break walk over the jump step's nodes."""
         base = list(map(self._base, nodes))
-        if self._jump_step is None:
-            values = [y + 0.0 for y in base]  # as in value(): -0.0 reads 0.0
-            return values[:], values, values[:]
         js = self._jump_step
-        ys, yc, yd = js._nodes, js._node_values, js._interior_values
+        # Without jumps, adding 0.0 reads -0.0 as 0.0, as value() does.
+        ys, yc, yd = ((js.nodes, js.node_values, js.interior_values) if js is not None
+                      else ((nodes[0], nodes[-1]), (0.0, 0.0), (0.0,)))
         before = yc[:1] + yd  # f(a-) := f(a)
         after = yd + yc[-1:]  # f(b+) := f(b)
-        lefts, values, rights = [], [], []
-        lo = 0
-        for j, y in enumerate(ys):  # both node lists start at a and end at b
-            k = bisect_left(nodes, y, lo)
+
+        def inside(j, lo, k):
             d = yd[j - 1]
-            piece = [x + d for x in base[lo:k]]
-            lefts += piece
-            values += piece
-            rights += piece
-            lo = k
-            if nodes[k] == y:
-                lefts.append(base[k] + before[j])
-                values.append(base[k] + yc[j])
-                rights.append(base[k] + after[j])
-                lo = k + 1
-        return lefts, values, rights
+            return [x + d for x in base[lo:k]]
+        return _break_walk(nodes, ys, inside, lambda j, k: (
+            base[k] + before[j], base[k] + yc[j], base[k] + after[j]))
 
     @property
     def variation_bound(self) -> float:
@@ -411,7 +409,7 @@ class MonotoneFunction(RegulatedFunction):
         js = self._jump_step
         nodes, at, on = [a], [base_a], []
         if js is not None:
-            ys, yc, yd = js._nodes, js._node_values, js._interior_values
+            ys, yc, yd = js.nodes, js.node_values, js.interior_values
             at[0] += yc[0]
         j = 1  # the first jump node right of the cells emitted so far
         cells, worst = 0, 0.0

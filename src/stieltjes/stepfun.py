@@ -116,10 +116,12 @@ class StepFunction(RegulatedFunction):
         return self._interior_values[i - 1]
 
     def _limits_at(self, nodes) -> tuple[list, list, list]:
-        """``RegulatedFunction._limits_at`` (same precondition) by one
-        forward walk over both node lists: a node inside a piece reads
-        the piece's value three times; a shared node reads its own value
-        between the two pieces beside it."""
+        """``RegulatedFunction._limits_at`` (same precondition) by the
+        per-node merge walk over both node lists: a node inside a piece
+        reads the piece's value three times; a shared node reads its own
+        value between the two pieces beside it.  Step nodes may be as
+        dense as the query nodes, where one bisection per node would
+        cost more than the merge."""
         xs, cs, ds = self._nodes, self._node_values, self._interior_values
         values, hits = [], []
         i = 0
@@ -155,14 +157,11 @@ class StepFunction(RegulatedFunction):
                    max(abs(v) for v in self._interior_values))
 
     def jump_points(self) -> tuple[float, ...]:
-        out = []
-        m = self.piece_count
-        for k, s in enumerate(self._nodes):
-            left = k > 0 and self._node_values[k] != self._interior_values[k - 1]
-            right = k < m and self._interior_values[k] != self._node_values[k]
-            if left or right:
-                out.append(s)
-        return tuple(out)
+        # A node is a jump point where a limit beside it differs from its
+        # value, with f(a-) := f(a) and f(b+) := f(b).
+        cs, ds = self._node_values, self._interior_values
+        return tuple(x for x, left, c, right in zip(self._nodes, cs[:1] + ds, cs, ds + cs[-1:])
+                     if left != c or right != c)
 
     def approximate(self, eps: float) -> StepApproximation:
         if not eps > 0:

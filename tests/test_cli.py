@@ -159,6 +159,42 @@ def test_refusal_reports_the_reachable_tolerance(capsys, monkeypatch):
     assert code == 3 and report == {"error": "no certificate", "best_error": None}
 
 
+@pytest.mark.parametrize("job, code", [
+    # An integrator whose variation overflows counts as uncertified, so
+    # the integrand side is tried, and its cell count overflows.
+    ("f=sin[-1e8,1e8]{freq:1} g=affine[-1e8,1e8]{slope:1e300}", 3),
+    # The swapped pair: the integrand's bv overflows instead.
+    ("f=affine[-1e8,1e8]{slope:1e300} g=sin[-1e8,1e8]{freq:1}", 3),
+    # f(1e10) overflows to inf at a break: no such function.
+    ("f=affine[0,1e10]{slope:1e300} g=sin[0,1e10]{freq:1}", 2),
+])
+def test_overflowing_certificates_are_refused(capsys, job, code):
+    got, report, err = run_json(capsys, ["integrate", "--json", job])
+    assert got == code and err == ""
+    assert "overflow" in report["error"]
+    assert "must be positive" not in report["error"]
+    if code == 3:
+        assert report["best_error"] is None
+
+
+SPEC_COMMANDS = {"oracle_seeded": ("oracle",),
+                 "integrate_seeded": ("integrate", "verify-main", "verify-bounds")}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_COMMANDS))
+def test_spec_files_match_their_golden_output(capsys, name):
+    # The same runs as the CI golden steps: each --spec file under each
+    # of its commands, in order, with --json.
+    here = Path(__file__).resolve().parent
+    out = []
+    for command in SPEC_COMMANDS[name]:
+        code, stdout, err = run(capsys, [command, "--json", "--spec",
+                                         str(here / f"{name}.spec")])
+        assert code == 0 and err == ""
+        out.append(stdout)
+    assert "".join(out) == (here / f"{name}.golden").read_text(encoding="utf-8")
+
+
 def test_run_job_maps_a_build_error_to_exit_2():
     # run_job builds the pair itself, so a job nobody validated can still
     # fail in the DSL: a job error, exit 2, not an exception.

@@ -10,6 +10,7 @@ from stieltjes import (Affine, ApproximationError, DomainError, Interval,
                        StepApproximation, StepFunction)
 from stieltjes import regulated
 from stieltjes.regulated import MAX_APPROX_CELLS
+from test_step_walk import point_reads
 
 IV = Interval(0.0, 1.0)
 
@@ -176,6 +177,12 @@ def test_construction_reads_each_piece_at_its_two_ends_only():
             assert [p.calls for p in pieces] == [2, 2, 2]
             assert f.jump_points() == f.jump_points() == (0.25, 0.5)
             assert [p.calls for p in pieces] == [2, 2, 2]
+            # The batched read calls a piece once per node inside its
+            # cell and never at a break: the limits there are stored.
+            nodes = (0.0, 0.0625, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)
+            got = f._limits_at(nodes)
+            assert [p.calls for p in pieces] == [4, 3, 3]
+            assert got == tuple(map(list, point_reads(f, nodes)))
 
 
 def test_identity_approximant_on_quarter_grid():
