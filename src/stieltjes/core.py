@@ -166,26 +166,13 @@ class RegulatedFunction(ABC):
         of two walks that give bit-identical values: ``StepFunction``
         merges its nodes with the query nodes one by one, since the two
         lists may be equally dense; the families with few breaks
-        (``PiecewiseLipschitz``, ``MonotoneFunction``'s jumps) bisect
-        once per break and slice the query nodes between breaks."""
+        (``PiecewiseLipschitz``'s, and the nodes of ``MonotoneFunction``'s
+        jump step, a and b alone without jumps) bisect once per break
+        and slice the query nodes between breaks."""
         values = [self.value(t) for t in nodes]
         lefts = [values[0]] + [self.left_limit(t) for t in nodes[1:]]
         rights = [self.right_limit(t) for t in nodes[:-1]] + [values[-1]]
         return lefts, values, rights
-
-    def left_jump(self, t: float) -> float:
-        """f(t) - f(t-), with the convention of 0 at t = a."""
-        if t == self._interval.a:
-            self._interval.require(t)
-            return 0.0
-        return self.value(t) - self.left_limit(t)
-
-    def right_jump(self, t: float) -> float:
-        """f(t+) - f(t), with the convention of 0 at t = b."""
-        if t == self._interval.b:
-            self._interval.require(t)
-            return 0.0
-        return self.right_limit(t) - self.value(t)
 
     # -- certified data ------------------------------------------------
 

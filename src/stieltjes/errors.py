@@ -69,3 +69,17 @@ def check_tol(tol: float, error: type = DomainError, name: str = "tolerance") ->
         raise error(f"{name} must be positive, got {tol!r}")
     if tol == math.inf:
         raise error(f"{name} must be finite, got {tol!r}")
+
+
+def finite_fsum(terms, what: str) -> float:
+    """``math.fsum(terms)`` once it is finite.  A sum past the float
+    range certifies nothing, so fsum's OverflowError (a partial sum past
+    it) or ValueError (inf - inf), and an inf or nan total, are refused
+    with a StieltjesError naming ``what``."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        total = math.nan
+    if not math.isfinite(total):
+        raise StieltjesError(f"{what} overflows: not finite")
+    return total

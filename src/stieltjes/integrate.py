@@ -43,8 +43,8 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction, checked_make
-from .errors import (ApproximationError, DomainError, StepPairError,
-                     VariationUnknownError, check_tol)
+from .errors import (ApproximationError, DomainError, StepPairError, StieltjesError,
+                     VariationUnknownError, check_tol, finite_fsum)
 from .stepfun import StepFunction, indicator
 from .sums import BoundsReport, _norm_checks
 
@@ -214,7 +214,8 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
                         kind: IntegralKind) -> IntegralResult:
     """Exact integral when either argument is a step function: the five
     closed forms summed by parts into one walk over the step argument's
-    nodes, added with ``math.fsum``."""
+    nodes, added with ``math.fsum``.  A sum past the float range is
+    refused with a StieltjesError."""
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
     dushnik = kind is IntegralKind.DUSHNIK
@@ -226,7 +227,8 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
         raise StepPairError(
             "integrate_step_pair needs a step function in one slot; "
             "use integrate() for general regulated pairs")
-    return IntegralResult(math.fsum(terms), kind, 0.0, Diagnostics("step-table"))
+    return IntegralResult(finite_fsum(terms, "the step-pair sum"), kind, 0.0,
+                          Diagnostics("step-table"))
 
 
 def _budget(tol: float, factor: float | None) -> float:
@@ -331,13 +333,18 @@ def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,
 
         K or Y result = f(b) g(b) - f(a) g(a) - D(g, df)
         D result      = f(b) g(b) - f(a) g(a) - K(g, df)
+
+    A value past the float range is refused with a StieltjesError.
     """
     a, b = f.interval.a, f.interval.b
     boundary = f.value(b) * g.value(b) - f.value(a) * g.value(a)
     inner_kind = (IntegralKind.DUSHNIK if kind is not IntegralKind.DUSHNIK
                   else IntegralKind.KURZWEIL)
     inner = integrate(g, f, inner_kind, tol)
-    return IntegralResult(boundary - inner.value, kind, inner.error_bound,
+    value = boundary - inner.value
+    if not math.isfinite(value):
+        raise StieltjesError("the by-parts value overflows: not finite")
+    return IntegralResult(value, kind, inner.error_bound,
                           inner.diagnostics._replace(method="by-parts"))
 
 

@@ -295,6 +295,11 @@ class MonotoneFunction(RegulatedFunction):
     ``gap_before = f(t) - f(t-)`` and ``gap_after = f(t+) - f(t)``.
     Approximants are certified by monotonicity alone: on any bisection
     cell the base stays between its endpoint values.
+
+    Each read is the jump step's read, which refuses a point outside
+    the interval, plus the base's.  Without jumps the jump step is the
+    constant -0.0, which leaves every base value as it is, bit for bit;
+    +0.0 would read a base's -0.0 as +0.0.
     """
 
     __slots__ = ("_base", "_jump_step")
@@ -303,7 +308,8 @@ class MonotoneFunction(RegulatedFunction):
         super().__init__(interval)
         self._base = base
         a, b = interval.a, interval.b
-        span = base(b) - base(a)
+        base_a, base_b = base(a), base(b)
+        span = base_b - base_a
         direction = math.copysign(1.0, span) if span else 0.0
         plus, minus, endpoint = [], [], 0.0
         for t, pre, post in sorted((float(t), float(pre), float(post)) for t, pre, post in jumps):
@@ -326,40 +332,36 @@ class MonotoneFunction(RegulatedFunction):
                 minus.append((t, pre))
             if post != 0.0:
                 plus.append((t, post))
+        self._jump_step = (step_from_jumps(interval, 0.0, plus_jumps=plus, minus_jumps=minus,
+                                           endpoint=endpoint)
+                           if plus or minus or endpoint
+                           # x + -0.0 is x bit for bit, even for x = -0.0; + 0.0 is not.
+                           else StepFunction.constant(interval, -0.0))
+        ends = (base_a, base_b, self.value(a), self.value(b))
+        if not all(map(math.isfinite, ends)):
+            raise DomainError(f"base and values {ends!r} at the ends overflow: not finite")
         # Cheap guardrail, not certification: a handful of increments
         # must not contradict the claimed direction.
         samples = [base(a + (b - a) * i / 8) for i in range(9)]
         if any(direction * (y - x) < 0 for x, y in zip(samples, samples[1:])):
             raise DomainError("base function violates its monotone direction")
-        self._jump_step = (step_from_jumps(interval, 0.0, plus_jumps=plus, minus_jumps=minus,
-                                           endpoint=endpoint)
-                           if plus or minus or endpoint else None)
 
     def value(self, t: float) -> float:
-        self._interval.require(t)
-        jump = self._jump_step.value(t) if self._jump_step is not None else 0.0
-        return self._base(t) + jump
+        return self._jump_step.value(t) + self._base(t)
 
     def left_limit(self, t: float) -> float:
-        if not self._interval.a < t <= self._interval.b:
-            raise DomainError(f"left limit needs t in ({self._interval.a}, {self._interval.b}]")
-        jump = self._jump_step.left_limit(t) if self._jump_step is not None else 0.0
-        return self._base(t) + jump
+        return self._jump_step.left_limit(t) + self._base(t)
 
     def right_limit(self, t: float) -> float:
-        if not self._interval.a <= t < self._interval.b:
-            raise DomainError(f"right limit needs t in [{self._interval.a}, {self._interval.b})")
-        jump = self._jump_step.right_limit(t) if self._jump_step is not None else 0.0
-        return self._base(t) + jump
+        return self._jump_step.right_limit(t) + self._base(t)
 
     def _limits_at(self, nodes) -> tuple[list, list, list]:
         """``RegulatedFunction._limits_at`` (same precondition): one base
-        call per node, then the break walk over the jump step's nodes."""
+        call per node, then the break walk over the jump step's nodes,
+        (a, b) alone when there are no jumps."""
         base = list(map(self._base, nodes))
         js = self._jump_step
-        # Without jumps, adding 0.0 reads -0.0 as 0.0, as value() does.
-        ys, yc, yd = ((js.nodes, js.node_values, js.interior_values) if js is not None
-                      else ((nodes[0], nodes[-1]), (0.0, 0.0), (0.0,)))
+        ys, yc, yd = js.nodes, js.node_values, js.interior_values
         before = yc[:1] + yd  # f(a-) := f(a)
         after = yd + yc[-1:]  # f(b+) := f(b)
 
@@ -379,7 +381,7 @@ class MonotoneFunction(RegulatedFunction):
         return max(abs(self.value(self._interval.a)), abs(self.value(self._interval.b)))
 
     def jump_points(self) -> tuple[float, ...]:
-        return self._jump_step.jump_points() if self._jump_step is not None else ()
+        return self._jump_step.jump_points()
 
     def approximate(self, eps: float) -> StepApproximation:
         """Bisect the continuous base until every cell's rise is at most
@@ -402,15 +404,14 @@ class MonotoneFunction(RegulatedFunction):
         limit = 2.0 * eps
         needed = rise / limit
         if needed > MAX_APPROX_CELLS:
+            count = (f"at least {needed:.3g} cells" if math.isfinite(needed)
+                     else "a cell count that overflows")
             raise ApproximationError(
-                f"tolerance {eps!r} needs at least {needed:.3g} cells "
-                f"(limit {MAX_APPROX_CELLS})",
+                f"tolerance {eps!r} needs {count} (limit {MAX_APPROX_CELLS})",
                 best_error=rise / (2.0 * MAX_APPROX_CELLS))
         js = self._jump_step
-        nodes, at, on = [a], [base_a], []
-        if js is not None:
-            ys, yc, yd = js.nodes, js.node_values, js.interior_values
-            at[0] += yc[0]
+        ys, yc, yd = js.nodes, js.node_values, js.interior_values
+        nodes, at, on = [a], [base_a + yc[0]], []
         j = 1  # the first jump node right of the cells emitted so far
         cells, worst = 0, 0.0
         stack = [(a, b, base_a, base_b, 0)]
@@ -419,19 +420,15 @@ class MonotoneFunction(RegulatedFunction):
             osc = abs(fv - fu)
             if osc <= limit:
                 m = 0.5 * (fu + fv)
-                if js is None:  # values kept exactly: -0.0 stays -0.0
-                    on.append(m)
-                    at.append(fv)
-                else:
-                    while ys[j] < v:  # a jump inside the cell splits its piece
-                        nodes.append(ys[j])
-                        on.append(m + yd[j - 1])
-                        at.append(m + yc[j])
-                        j += 1
+                while ys[j] < v:  # a jump inside the cell splits its piece
+                    nodes.append(ys[j])
                     on.append(m + yd[j - 1])
-                    hit = ys[j] == v  # the cell ends on a jump
-                    at.append(fv + (yc[j] if hit else yd[j - 1]))
-                    j += hit
+                    at.append(m + yc[j])
+                    j += 1
+                on.append(m + yd[j - 1])
+                hit = ys[j] == v  # the cell ends on a jump, or on b
+                at.append(fv + (yc[j] if hit else yd[j - 1]))
+                j += hit
                 nodes.append(v)
                 if osc > worst:
                     worst = osc

@@ -11,7 +11,8 @@ Two sums are computed for a tagged partition P of [a, b]:
 The Young sum reads the integrator's one-sided limits so that jumps of
 g at division nodes are weighted by f's values at those nodes rather
 than at the tags.  Both sums add their terms with ``math.fsum``, so
-each is the correctly rounded sum of its computed terms.
+each is the correctly rounded sum of its computed terms; a sum past the
+float range is refused with a StieltjesError.
 
 Each sum has one implementation, which takes several partitions of one
 division: the node data (g's values and one-sided limits, f's values)
@@ -31,11 +32,10 @@ Against a step g whose jumps are all nodes, no Young tag term is left.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 from .core import RegulatedFunction
-from .errors import DomainError
+from .errors import DomainError, finite_fsum
 from .partitions import Division, Partition
 
 BOUND_SLACK = 1e-12  # a bound check holds while |observed| <= bound + this
@@ -68,7 +68,8 @@ def _riemann_values(f: RegulatedFunction, g: RegulatedFunction,
     gvals = [g.value(x) for x in pts]
     live = [(j, r - l) for j, (l, r) in enumerate(zip(gvals, gvals[1:])) if r - l]
     fv = f.value
-    return [math.fsum([fv(p.tags[j]) * d for j, d in live]) for p in partitions]
+    return [finite_fsum([fv(p.tags[j]) * d for j, d in live], "the Riemann sum")
+            for p in partitions]
 
 
 def _young_values(f: RegulatedFunction, g: RegulatedFunction,
@@ -91,7 +92,8 @@ def _young_values(f: RegulatedFunction, g: RegulatedFunction,
     frame[1::2] = [fx * (gx - l) for fx, gx, l in zip(fvals[1:], gvals[1:], glefts)]
     frame = [c for c in frame if c]
     fv = f.value
-    return [math.fsum(frame + [fv(p.tags[j]) * w for j, w in live]) for p in partitions]
+    return [finite_fsum(frame + [fv(p.tags[j]) * w for j, w in live], "the Young sum")
+            for p in partitions]
 
 
 def riemann_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) -> SumValue:

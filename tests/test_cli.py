@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -167,6 +168,11 @@ def test_refusal_reports_the_reachable_tolerance(capsys, monkeypatch):
     ("f=affine[-1e8,1e8]{slope:1e300} g=sin[-1e8,1e8]{freq:1}", 3),
     # f(1e10) overflows to inf at a break: no such function.
     ("f=affine[0,1e10]{slope:1e300} g=sin[0,1e10]{freq:1}", 2),
+    # A monotone base that overflows at b, and a finite base whose value
+    # at b overflows once the jump there is added.
+    ("f=monotone_jumps[0,1e10]{base: affine(slope:1e300)} g=sin[0,1e10]{freq:1}", 2),
+    ("f=monotone_jumps[0,1]{base: affine(slope:1.7e308); jumps: 1:1.7e308:0} "
+     "g=sin[0,1]{freq:1}", 2),
 ])
 def test_overflowing_certificates_are_refused(capsys, job, code):
     got, report, err = run_json(capsys, ["integrate", "--json", job])
@@ -175,6 +181,35 @@ def test_overflowing_certificates_are_refused(capsys, job, code):
     assert "must be positive" not in report["error"]
     if code == 3:
         assert report["best_error"] is None
+
+
+OVERFLOWING_STEP_PAIR = ("f=step[0,1]{nodes:0,0.5,1; at:0,0,0; on:1.5e308,1.5e308} "
+                         "g=affine[0,1]{slope:2}")
+
+
+@pytest.mark.parametrize("argv, what", [
+    # The one product -1e308 * 1e308 is -inf.
+    (["integrate", "f=step[0,1]{nodes:0,1; at:1e308,1e308; on:-1e308} "
+      "g=affine[0,1]{slope:1e308}"], "the step-pair sum"),
+    # Two finite terms of 1.5e308 whose partial sum overflows in fsum.
+    (["integrate", OVERFLOWING_STEP_PAIR], "the step-pair sum"),
+    (["oracle", "kind=Y", OVERFLOWING_STEP_PAIR], "the Young sum"),
+    (["verify-bounds", OVERFLOWING_STEP_PAIR], "the step-pair sum"),
+])
+def test_overflowing_sums_are_refused(capsys, argv, what):
+    got, report, err = run_json(capsys, [argv[0], "--json", *argv[1:]])
+    assert got == 3 and err == ""
+    assert report == {"error": f"{what} overflows: not finite", "best_error": None}
+
+
+def test_monotone_cell_count_overflow_keeps_its_best_error(capsys):
+    # A rise of 1e300 at eps ~ 1e-9 needs more cells than a float holds;
+    # the floor rise / (2 * MAX_APPROX_CELLS), times var g, stays finite.
+    job = "f=monotone_jumps[0,1]{base: affine(slope:1e300)} g=sin[0,1]{freq:1}"
+    got, report, err = run_json(capsys, ["integrate", "--json", job])
+    assert got == 3 and err == ""
+    assert "needs a cell count that overflows" in report["error"]
+    assert 0 < report["best_error"] < math.inf
 
 
 SPEC_COMMANDS = {"oracle_seeded": ("oracle",),

@@ -18,7 +18,7 @@ from conftest import NoCertificate, dyadic_steps, rand_smooth, rand_step
 from stieltjes import (Affine, ApproximationError, DomainError,
                        ElementaryIntegrand, IndicatorKind, IntegralKind,
                        Interval, MonotoneFunction, PiecewiseLipschitz, Power,
-                       SinWave, StepFunction, StepPairError,
+                       SinWave, StepFunction, StepPairError, StieltjesError,
                        VariationUnknownError, by_parts, check_integral_bounds,
                        elementary_backward, elementary_forward, indicator,
                        integrate, integrate_limit, integrate_step_pair,
@@ -484,6 +484,15 @@ def test_by_parts_wraps_the_flipped_kind():
     res = by_parts(IDENT, g, Y)
     assert res.error_bound == 0.0
     assert abs(res.value - integrate(IDENT, g, Y, tol=1e-9).value) <= 1e-9
+
+
+def test_by_parts_refuses_an_overflowing_value():
+    # The boundary term f(b) g(b) is 1e308 * 1e308; the inner integral
+    # is 0, so the by-parts value alone overflows.
+    f = StepFunction.constant(IV, 1e308)
+    g = StepFunction(IV, (0.0, 1.0), (0.0, 1e308), (0.0,))
+    with pytest.raises(StieltjesError, match="by-parts value overflows"):
+        by_parts(f, g, K)
 
 
 def test_by_parts_on_mixed_smooth_step_pairs():

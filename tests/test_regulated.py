@@ -244,7 +244,8 @@ def test_monotone_values_and_limits():
 def test_monotone_jump_points_lists_each_location_once():
     f = MonotoneFunction(IV, Affine(1.0), [(0.5, 0.25, 0), (0.5, 0, 0.25)])
     assert f.jump_points() == (0.5,)
-    assert f.left_jump(0.5) == 0.25 and f.right_jump(0.5) == 0.25
+    assert f.value(0.5) - f.left_limit(0.5) == 0.25
+    assert f.right_limit(0.5) - f.value(0.5) == 0.25
     assert MonotoneFunction(IV, Affine(1.0), [(0.5, 0.0, 0.0)]).jump_points() == ()
 
 
@@ -265,6 +266,27 @@ def test_monotone_rejects_contrary_data():
         MonotoneFunction(IV, Affine(1.0), jumps=((1.0, 0.0, 0.5),))
 
 
+def test_monotone_without_jumps_reads_its_base_bit_for_bit():
+    # A falling power is -0.0 at 0; every read and the approximant keep it.
+    f = MonotoneFunction(IV, Power(2.0, -1.0))
+    lefts, values, rights = f._limits_at((0.0, 0.5, 1.0))
+    step, _ = f.approximate(0.1)
+    for x in (f.value(0.0), f.right_limit(0.0), lefts[0], values[0], rights[0],
+              step.node_values[0]):
+        assert x == 0.0 and math.copysign(1.0, x) < 0
+
+
+@pytest.mark.parametrize("jumps", [(), ((0.5, 0.25, 0.25),)])
+def test_monotone_reads_refuse_points_outside_the_domain(jumps):
+    f = MonotoneFunction(IV, Affine(1.0), jumps)
+    with pytest.raises(DomainError, match=r"^point 2 outside interval \[0.0, 1.0\]$"):
+        f.value(2)
+    with pytest.raises(DomainError, match=r"^left limit needs t in \(0.0, 1.0\]$"):
+        f.left_limit(0.0)
+    with pytest.raises(DomainError, match=r"^right limit needs t in \[0.0, 1.0\)$"):
+        f.right_limit(1.0)
+
+
 def test_monotone_endpoint_jump_lands_in_endpoint_slot():
     f = MonotoneFunction(IV, Affine(1.0), jumps=((1.0, 0.5, 0.0),))
     assert f.value(1.0) == 1.5 and f.left_limit(1.0) == 1.0
@@ -281,8 +303,8 @@ def test_monotone_approximant_certificate():
         assert worst <= err + 1e-12
         # The explicit jump is carried through; the cells flanking 0.5
         # can smear it by at most one base error on each side.
-        assert abs(step.left_jump(0.5) - 0.25) <= 2.0 * err
-        assert abs(step.right_jump(0.5) - 0.25) <= 2.0 * err
+        assert abs(step.value(0.5) - step.left_limit(0.5) - 0.25) <= 2.0 * err
+        assert abs(step.right_limit(0.5) - step.value(0.5) - 0.25) <= 2.0 * err
 
 
 def test_monotone_flags_hidden_discontinuity():
@@ -408,7 +430,7 @@ def test_one_pass_approximant_is_bit_identical_to_base_plus_jumps():
             assert approximant_bits(got) == approximant_bits(two_step_approximant(f, eps))
             for t in f.jump_points():
                 seen.add(t if t in (0.0, 1.0) + BISECTION_NODES else "inside a cell")
-            seen.add("no jumps" if f._jump_step is None else "jumps")
+            seen.add("no jumps" if not f.jump_points() else "jumps")
             if any(v == 0.0 and math.copysign(1.0, v) < 0 for v in got.step.node_values):
                 seen.add("-0.0")
     assert set(JUMP_SITES[:6]) | {"inside a cell", "no jumps", "jumps", "-0.0"} <= seen

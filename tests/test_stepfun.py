@@ -53,12 +53,10 @@ def test_values_and_one_sided_limits():
         f.right_limit(1.0)
 
 
-def test_jump_conventions_at_endpoints():
+def test_jumps_at_endpoints():
     f = StepFunction(IV, (0.0, 1.0), (4.0, 7.0), (5.0,))
-    assert f.left_jump(0.0) == 0.0          # no left limit at a, jump is 0
-    assert f.right_jump(0.0) == 1.0
-    assert f.left_jump(1.0) == 2.0
-    assert f.right_jump(1.0) == 0.0
+    assert f.right_limit(0.0) - f.value(0.0) == 1.0
+    assert f.value(1.0) - f.left_limit(1.0) == 2.0
 
 
 def test_validation_errors():
