@@ -1,9 +1,10 @@
 """Command line front end.
 
-    stieltjes integrate     f=... g=... [kind=K] [tol=...] [seed=...]
-    stieltjes verify-main   f=... g=...
-    stieltjes verify-bounds f=... g=...
-    stieltjes oracle        f=... g=... kind=Y
+    stieltjes COMMAND [--json] [--tol TOL] [--seed SEED] [--spec FILE] [JOB ...]
+
+COMMAND is integrate, verify-main, verify-bounds or oracle; JOB is the job
+text ``f=... g=... [kind=K|Y|D] [tol=...] [seed=...]``.  The flags may come
+in any order: before or after COMMAND, or between the words of JOB.
 
 Exit codes
 ----------
@@ -18,8 +19,8 @@ Exit codes
 
 ``--json`` prints one JSON object per job on stdout; without it a
 human-readable block is printed.  ``--spec FILE`` runs every nonempty
-non-# line of FILE as one job (the subcommand fills in the command when
-a line omits it) and exits with the worst per-line code.
+non-# line of FILE as one job (COMMAND fills in the command when a line
+omits it) and exits with the worst per-line code.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ RESIDUAL_TOL = 1e-12
 
 def _cmd_integrate(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
     res = integrate(f, g, kind, job.tol)
-    return 0, {"kind": kind.letter, "value": res.value, "error_bound": res.error_bound}
+    return 0, {"kind": kind.value, "value": res.value, "error_bound": res.error_bound}
 
 
 def _cmd_verify_main(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
@@ -95,7 +96,7 @@ def _cmd_verify_bounds(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dic
         elif check.slack is not None:
             slacks[check.name] = min(prev, check.slack)
     ok = all(report.all_hold for report in reports)
-    return (0 if ok else 1), {"kind": kind.letter, "value": res.value,
+    return (0 if ok else 1), {"kind": kind.value, "value": res.value,
                               "error_bound": res.error_bound, "residuals": slacks, "ok": ok}
 
 
@@ -105,7 +106,7 @@ def _cmd_oracle(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
     else:
         rep = oracle_refinement(f, g, kind, tol=job.tol, seed=job.seed)
     return (0 if rep.converged else 1), {
-        "kind": kind.letter, "value": rep.value, "error_bound": rep.achieved_spread,
+        "kind": kind.value, "value": rep.value, "error_bound": rep.achieved_spread,
         "converged": rep.converged, "levels": rep.levels}
 
 
@@ -123,7 +124,7 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
     library refusal 3."""
     try:
         f, g = build_pair(job)
-        code, fields = _RUNNERS[job.command](job, f, g, IntegralKind.from_letter(job.kind))
+        code, fields = _RUNNERS[job.command](job, f, g, IntegralKind(job.kind))
     except DSLError as exc:
         return 2, {"error": str(exc)}
     except StieltjesError as exc:
@@ -133,8 +134,8 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
 
 
 def run_text(text: str, command: str, tol: float | None, seed: int | None) -> tuple[int, dict]:
-    """Parse one job line (defaulting / enforcing the subcommand),
-    apply flag overrides, execute."""
+    """Parse one job line (defaulting / enforcing the command), apply
+    flag overrides, execute."""
     stripped = text.strip()
     first = stripped.split(maxsplit=1)[0] if stripped else ""
     if first not in COMMANDS:
@@ -213,31 +214,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stieltjes",
         description="Stieltjes-type integrals of regulated functions "
                     "(Kurzweil, Young, Dushnik) with certified error bounds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "integrate": "compute one integral with a certified error bound",
-        "verify-main": "check K = Y and integration by parts on a pair",
-        "verify-bounds": "check sum and integral norm bounds on a pair",
-        "oracle": "brute-force the integral from its limit definition",
-    }
-    for cmd in COMMANDS:
-        sp = sub.add_parser(cmd, help=helps[cmd])
-        sp.add_argument("--json", action="store_true",
+    parser.add_argument("command", choices=COMMANDS,
+                        help="integrate (one integral with a certified error bound), "
+                             "verify-main (check K = Y and integration by parts), "
+                             "verify-bounds (check the sum and integral norm bounds) "
+                             "or oracle (the integral from its limit definition)")
+    parser.add_argument("--json", action="store_true",
                         help="print machine-readable JSON on stdout")
-        sp.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=float, default=None,
                         help="error tolerance, overrides tol= in the job text")
-        sp.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=None,
                         help="random seed, overrides seed= in the job text")
-        sp.add_argument("--spec", metavar="FILE", default=None,
+    parser.add_argument("--spec", metavar="FILE", default=None,
                         help="run every nonempty non-# line of FILE as a job")
-        sp.add_argument("text", nargs="*",
+    parser.add_argument("text", nargs="*", default=[],
                         help="job text, e.g. f=step[0,1]{nodes:0,0.5,1; "
                              "at:0,1,1; on:0,1} g=affine[0,1]{slope:1}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     if args.spec is not None and args.text:
         print("error: --spec and inline job text are mutually exclusive",
               file=sys.stderr)

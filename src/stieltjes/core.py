@@ -74,11 +74,8 @@ class Interval(Frozen):
     def width(self) -> float:
         return self.b - self.a
 
-    def contains(self, t: float) -> bool:
-        return self.a <= t <= self.b
-
     def require(self, t: float) -> None:
-        if not self.contains(t):
+        if not self.a <= t <= self.b:
             raise DomainError(f"point {t!r} outside interval [{self.a}, {self.b}]")
 
     def check_division(self, points, what: str) -> list[float]:

@@ -9,6 +9,8 @@ Kinds
 * ``DUSHNIK`` (D): refinement limit of plain sums over interior-tagged
   partitions.
 
+A kind is passed as a member or as its letter, the member's value.
+
 K and Y agree whenever both exist here; D is the one that differs at
 shared discontinuities, and it is exactly the kind that makes
 integration by parts exact:
@@ -55,15 +57,12 @@ class IntegralKind(Enum):
     DUSHNIK = "D"
 
     @classmethod
-    def from_letter(cls, letter: str) -> "IntegralKind":
-        for kind in cls:
-            if kind.value == letter:
-                return kind
-        raise DomainError(f"unknown integral kind {letter!r}")
+    def _missing_(cls, value):
+        raise DomainError(f"unknown integral kind {value!r}")
 
-    @property
-    def letter(self) -> str:
-        return self.value
+    @classmethod
+    def from_letter(cls, letter: str) -> "IntegralKind":
+        return cls(letter)
 
 
 class IndicatorKind(Enum):
@@ -126,10 +125,11 @@ def _require_tau(e: ElementaryIntegrand, interval: Interval) -> float:
 
 
 def elementary_forward(e: ElementaryIntegrand, g: RegulatedFunction,
-                       kind: IntegralKind) -> IntegralResult:
+                       kind: IntegralKind | str) -> IntegralResult:
     """Closed-form integral of an elementary indicator against dg.  K
     and Y share a column; D ignores one-sided limits at the left cut and
     drops the endpoint atom (its tags never reach the nodes)."""
+    kind = IntegralKind(kind)
     a, b = g.interval.a, g.interval.b
     ky = kind is not IntegralKind.DUSHNIK
     k = e.kind
@@ -151,8 +151,9 @@ def elementary_forward(e: ElementaryIntegrand, g: RegulatedFunction,
 
 
 def elementary_backward(g: RegulatedFunction, e: ElementaryIntegrand,
-                        kind: IntegralKind) -> IntegralResult:
+                        kind: IntegralKind | str) -> IntegralResult:
     """Closed-form integral of g against the indicator's differential."""
+    kind = IntegralKind(kind)
     a, b = g.interval.a, g.interval.b
     ky = kind is not IntegralKind.DUSHNIK
     k = e.kind
@@ -211,11 +212,12 @@ def _step_integrator_terms(f: RegulatedFunction, g: StepFunction, dushnik: bool)
 
 
 def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
-                        kind: IntegralKind) -> IntegralResult:
+                        kind: IntegralKind | str) -> IntegralResult:
     """Exact integral when either argument is a step function: the five
     closed forms summed by parts into one walk over the step argument's
     nodes, added with ``math.fsum``.  A sum past the float range is
     refused with a StieltjesError."""
+    kind = IntegralKind(kind)
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
     dushnik = kind is IntegralKind.DUSHNIK
@@ -248,7 +250,7 @@ def _budget(tol: float, factor: float | None) -> float:
 
 
 def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
-                    kind: IntegralKind, tol: float = 1e-9) -> IntegralResult:
+                    kind: IntegralKind | str, tol: float = 1e-9) -> IntegralResult:
     """Integral of f against dg through certified step approximants.
 
     The regulated factor is replaced by a step approximant and the
@@ -272,6 +274,7 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     times the factor: the smallest tol this route can certify, named in
     the message when it is finite.
     """
+    kind = IntegralKind(kind)
     check_tol(tol)
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
@@ -316,7 +319,7 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
                     err, step.piece_count))
 
 
-def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,
+def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | str,
               tol: float = 1e-9) -> IntegralResult:
     """Front door: exact closed form whenever either argument is a
     step function (no variation bound needed then), the certified limit
@@ -327,7 +330,7 @@ def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,
     return integrate_limit(f, g, kind, tol)
 
 
-def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,
+def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | str,
              tol: float = 1e-9) -> IntegralResult:
     """Integral of f against dg computed through the flipped integral:
 
@@ -336,6 +339,7 @@ def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind,
 
     A value past the float range is refused with a StieltjesError.
     """
+    kind = IntegralKind(kind)
     a, b = f.interval.a, f.interval.b
     boundary = f.value(b) * g.value(b) - f.value(a) * g.value(a)
     inner_kind = (IntegralKind.DUSHNIK if kind is not IntegralKind.DUSHNIK

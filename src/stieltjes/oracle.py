@@ -92,10 +92,11 @@ def _converge(level_sums: Iterator[list[float]], kind: IntegralKind,
 
 
 def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
-                      kind: IntegralKind, tol: float = 1e-9,
+                      kind: IntegralKind | str, tol: float = 1e-9,
                       seed: int = 0) -> OracleReport:
     """Refinement-limit value of the Young (jump-aware sums) or Dushnik
     (plain sums) integral, by sampling interior-tagged partitions."""
+    kind = IntegralKind(kind)
     if kind is IntegralKind.KURZWEIL:
         raise DomainError("the Kurzweil integral is a gauge limit; use oracle_gauge")
     check_tol(tol)

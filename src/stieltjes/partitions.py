@@ -70,11 +70,8 @@ class Division(NamedTuple("Division", [("interval", Interval),
         return zip(self.points, self.points[1:])
 
     def refine(self, extra: Iterable[float]) -> "Division":
-        extra = [float(x) for x in extra]
-        for x in extra:
-            self.interval.require(x)
-        merged = sorted(set(self.points) | set(extra))
-        return Division(self.interval, tuple(merged))
+        """Add ``extra``; ``Division`` refuses a point outside the interval, or a NaN."""
+        return Division(self.interval, sorted(set(self.points) | set(map(float, extra))))
 
 
 class Partition(NamedTuple("Partition", [("division", Division),

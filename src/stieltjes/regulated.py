@@ -211,7 +211,7 @@ class PiecewiseLipschitz(RegulatedFunction):
     def value(self, t: float) -> float:
         self._interval.require(t)
         i = bisect_left(self._breaks, t)
-        if i < len(self._breaks) and self._breaks[i] == t:
+        if self._breaks[i] == t:
             return self._node_values[i]
         return self._pieces[i - 1](t)
 

@@ -96,7 +96,7 @@ class StepFunction(RegulatedFunction):
     def value(self, t: float) -> float:
         self._interval.require(t)
         i = bisect_left(self._nodes, t)
-        if i < len(self._nodes) and self._nodes[i] == t:
+        if self._nodes[i] == t:
             return self._node_values[i]
         return self._interior_values[i - 1]
 
@@ -303,19 +303,6 @@ class Decomposition(NamedTuple("Decomposition", [
             if not a < s < b:
                 raise DomainError(f"chi_[sigma, b] location {s!r} outside ({a}, {b})")
         return super().__new__(cls, interval, base, plus_jumps, minus_jumps, endpoint)
-
-    def value(self, t: float) -> float:
-        self.interval.require(t)
-        acc = self.base
-        for s, w in self.plus_jumps:
-            if t > s:
-                acc += w
-        for s, w in self.minus_jumps:
-            if t >= s:
-                acc += w
-        if t == self.interval.b:
-            acc += self.endpoint
-        return acc
 
     def to_step(self) -> StepFunction:
         """One walk over the sorted jump locations.  The running sum is

@@ -32,6 +32,7 @@ Against a step g whose jumps are all nodes, no Young tag term is left.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .core import RegulatedFunction
@@ -109,8 +110,8 @@ def young_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) 
 class BoundCheck(NamedTuple):
     """One inequality: |observed| <= bound (within ``BOUND_SLACK``).
 
-    ``holds`` is None when the needed norm is unknown and the check was
-    skipped.
+    ``holds`` is None when the needed norm is unknown, or the bound
+    overflowed, and the check was skipped.
     """
 
     name: str
@@ -132,7 +133,7 @@ class BoundsReport(tuple):
 
 
 def _make_check(name: str, observed: float, bound: float | None) -> BoundCheck:
-    if bound is None:
+    if bound is None or not math.isfinite(bound):
         return BoundCheck(name, observed, None, None, None)
     margin = bound - abs(observed)
     return BoundCheck(name, observed, bound, margin, margin >= -BOUND_SLACK)
@@ -144,7 +145,7 @@ def _norm_checks(f: RegulatedFunction, g: RegulatedFunction,
     """For each (name, value) of ``observed``, the checks ``name_sup_var``
     and ``name_bv_sup`` of |value| against the two norm products, each
     plus ``error_bound`` (by default -0.0, which leaves every float as
-    it is).  A bound whose norm is unknown is skipped."""
+    it is).  A bound whose norm is unknown, or which overflowed, is skipped."""
     a, b = f.interval.a, f.interval.b
     var_f, var_g = f.variation_bound, g.variation_bound
     sup_var = None if var_g is None else f.sup_bound * var_g + error_bound

@@ -65,6 +65,20 @@ def test_verify_bounds_reports_six_slacks(capsys):
     assert all(v is None or v >= -1e-12 for v in report["residuals"].values())
 
 
+def test_an_overflowing_norm_product_skips_its_check(capsys):
+    # var g and sup|g| overflow to inf on this interval (b - a is 2e308);
+    # an inf bound says nothing, so each check is skipped, not "held".
+    job = ("f=step[-1e308,1e308]{nodes:-1e308,0,1e308; at:0,1,1; on:0,1} "
+           "g=affine[-1e308,1e308]{slope:1e-308}")
+    code, report, _ = run_json(capsys, ["verify-bounds", "--json", job])
+    assert code == 0 and report["ok"] is True
+    assert len(report["residuals"]) == 6
+    assert all(v is None for v in report["residuals"].values())
+    code, out, err = run(capsys, ["verify-bounds", job])
+    assert code == 0 and err == "" and "inf" not in out
+    assert out.count(": skipped\n") == 6
+
+
 STEP_AFFINE = "f=step[0,1]{nodes:0,0.5,1; at:0,0,1; on:0,1} g=affine[0,1]{slope:1}"
 
 
@@ -131,6 +145,31 @@ def test_flag_overrides(capsys):
     assert 0 < tight["error_bound"] <= 1e-4 < loose["error_bound"] <= 1e-2
     code, _, err = run(capsys, ["integrate", "--tol", "-1", PAIR])
     assert code == 2 and "tol must be positive" in err
+
+
+@pytest.mark.parametrize("argv, code, err_text", [
+    (["integrate", "--json", PAIR], 0, ""),
+    (["integrate", PAIR, "--json"], 0, ""),
+    (["--json", "integrate", PAIR], 0, ""),
+    (["integrate", AFFINE_F, "--json", STEP_G], 0, ""),
+    (["integrate", "--tol", "1e-3", PAIR], 0, ""),
+    (["integrate", "--json", "--spec", "SPEC"], 0, ""),
+    ([], 2, "required: command"),
+    (["bogus", PAIR], 2, "invalid choice"),
+    (["integrate"], 2, "missing job text"),
+])
+def test_one_parser_takes_flags_in_any_order(tmp_path, capsys, argv, code, err_text):
+    spec = tmp_path / "jobs.txt"
+    spec.write_text(f"integrate {PAIR}\n")
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code and err_text in captured.err
+    if code == 0:
+        assert captured.err == "" and "value" in captured.out
 
 
 def test_refused_computation_exits_3(capsys):

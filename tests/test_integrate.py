@@ -55,9 +55,47 @@ E5 = ElementaryIntegrand(IndicatorKind.POINT_B)
 def test_kind_letters():
     assert IntegralKind.from_letter("K") is K
     assert IntegralKind.from_letter("D") is D
-    assert Y.letter == "Y"
+    assert Y.value == "Y"
     with pytest.raises(DomainError, match="unknown integral kind 'Q'"):
         IntegralKind.from_letter("Q")
+
+
+# 0 on [0, 1/2), 1 on [1/2, 1]: K = Y = 1 and D = 0 against itself.
+HALF_STEP = StepFunction(IV, (0.0, 0.5, 1.0), (0.0, 1.0, 1.0), (0.0, 1.0))
+E_HALF = ElementaryIntegrand(IndicatorKind.CLOSED_TAIL, 0.5)
+KIND_ENTRY_POINTS = {
+    "integrate": lambda k: integrate(HALF_STEP, HALF_STEP, k),
+    "integrate_limit": lambda k: integrate_limit(HALF_STEP, HALF_STEP, k),
+    "integrate_step_pair": lambda k: integrate_step_pair(HALF_STEP, HALF_STEP, k),
+    "by_parts": lambda k: by_parts(HALF_STEP, HALF_STEP, k),
+    "oracle_refinement": lambda k: oracle_refinement(HALF_STEP, HALF_STEP, k),
+    "elementary_forward": lambda k: elementary_forward(E_HALF, HALF_STEP, k),
+    "elementary_backward": lambda k: elementary_backward(HALF_STEP, E_HALF, k),
+}
+
+
+def _outcome(call, kind):
+    try:
+        out = call(kind)
+    except DomainError as exc:
+        return "refused", str(exc)
+    return out.value.hex(), out.kind
+
+
+@pytest.mark.parametrize("name", sorted(KIND_ENTRY_POINTS))
+def test_a_kind_letter_gives_the_members_result(name):
+    call = KIND_ENTRY_POINTS[name]
+    for kind in (K, Y, D):
+        assert _outcome(call, kind.value) == _outcome(call, kind)
+    assert _outcome(call, "D") == (0.0.hex(), D)
+    assert _outcome(call, "Y") == (1.0.hex(), Y)
+
+
+@pytest.mark.parametrize("name", sorted(KIND_ENTRY_POINTS))
+def test_an_unknown_kind_is_refused(name):
+    for kind in ("Q", "d", None):
+        with pytest.raises(DomainError, match=f"unknown integral kind {kind!r}"):
+            KIND_ENTRY_POINTS[name](kind)
 
 
 def test_elementary_integrand_validation():

@@ -28,8 +28,10 @@ def test_interval_rejects_degenerate_and_infinite():
 
 
 def test_interval_membership():
-    assert IV.contains(0.0) and IV.contains(1.0) and IV.contains(0.5)
-    assert not IV.contains(-1e-9)
+    for t in (0.0, 0.5, 1.0):
+        IV.require(t)
+    with pytest.raises(DomainError):
+        IV.require(-1e-9)
     with pytest.raises(DomainError):
         IV.require(1.5)
 
@@ -137,7 +139,6 @@ def test_decompose_reconstructs_near_machine_precision():
         back = dec.to_step()
         assert back.nodes == f.nodes
         for t in [0.0, 1.0] + [rng.uniform(0.0, 1.0) for _ in range(20)]:
-            assert abs(dec.value(t) - f(t)) <= 1e-13
             assert abs(back(t) - f(t)) <= 1e-13
 
 
