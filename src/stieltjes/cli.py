@@ -9,7 +9,8 @@ in any order: before or after COMMAND, or between the words of JOB.
 Exit codes
 ----------
 0   computed, verified, or converged
-1   a verification failed, or the oracle did not converge
+1   a verification failed, or the oracle did not converge; or stdout
+    was closed before the reports were written
 2   job text could not be parsed, or usage error; also a DSLError that
     ``run_job`` meets building a job nobody validated
 3   the computation itself refused (no variation bound, tolerance
@@ -26,6 +27,7 @@ omits it) and exits with the worst per-line code.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -256,10 +258,18 @@ def main(argv: list[str] | None = None) -> int:
         print("error: missing job text (or --spec FILE)", file=sys.stderr)
         return 2
     worst = 0
-    for text in jobs:
-        code, report = run_text(text, args.command, args.tol, args.seed)
-        _emit(report, args.json)
-        worst = max(worst, code)
+    try:
+        for text in jobs:
+            code, report = run_text(text, args.command, args.tol, args.seed)
+            _emit(report, args.json)
+            worst = max(worst, code)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader went away.  As the Python docs advise, point stdout
+        # at devnull so that the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return worst
 
 

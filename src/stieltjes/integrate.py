@@ -33,7 +33,14 @@ node lists, which may be equally dense; the smooth families, with few
 breaks, by a break walk that bisects once per break and reads the
 nodes between breaks in one slice.  The sums and the oracles keep the
 point reads, so they share no code with either walk.
-Everything else goes through certified step approximants.
+
+Limits: a pair with no step argument goes through ``integrate_limit``.
+When both arguments are catalog functions (``_smooth_parts``), the
+jump steps split off by bilinearity are walked exactly and the
+continuous part, the same for K, Y and D, is a midpoint sum under a
+second-order certificate (``_midpoint_limit``), so cells grow like
+tol**-1/2.  Every other pair goes through certified step approximants
+under the first-order norm inequalities, so cells grow like 1 / tol.
 """
 
 from __future__ import annotations
@@ -44,9 +51,11 @@ from itertools import chain
 from operator import mul, sub
 from typing import NamedTuple
 
+from . import regulated
 from .core import Interval, RegulatedFunction, checked_make
 from .errors import (ApproximationError, DomainError, StepPairError, StieltjesError,
                      VariationUnknownError, check_tol, finite_fsum)
+from .regulated import UNIT_ROUNDOFF
 from .stepfun import StepFunction, indicator
 from .sums import BoundsReport, _norm_checks
 
@@ -249,12 +258,216 @@ def _budget(tol: float, factor: float | None) -> float:
     return eps
 
 
+_BATCH = 1024  # midpoint cells per list in the midpoint sum
+
+
+def _product(x: float, y: float) -> float:
+    # x * y, with 0 for a zero factor even when the other is inf: a
+    # constant side adds nothing, however wild the other one is.
+    return x * y if x and y else 0.0
+
+
+def _merged_cells(xs, ys):
+    """(u, v, i, j) for each cell [u, v] of the union of two divisions of
+    one interval: it lies in cell i of xs and cell j of ys."""
+    out = []
+    i = j = 1
+    u = xs[0]
+    while i < len(xs):
+        x, y = xs[i], ys[j]
+        v = x if x <= y else y
+        out.append((u, v, i - 1, j - 1))
+        i += x == v
+        j += y == v
+        u = v
+    return out
+
+
+def _midpoint_plan(cells, budget: float, width: float, limit: int):
+    """Cell counts for the midpoint sum within a truncation ``budget``:
+    ``(segments, cells, bound)`` with segments ``(u, v, i, j, n)``, or
+    None when the cell sizes overflow.
+
+    A cell with finite C = F2 M1 / 24 + F1 M2 / 12 and n midpoint cells of
+    width h is bounded by n h**3 C.  The widths are those of the rounded
+    grid, at most ``12 u max(|u|, |v|)`` (u the unit roundoff) wider than
+    (v - u) / n.  Minimising the cells under a total budget gives each
+    such cell n = lam (v - u) C**(1/3), one lam for all.  A cell whose
+    second derivatives are unbounded (t**e, 1 < e < 2, at 0) is halved
+    until each half has a finite C or is one cell whose first-order bound
+    F1 M1 h**2 / 2 fits its share of budget / 16 by width.  ``cells`` is
+    math.inf past ``limit``, and where no budget or float resolution is
+    left."""
+    if not budget > 0:
+        return [], math.inf, math.inf
+    regular, segments, bounds = [], [], []  # first-order cells go first
+    stack = [(*cell, 0) for cell in reversed(cells)]
+    while stack:
+        u, v, i, j, (f1, f2), (m1, m2), forms, depth = stack.pop()
+        grid = 12.0 * UNIT_ROUNDOFF * max(abs(u), abs(v))
+        c = _product(f2, m1) / 24.0 + _product(f1, m2) / 12.0
+        if c < math.inf:
+            regular.append((u, v, i, j, c, grid))
+            continue
+        h = v - u + grid
+        b = _product(f1, m1) * h * h / 2.0
+        if b * width <= budget / 16.0 * (v - u):
+            segments.append((u, v, i, j, 1))
+            bounds.append(b)
+            continue
+        mid = 0.5 * (u + v)
+        if depth >= 60 or not u < mid < v:
+            return [], math.inf, math.inf
+        fp, gp = forms
+        for lo, hi in ((mid, v), (u, mid)):
+            stack.append((lo, hi, i, j, fp.derivative_bounds_on(lo, hi),
+                          gp.derivative_bounds_on(lo, hi), forms, depth + 1))
+    rest = (budget - math.fsum(bounds)) * (1.0 - 2.0 ** -30)
+    weights = [(v - u + limit * grid) * c ** (1.0 / 3.0) for u, v, _, _, c, grid in regular]
+    total = math.fsum(weights)
+    if not math.isfinite(total):
+        return None
+    lam = math.sqrt(total / rest) if rest > 0 else math.inf
+    cells = len(segments)
+    for (u, v, i, j, c, grid), weight in zip(regular, weights):
+        need = lam * weight if weight else 0.0
+        if not need <= limit:
+            return [], math.inf, math.inf
+        n = max(1, math.ceil(need))
+        cells += n
+        segments.append((u, v, i, j, n))
+        bounds.append(c * (v - u + n * grid) ** 3 / (n * n))
+    return segments, cells, math.fsum(bounds)
+
+
+def _midpoint_limit(f: RegulatedFunction, g: RegulatedFunction,
+                    kind: IntegralKind, tol: float) -> IntegralResult | None:
+    """The second-order limit route; None when either argument lacks
+    catalog derivative data (``_smooth_parts``) or its bounds overflow.
+
+    With f = f_j + f_c and g = g_j + g_c, f_j and g_j the jump steps,
+
+        I(f, dg) = I(f, dg_j) + I(f_j, dg) - I(f_j, dg_j) + int f_c g_c' dt.
+
+    The first three are step-pair walks for the kind; the last, the same
+    for K, Y and D, is the midpoint sum sum f_c(m) (g_c(x') - g_c(x)) on a
+    grid aligned with both break lists, sized by ``_midpoint_plan``.  The
+    rounding term adds, per cell [u, v] of the breaks' union, of width w,
+    with e_f and e_g one evaluation's error bound (``rounding_on``, plus
+    u Y for subtracting f's offset), Y = sup|f| + sup|f_j| + e_f and
+    N = MAX_APPROX_CELLS:
+
+        e_f M1 w + e_g (F1 w + 2 Y + 2 N e_f)     the values, summed by parts
+        12 u max(|u|, |v|) F1 M1 w                 the grid's rounded midpoints
+        gamma_3 Y (M1 w + 2 N e_g)                 the products and the sum
+
+    The walks are summed with the midpoint terms by one ``math.fsum``;
+    like the step-pair route they add no rounding term."""
+    fs, gs = f._smooth_parts(), g._smooth_parts()
+    if fs is None or gs is None:
+        return None
+    f_jumps, f_breaks, f_forms, f_offsets = fs
+    g_jumps, g_breaks, g_forms, _ = gs
+    sup = f.sup_bound + f_jumps.sup_bound
+    e_sum = 3.0 * UNIT_ROUNDOFF / (1.0 - 3.0 * UNIT_ROUNDOFF)
+    limit = regulated.MAX_APPROX_CELLS
+    cells, rounding = [], []
+    try:
+        for u, v, i, j in _merged_cells(f_breaks, g_breaks):
+            fp, gp = f_forms[i], g_forms[j]
+            (f1, f2), (m1, m2) = fp.derivative_bounds_on(u, v), gp.derivative_bounds_on(u, v)
+            cells.append((u, v, i, j, (f1, f2), (m1, m2), (fp, gp)))
+            w = v - u
+            e_f = fp.rounding_on(u, v) + UNIT_ROUNDOFF * sup
+            e_g = gp.rounding_on(u, v)
+            y = sup + e_f  # bounds |f_c(m)| as computed
+            rounding += (_product(e_f, m1) * w, e_g * (f1 * w + 2.0 * y + 2.0 * limit * e_f),
+                         12.0 * UNIT_ROUNDOFF * max(abs(u), abs(v)) * _product(f1, m1) * w,
+                         e_sum * y * (m1 * w + 2.0 * limit * e_g))
+    except DomainError:  # a base or piece without bounded f' on its cell
+        return None
+    rounding = math.fsum(rounding)
+    width = f.interval.b - f.interval.a
+    if not (math.isfinite(rounding) and math.isfinite(width)):
+        return None
+
+    def attempt(t):
+        plan = _midpoint_plan(cells, t - rounding, width, limit)
+        if plan is None:
+            return None
+        return plan, plan[1] <= limit and plan[2] + rounding <= t
+
+    found = attempt(tol)
+    if found is None:
+        return None
+    (segments, count, bound), fits = found
+    if not fits:
+        best = _smallest_tol(attempt, max(tol, rounding))  # no tol <= rounding fits
+        needs = (f"needs {count} midpoint cells" if count < math.inf
+                 else f"needs more than {limit} midpoint cells")
+        floor = (f"; the smallest tol this route can certify is {best:.3g}"
+                 if best < math.inf else "")
+        raise ApproximationError(f"tolerance {tol!r} {needs} (limit {limit}){floor}",
+                                 best_error=best)
+    walks = (integrate_step_pair(f, g_jumps, kind).value,
+             integrate_step_pair(f_jumps, g, kind).value,
+             -integrate_step_pair(f_jumps, g_jumps, kind).value)
+    terms = chain(walks, *(chain.from_iterable(
+        _midpoint_terms(f_forms[i], f_offsets[i], g_forms[j], u, v, n))
+        for u, v, i, j, n in segments))
+    return IntegralResult(finite_fsum(terms, "the midpoint sum"), kind, bound + rounding,
+                          Diagnostics("limit-midpoint", None, count))
+
+
+def _midpoint_terms(p, d, q, u: float, v: float, n: int):
+    """(p(m) - d) (q(x') - q(x)) on the n cells [x, x'] of the grid
+    x = u + k h, h = (v - u) / n, ending on v, with m = u + (k + 1/2) h:
+    one list per batch of _BATCH cells, so a tight tol asks for no long
+    lists, and each batch's values read through ``values_at``."""
+    h = (v - u) / n
+    for k0 in range(0, n, _BATCH):
+        k1 = min(k0 + _BATCH, n)
+        xs = [u + k * h for k in range(k0, k1 + 1)]
+        if k1 == n:
+            xs[-1] = v
+        zs = q.values_at(xs)
+        ys = p.values_at([u + (k + 0.5) * h for k in range(k0, k1)])
+        yield [(y - d) * (b - a) for y, a, b in zip(ys, zs, zs[1:])]
+
+
+def _smallest_tol(attempt, tol: float) -> float:
+    """The smallest tolerance ``attempt`` certifies, given that ``tol``
+    does not fit, to a factor 1 + 1e-7 above: powers of 4 times tol up
+    to one that fits, then halving the ratio of the last two in log
+    space; inf when none is found."""
+    lo = hi = tol
+    while True:
+        hi *= 4.0
+        found = attempt(hi) if hi < math.inf else None
+        if found is None:
+            return math.inf
+        if found[1]:
+            break
+        lo = hi
+    for _ in range(24):
+        mid = lo * math.sqrt(hi / lo)
+        found = attempt(mid)
+        if found is not None and found[1]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
                     kind: IntegralKind | str, tol: float = 1e-9) -> IntegralResult:
-    """Integral of f against dg through certified step approximants.
+    """Integral of f against dg with a certified error bound.
 
-    The regulated factor is replaced by a step approximant and the
-    defect is bounded a priori:
+    When both arguments are catalog functions this is the second-order
+    route of ``_midpoint_limit`` (method "limit-midpoint").  Otherwise
+    (an argument built on arbitrary callables, a step argument, or
+    catalog bounds that overflow) the regulated factor is replaced by a
+    step approximant and the defect is bounded a priori:
 
         |I(f, dg) - I(f_n, dg)| <= sup|f - f_n| * var g
         |I(f, dg) - I(f, dg_n)| <= (|f(a)| + |f(b)| + var f) * sup|g - g_n|
@@ -266,18 +479,23 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     floating-point product with that factor is at most tol, and eps =
     inf when the factor is 0, so that each piece takes one cell.  The
     returned ``error_bound``, the achieved sup error times the factor,
-    therefore never exceeds ``tol`` in floating point.  Needs at least one argument of certified
-    finite variation.  (A step argument approximates to itself, so the
-    result is then exact with error_bound 0.)
+    therefore never exceeds ``tol`` in floating point.  Needs at least
+    one argument of certified finite variation.  (A step argument
+    approximates to itself, so the result is then exact with error_bound
+    0.)
 
     An approximant's ApproximationError is re-raised with ``best_error``
     times the factor: the smallest tol this route can certify, named in
-    the message when it is finite.
+    the message when it is finite.  The second-order route refuses in
+    the same way.
     """
     kind = IntegralKind(kind)
     check_tol(tol)
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
+    midpoint = _midpoint_limit(f, g, kind, tol)
+    if midpoint is not None:
+        return midpoint
     a, b = f.interval.a, f.interval.b
     var_g, var_f = g.variation_bound, f.variation_bound
     bv_f = None if var_f is None else abs(f.value(a)) + abs(f.value(b)) + var_f

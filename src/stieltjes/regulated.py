@@ -20,11 +20,30 @@ from .stepfun import StepFunction, step_from_jumps
 # is treated as unreachable rather than allowed to exhaust memory.
 MAX_APPROX_CELLS = 1 << 20
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _times_width(c: float, u: float, v: float) -> float:
+    """c * (v - u), or c * v - c * u when that is not finite: the width
+    of a cell of a finite interval can overflow where c times it need not.
+    inf when both overflow, never nan, which ``max`` would pass over."""
+    x = c * (v - u)
+    if math.isfinite(x):
+        return x
+    y = c * v - c * u
+    return y if math.isfinite(y) else math.inf
+
 
 # ----------------------------------------------------------------------
 # Formula catalog.  Each entry knows its own Lipschitz constant and a
 # certified variation bound on any cell, which is what lets the DSL
 # build functions whose certificates need no user-supplied constants.
+# ``derivative_bounds_on`` gives sup|f'| and sup|f''| on a cell (inf
+# where f'' is unbounded), and ``rounding_on`` bounds the rounding
+# error of one evaluation at a point of the cell, assuming ``math.sin``
+# and ``**`` are within one ulp; the limit route's second-order
+# certificate reads both.  ``values_at(ts)`` is ``[f(t) for t in ts]``,
+# bit for bit, without a call per point: the route's midpoint sum.
 
 class Affine(Frozen):
     """t -> slope * t + intercept."""
@@ -38,11 +57,22 @@ class Affine(Frozen):
     def __call__(self, t: float) -> float:
         return self.slope * t + self.intercept
 
+    def values_at(self, ts) -> list[float]:
+        s, c = self.slope, self.intercept
+        return [s * t + c for t in ts]
+
     def lipschitz_on(self, u: float, v: float) -> float:
         return abs(self.slope)
 
     def variation_on(self, u: float, v: float) -> float:
-        return abs(self.slope) * (v - u)
+        return _times_width(abs(self.slope), u, v)
+
+    def derivative_bounds_on(self, u: float, v: float) -> tuple[float, float]:
+        return abs(self.slope), 0.0
+
+    def rounding_on(self, u: float, v: float) -> float:
+        # fl(fl(s t) + c): two roundings, the first one of |s t|.
+        return 3.0 * UNIT_ROUNDOFF * (abs(self.slope) * max(abs(u), abs(v)) + abs(self.intercept))
 
 
 class Power(Frozen):
@@ -63,6 +93,10 @@ class Power(Frozen):
     def __call__(self, t: float) -> float:
         return self.scale * t ** self.exponent
 
+    def values_at(self, ts) -> list[float]:
+        s, e = self.scale, self.exponent
+        return [s * t ** e for t in ts]
+
     def _check_cell(self, u: float, v: float) -> None:
         integral = float(self.exponent).is_integer()
         if u < 0 and not integral:
@@ -81,7 +115,27 @@ class Power(Frozen):
         self._check_cell(u, v)
         if u >= 0:  # monotone on [0, inf)
             return abs(self.scale) * abs(v ** self.exponent - u ** self.exponent)
-        return self.lipschitz_on(u, v) * (v - u)
+        return _times_width(self.lipschitz_on(u, v), u, v)
+
+    def derivative_bounds_on(self, u: float, v: float) -> tuple[float, float]:
+        d1 = self.lipschitz_on(u, v)
+        e, s = self.exponent, abs(self.scale)
+        if e == 1 or not s:
+            return d1, 0.0
+        if e >= 2:  # |t|**(e - 2) grows with |t|
+            k = max(abs(u), abs(v)) ** (e - 2)
+        elif u > 0:  # it shrinks, and a non-integer e needs u >= 0
+            try:
+                k = u ** (e - 2)
+            except OverflowError:
+                k = math.inf
+        else:  # f'' is unbounded at 0
+            k = math.inf
+        return d1, s * e * abs(e - 1) * k
+
+    def rounding_on(self, u: float, v: float) -> float:
+        # One ulp of |t|**e, then the product with the scale.
+        return 4.0 * UNIT_ROUNDOFF * abs(self.scale) * max(abs(u), abs(v)) ** self.exponent
 
 
 class SinWave(Frozen):
@@ -97,12 +151,25 @@ class SinWave(Frozen):
     def __call__(self, t: float) -> float:
         return self.amplitude * math.sin(self.freq * t + self.phase)
 
+    def values_at(self, ts) -> list[float]:
+        a, w, phi, sin = self.amplitude, self.freq, self.phase, math.sin
+        return [a * sin(w * t + phi) for t in ts]
+
     def lipschitz_on(self, u: float, v: float) -> float:
         return abs(self.amplitude * self.freq)
 
     def variation_on(self, u: float, v: float) -> float:
         # Upper bound; the exact arc count is not worth tracking.
-        return self.lipschitz_on(u, v) * (v - u)
+        return _times_width(self.lipschitz_on(u, v), u, v)
+
+    def derivative_bounds_on(self, u: float, v: float) -> tuple[float, float]:
+        return abs(self.amplitude * self.freq), abs(self.amplitude) * self.freq * self.freq
+
+    def rounding_on(self, u: float, v: float) -> float:
+        # The argument's two roundings, moved through sin (1-Lipschitz),
+        # sin's ulp and the product with the amplitude.
+        arg = abs(self.freq) * max(abs(u), abs(v)) + abs(self.phase)
+        return 4.0 * UNIT_ROUNDOFF * abs(self.amplitude) * (arg + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -139,14 +206,14 @@ class PiecewiseLipschitz(RegulatedFunction):
     """
 
     __slots__ = ("_breaks", "_pieces", "_lipschitz", "_node_values",
-                 "_limits", "_jumps", "_variation", "_sup")
+                 "_limits", "_jumps", "_variation", "_sup", "_parts")
 
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
                  node_values=None):
         bks = interval.check_division(breakpoints, "breakpoints")
         lipschitz = tuple(float(c) for c in lipschitz)
         self._setup(interval, bks, tuple(pieces), lipschitz, node_values,
-                    (c * (v - u) for c, u, v in zip(lipschitz, bks, bks[1:])))
+                    (_times_width(c, u, v) for c, u, v in zip(lipschitz, bks, bks[1:])))
 
     def _setup(self, interval, bks, pieces, lipschitz, node_values, piece_variations):
         """Both constructors' checks and certificates, on checked
@@ -189,8 +256,25 @@ class PiecewiseLipschitz(RegulatedFunction):
         # Any t in a cell [u, v] is within (v-u)/2 of the nearer end.
         sup = max(abs(v) for v in node_values)
         for fu, fv, c, u, v in zip(lefts, rights, lipschitz, bks, bks[1:]):
-            sup = max(sup, max(abs(fu), abs(fv)) + 0.5 * c * (v - u))
+            sup = max(sup, max(abs(fu), abs(fv)) + _times_width(0.5 * c, u, v))
         self._sup = sup
+        self._parts = None  # the catalog split, built on first use
+
+    def _catalog_parts(self):
+        """``_smooth_parts()`` when every piece is a catalog formula: the
+        jump step takes the gaps between the limits at each break, so that
+        on each cell f minus it is the piece minus the step's value there."""
+        if not all(hasattr(p, "derivative_bounds_on") for p in self._pieces):
+            return None
+        rows, bks = self._limits, self._breaks
+        plus = [(t, right - val) for t, (_, val, right) in zip(bks, rows[:-1])]
+        minus = [(t, val - left) for t, (left, val, _) in zip(bks[1:-1], rows[1:-1])]
+        left, val, _ = rows[-1]
+        try:
+            step = step_from_jumps(self._interval, 0.0, plus, minus, val - left)
+        except DomainError:  # a gap or a level overflows
+            return None
+        return step, self._breaks, self._pieces, tuple(step._limits_at(bks)[2][:-1])
 
     @classmethod
     def from_formulas(cls, interval: Interval, breakpoints, formulas,
@@ -248,6 +332,13 @@ class PiecewiseLipschitz(RegulatedFunction):
 
     def jump_points(self) -> tuple[float, ...]:
         return self._jumps
+
+    def _smooth_parts(self):
+        # Built on first use, since only the limit route reads it; () marks
+        # a function without one.
+        if self._parts is None:
+            self._parts = self._catalog_parts() or ()
+        return self._parts or None
 
     def approximate(self, eps: float) -> StepApproximation:
         """Uniform grid per piece with spacing <= eps / Lipschitz;
@@ -382,6 +473,11 @@ class MonotoneFunction(RegulatedFunction):
 
     def jump_points(self) -> tuple[float, ...]:
         return self._jump_step.jump_points()
+
+    def _smooth_parts(self):
+        if not hasattr(self._base, "derivative_bounds_on"):
+            return None
+        return self._jump_step, (self._interval.a, self._interval.b), (self._base,), (0.0,)
 
     def approximate(self, eps: float) -> StepApproximation:
         """Bisect the continuous base until every cell's rise is at most

@@ -29,6 +29,25 @@ def dyadic_steps(draw, max_inner: int = 4):
     return StepFunction(Interval(0.0, 1.0), nodes, at, on)
 
 
+class Opaque:
+    """A catalog formula with its derivative data hidden: the same values,
+    Lipschitz constants and variation bounds, but a function built from
+    it is not a catalog function, so its integrals keep the first-order
+    limit route."""
+
+    def __init__(self, formula):
+        self.formula = formula
+
+    def __call__(self, t):
+        return self.formula(t)
+
+    def lipschitz_on(self, u, v):
+        return self.formula.lipschitz_on(u, v)
+
+    def variation_on(self, u, v):
+        return self.formula.variation_on(u, v)
+
+
 class NoCertificate(RegulatedFunction):
     """Continuous, bounded, but refuses to certify anything useful."""
 

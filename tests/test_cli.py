@@ -66,10 +66,11 @@ def test_verify_bounds_reports_six_slacks(capsys):
 
 
 def test_an_overflowing_norm_product_skips_its_check(capsys):
-    # var g and sup|g| overflow to inf on this interval (b - a is 2e308);
-    # an inf bound says nothing, so each check is skipped, not "held".
-    job = ("f=step[-1e308,1e308]{nodes:-1e308,0,1e308; at:0,1,1; on:0,1} "
-           "g=affine[-1e308,1e308]{slope:1e-308}")
+    # sup|f| var g and bv f sup|g| are 1e200 times 1e200 or more, past
+    # the float range; an inf bound says nothing, so each check is
+    # skipped, not "held".  f is nonzero only at b, where g does not
+    # jump, so every sum and the integral are 0.
+    job = "f=step[0,1]{nodes:0,1; at:0,1e200; on:0} g=affine[0,1]{slope:1e200}"
     code, report, _ = run_json(capsys, ["verify-bounds", "--json", job])
     assert code == 0 and report["ok"] is True
     assert len(report["residuals"]) == 6
@@ -187,9 +188,10 @@ def test_refusal_reports_the_reachable_tolerance(capsys, monkeypatch):
            "g=sin[0,1]{freq:2}"]
     code, report, _ = run_json(capsys, job)
     assert code == 3 and set(report) == {"error", "best_error"}
-    # In integral units: f's Lipschitz constant 3 times var g = 2 over
-    # the cell limit, where the approximant's own floor is 3 / 2**20.
-    assert report["best_error"] == pytest.approx(6 / 2**20)
+    # The second-order floor: on 2**20 midpoint cells of [0, 1] the
+    # truncation bound is C / 2**40 with C = F2 M1 / 24 + F1 M2 / 12
+    # = 9 * 2 / 24 + 3 * 4 / 12 = 1.75, and the rounding term adds ~1%.
+    assert 1.75 / 2**40 < report["best_error"] <= 1.02 * 1.75 / 2**40
     assert "can certify" in report["error"]
     # A refusal that names no reachable tolerance reports null.
     def refuse(*_):
@@ -242,12 +244,12 @@ def test_overflowing_sums_are_refused(capsys, argv, what):
 
 
 def test_monotone_cell_count_overflow_keeps_its_best_error(capsys):
-    # A rise of 1e300 at eps ~ 1e-9 needs more cells than a float holds;
-    # the floor rise / (2 * MAX_APPROX_CELLS), times var g, stays finite.
+    # A rise of 1e300 at tol 1e-9 needs about 1e154 midpoint cells; the
+    # second-order floor, about 1e299 / 12 over 2**40, stays finite.
     job = "f=monotone_jumps[0,1]{base: affine(slope:1e300)} g=sin[0,1]{freq:1}"
     got, report, err = run_json(capsys, ["integrate", "--json", job])
     assert got == 3 and err == ""
-    assert "needs a cell count that overflows" in report["error"]
+    assert "midpoint cells" in report["error"]
     assert 0 < report["best_error"] < math.inf
 
 
@@ -364,6 +366,23 @@ def test_cli_import_loads_no_dataclass_machinery():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # The pipe's read end is closed before the process starts, so its
+    # first write meets EPIPE, as under `stieltjes ... | head -0`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    try:
+        out = subprocess.run([sys.executable, "-m", "stieltjes.cli", "integrate", STEP_AFFINE],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert out.stderr == ""
 
 
 def test_public_records_are_immutable():

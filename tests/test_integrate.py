@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import NoCertificate, dyadic_steps, rand_smooth, rand_step
+from conftest import NoCertificate, Opaque, dyadic_steps, rand_smooth, rand_step
 from stieltjes import (Affine, ApproximationError, DomainError,
                        ElementaryIntegrand, IndicatorKind, IntegralKind,
                        Interval, MonotoneFunction, PiecewiseLipschitz, Power,
@@ -29,6 +29,8 @@ IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK
 
 IDENT = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1.0),))
+# t without catalog derivative data: its integrals take the first-order route.
+PLAIN_IDENT = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(1.0)),))
 
 
 class UncertifiedVariation(PiecewiseLipschitz):
@@ -312,7 +314,7 @@ def test_node_walk_matches_the_indicator_table():
 # --------------------------------------------------------------- limit route
 
 def test_classical_integral_through_the_limit_route():
-    res = integrate_limit(IDENT, IDENT, K, tol=1e-3)
+    res = integrate_limit(PLAIN_IDENT, PLAIN_IDENT, K, tol=1e-3)
     assert abs(res.value - 0.5) <= res.error_bound <= 1e-3
     assert res.diagnostics.method == "limit-integrand"
     assert res.diagnostics.approximant_pieces >= 1000
@@ -338,8 +340,8 @@ def test_limit_route_with_step_integrand_is_exact():
 def test_limit_route_picks_the_cheaper_side():
     # var g is tiny, so approximating f against it predicts a much
     # smaller bound than approximating g against bv(f).
-    flat = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1e-6),))
-    wild = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(3.0),))
+    flat = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(1e-6)),))
+    wild = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(3.0)),))
     res = integrate_limit(wild, flat, K, tol=1e-4)
     assert res.diagnostics.method == "limit-integrand"
     assert abs(res.value) <= 1e-5          # integral against a near-constant
@@ -355,12 +357,12 @@ def test_limit_budget_holds_in_floating_point():
     assert (tol / v) * v > tol
     eps = math.nextafter(tol / v, 0.0)     # the largest float budget
     assert eps * v <= tol < math.nextafter(eps, 1.0) * v
-    g = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(v),))
+    g = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(v)),))
     assert g.variation_bound == v
 
     def rising_by(rise):
         # The unit jump makes bv f large, so the integrand side is kept.
-        return MonotoneFunction(IV, Affine(rise), jumps=((0.5, 0.0, 1.0),))
+        return MonotoneFunction(IV, Opaque(Affine(rise)), jumps=((0.5, 0.0, 1.0),))
 
     # A base rising by exactly 2 eps is one cell with osc == 2 eps: the
     # achieved error is eps itself and the whole budget is used.
@@ -410,8 +412,8 @@ def test_limit_route_cells_follow_the_exact_certificate():
     # needs ceil(L w var_g / tol) cells: the cell count is pinned to
     # L (b - a) var_g / tol plus one cell per piece for the ceilings.
     p = PiecewiseLipschitz.from_formulas(
-        IV, (0.0, 0.4, 1.0), (Affine(2.0, 0.5), SinWave(3.0, 0.5, 1.0)))
-    m = MonotoneFunction(IV, Power(2.0), jumps=((0.5, 0.25, 0.25),))
+        IV, (0.0, 0.4, 1.0), (Opaque(Affine(2.0, 0.5)), Opaque(SinWave(3.0, 0.5, 1.0))))
+    m = MonotoneFunction(IV, Opaque(Power(2.0)), jumps=((0.5, 0.25, 0.25),))
     tol = 1e-4
     res = integrate_limit(p, m, Y, tol)
     assert res.diagnostics.method == "limit-integrand"
@@ -426,10 +428,10 @@ def test_limit_route_with_zero_factors():
     # put 0 in the certificate's factor, which certifies any approximant:
     # one cell per piece at every tol.  The monotone side has two pieces,
     # its base's one cell split by the jump at 0.5.
-    wave = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (SinWave(4.0),))
-    flat = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(0.0, 3.0),))
-    zero = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(0.0),))
-    mono = MonotoneFunction(IV, Power(2.0), jumps=((0.5, 0.25, 0.25),))
+    wave = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(SinWave(4.0)),))
+    flat = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(0.0, 3.0)),))
+    zero = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(0.0)),))
+    mono = MonotoneFunction(IV, Opaque(Power(2.0)), jumps=((0.5, 0.25, 0.25),))
     assert flat.variation_bound == 0.0 and zero.variation_bound == 0.0
     for f, g, method, pieces in ((wave, flat, "limit-integrand", 1),
                                  (zero, mono, "limit-integrator", 2)):
@@ -445,12 +447,12 @@ def test_limit_route_refusal_names_the_reachable_tolerance(monkeypatch):
     # With 1024 cells allowed, the refusal's best_error is in integral
     # units: the route certifies that tol and refuses anything below.
     monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 1024)
-    slope2 = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(2.0),))
-    quarter = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(0.25),))
-    steep = MonotoneFunction(IV, Affine(4.0))
+    slope2 = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(2.0)),))
+    quarter = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(0.25)),))
+    steep = MonotoneFunction(IV, Opaque(Affine(4.0)))
     # (f, g, method, best): the integrand side against var g = 2, and
     # the integrator side under bv f = 1/2.
-    for f, g, method, best in ((IDENT, slope2, "limit-integrand", 2.0 ** -9),
+    for f, g, method, best in ((PLAIN_IDENT, slope2, "limit-integrand", 2.0 ** -9),
                                (quarter, steep, "limit-integrator", 2.0 ** -10)):
         with pytest.raises(ApproximationError) as info:
             integrate_limit(f, g, K, tol=2.0 ** -30)
@@ -468,14 +470,25 @@ def test_limit_route_refusal_names_no_infinite_floor(monkeypatch):
     # needs more: that refusal knows no reachable tol, so the message
     # must not claim that none exists; a larger tol still succeeds.
     monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 64)
-    f = MonotoneFunction(IV, Power(3.0))
-    g = MonotoneFunction(IV, Power(1.0))
+    f = MonotoneFunction(IV, Opaque(Power(3.0)))
+    g = MonotoneFunction(IV, Opaque(Power(1.0)))
     with pytest.raises(ApproximationError) as info:
         integrate(f, g, K, 0.01)
     assert info.value.best_error == math.inf
     assert "can certify" not in str(info.value)
     assert "inf" not in str(info.value)
     assert integrate(f, g, K, 0.012).error_bound <= 0.012
+
+
+def test_monotone_cell_count_overflow_keeps_its_best_error():
+    # On the first-order route a rise of 1e300 at eps ~ 1e-9 needs more
+    # cells than a float holds; the floor rise / (2 * MAX_APPROX_CELLS),
+    # times var g, stays finite.
+    f = MonotoneFunction(IV, Opaque(Affine(1e300)))
+    g = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(SinWave(1.0)),))
+    with pytest.raises(ApproximationError, match="needs a cell count that overflows") as info:
+        integrate(f, g, K)
+    assert 0 < info.value.best_error < math.inf
 
 
 def test_limit_route_preconditions():
@@ -505,11 +518,13 @@ def test_every_entry_point_refuses_a_tol_outside_zero_to_inf(tol):
 
 def test_facade_routes_by_argument_type():
     assert integrate(E4.as_step(IV), SPIKY, D).diagnostics.method == "step-table"
-    assert integrate(IDENT, IDENT, K, tol=1e-3).diagnostics.method == "limit-integrand"
+    assert integrate(PLAIN_IDENT, PLAIN_IDENT, K, tol=1e-3).diagnostics.method == \
+        "limit-integrand"
+    assert integrate(IDENT, IDENT, K, tol=1e-3).diagnostics.method == "limit-midpoint"
     # The integrator's variation bound alone suffices for the limit
     # route; the integrand only has to be approximable.
-    shy = UncertifiedVariation.from_formulas(IV, (0.0, 1.0), (Affine(1.0),))
-    res = integrate(shy, IDENT, Y, tol=1e-3)
+    shy = UncertifiedVariation.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(1.0)),))
+    res = integrate(shy, PLAIN_IDENT, Y, tol=1e-3)
     assert abs(res.value - 0.5) <= res.error_bound <= 1e-3
 
 

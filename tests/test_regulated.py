@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,48 @@ def test_sin_catalog_data():
     f = SinWave(freq=2.0, amplitude=3.0, phase=0.5)
     assert f(0.25) == pytest.approx(3.0 * math.sin(1.0))
     assert f.lipschitz_on(0.0, 1.0) == 6.0
+
+
+def test_catalog_derivative_bounds():
+    assert Affine(-2.0, 1.0).derivative_bounds_on(0.0, 1.0) == (2.0, 0.0)
+    assert SinWave(2.0, 3.0).derivative_bounds_on(0.0, 1.0) == (6.0, 12.0)
+    # -2 t**3: |f'| = 6 t**2 and |f''| = 12 |t| peak at t = -1.
+    assert Power(3.0, -2.0).derivative_bounds_on(-1.0, 0.5) == (6.0, 12.0)
+    assert Power(2.0, 3.0).derivative_bounds_on(0.0, 1.0) == (6.0, 6.0)
+    assert Power(1.0, 2.0).derivative_bounds_on(0.0, 1.0) == (2.0, 0.0)
+    # Below exponent 2, f'' peaks at the left end, and is unbounded at 0.
+    assert Power(1.5).derivative_bounds_on(0.0, 1.0) == (1.5, math.inf)
+    assert Power(1.5).derivative_bounds_on(0.25, 1.0) == (1.5, 1.5)
+    assert Power(0.5).derivative_bounds_on(0.25, 1.0) == (1.0, 2.0)
+    with pytest.raises(DomainError):
+        Power(0.5).derivative_bounds_on(0.0, 1.0)
+
+
+def test_catalog_values_and_their_rounding():
+    # values_at is the pointwise call, bit for bit; an evaluation is within
+    # rounding_on of the exact value (checked exactly for polynomials).
+    rng = random.Random(7)
+    ts = [rng.uniform(-2.0, 2.0) for _ in range(200)]
+    for fm in (Affine(rng.uniform(-3, 3), rng.uniform(-3, 3)), Power(3.0, rng.uniform(-3, 3)),
+               Power(2.0, rng.uniform(-3, 3)), SinWave(3.0, 0.5, 1.0)):
+        assert fm.values_at(ts) == [fm(t) for t in ts]
+        if isinstance(fm, SinWave):
+            continue
+        coef = ({1: fm.slope, 0: fm.intercept} if isinstance(fm, Affine)
+                else {int(fm.exponent): fm.scale})
+        for t in ts:
+            exact = sum(Fraction(c) * Fraction(t) ** k for k, c in coef.items())
+            assert abs(Fraction(fm(t)) - exact) <= fm.rounding_on(-2.0, 2.0)
+
+
+def test_an_overflowing_width_keeps_finite_bounds():
+    # b - a is 2e308, past the float range, but slope times it is about 2.
+    wide = Interval(-1e308, 1e308)
+    for fm in (Affine(1e-308), Power(1.0, 1e-308), SinWave(1e-308)):
+        f = PiecewiseLipschitz.from_formulas(wide, (-1e308, 1e308), (fm,))
+        assert 1.6 < f.variation_bound < 2.1 and 1.8 < f.sup_bound < 2.1
+    g = PiecewiseLipschitz(wide, (-1e308, 1e308), (Affine(1e-308),), (1e-308,))
+    assert 1.9 < g.variation_bound < 2.1 and 1.9 < g.sup_bound < 2.1
 
 
 def test_value_types_pickle_and_repr():
