@@ -3,9 +3,10 @@
 Three integrals of f against dg on a compact interval: the Kurzweil
 (gauge-limit) integral, the Young (refinement-limit with jump-aware
 sums) integral, and the Dushnik (refinement-limit with plain interior
-sums) integral.  Step functions integrate exactly; everything else gets
-a certified error bound through step approximants.  K and Y always
-agree here, and
+sums) integral.  A pair with a step function integrates exactly; a
+catalog pair walks its jumps exactly and certifies the continuous rest
+by a midpoint sum; any other pair gets a certified error bound through
+step approximants.  K and Y always agree here, and
 
     K(f, dg) = f(b) g(b) - f(a) g(a) - D(g, df)
 

@@ -34,9 +34,9 @@ breaks, by a break walk that bisects once per break and reads the
 nodes between breaks in one slice.  The sums and the oracles keep the
 point reads, so they share no code with either walk.
 
-Limits: a pair with no step argument goes through ``integrate_limit``.
-When both arguments are catalog functions (``_smooth_parts``), the
-jump steps split off by bilinearity are walked exactly and the
+Routes: ``integrate_limit`` picks one per pair, and ``integrate`` is
+the same call.  A step argument takes the walk above.  When both
+arguments are catalog functions (``_smooth_parts``), the jump steps split off by bilinearity are walked exactly and the
 continuous part, the same for K, Y and D, is a midpoint sum under a
 second-order certificate (``_midpoint_limit``), so cells grow like
 tol**-1/2.  Every other pair goes through certified step approximants
@@ -46,6 +46,7 @@ under the first-order norm inequalities, so cells grow like 1 / tol.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
 from itertools import chain
 from operator import mul, sub
@@ -81,16 +82,21 @@ class IndicatorKind(Enum):
     CLOSED_TAIL = "chi_closed_tau" # chi of [tau, b], tau interior
     POINT_B = "chi_point_b"        # chi of the single point b
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown indicator kind {value!r}")
+
 
 class ElementaryIntegrand(NamedTuple("ElementaryIntegrand",
                                       [("kind", IndicatorKind), ("tau", "float | None")])):
     """One of the five indicator integrands, with its location when it
-    has one."""
+    has one.  A kind is passed as a member or as its value."""
 
     __slots__ = ()
     _make = checked_make
 
-    def __new__(cls, kind: IndicatorKind, tau: float | None = None) -> "ElementaryIntegrand":
+    def __new__(cls, kind: IndicatorKind | str, tau: float | None = None) -> "ElementaryIntegrand":
+        kind = IndicatorKind(kind)
         needs_tau = kind in (IndicatorKind.OPEN_TAIL, IndicatorKind.CLOSED_TAIL)
         if needs_tau and tau is None:
             raise DomainError(f"{kind.value} needs a location tau")
@@ -152,10 +158,8 @@ def elementary_forward(e: ElementaryIntegrand, g: RegulatedFunction,
     elif k is IndicatorKind.CLOSED_TAIL:
         tau = _require_tau(e, g.interval)
         value = g.value(b) - (g.left_limit(tau) if ky else g.value(tau))
-    elif k is IndicatorKind.POINT_B:
+    else:  # POINT_B
         value = (g.value(b) - g.left_limit(b)) if ky else 0.0
-    else:
-        raise DomainError(f"unknown indicator kind {k!r}")
     return IntegralResult(value, kind, 0.0, Diagnostics("indicator-table"))
 
 
@@ -176,10 +180,8 @@ def elementary_backward(g: RegulatedFunction, e: ElementaryIntegrand,
     elif k is IndicatorKind.CLOSED_TAIL:
         tau = _require_tau(e, g.interval)
         value = g.value(tau) if ky else g.left_limit(tau)
-    elif k is IndicatorKind.POINT_B:
+    else:  # POINT_B
         value = g.value(b) if ky else g.left_limit(b)
-    else:
-        raise DomainError(f"unknown indicator kind {k!r}")
     return IntegralResult(value, kind, 0.0, Diagnostics("indicator-table"))
 
 
@@ -242,11 +244,10 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
                           Diagnostics("step-table"))
 
 
-def _budget(tol: float, factor: float | None) -> float:
+def _budget(tol: float, factor: float) -> float:
     """The largest float eps with fl(eps * factor) <= tol.  fl(x *
     factor) is monotone in x, so stepping from tol / factor by an ulp or
-    two finds it.  A zero factor certifies any approximant, and only a
-    step side, which approximates to itself, lacks one: both get
+    two finds it.  A zero factor certifies any approximant: it gets
     math.inf."""
     if not factor:
         return math.inf
@@ -267,22 +268,6 @@ def _product(x: float, y: float) -> float:
     return x * y if x and y else 0.0
 
 
-def _merged_cells(xs, ys):
-    """(u, v, i, j) for each cell [u, v] of the union of two divisions of
-    one interval: it lies in cell i of xs and cell j of ys."""
-    out = []
-    i = j = 1
-    u = xs[0]
-    while i < len(xs):
-        x, y = xs[i], ys[j]
-        v = x if x <= y else y
-        out.append((u, v, i - 1, j - 1))
-        i += x == v
-        j += y == v
-        u = v
-    return out
-
-
 def _midpoint_plan(cells, budget: float, width: float, limit: int):
     """Cell counts for the midpoint sum within a truncation ``budget``:
     ``(segments, cells, bound)`` with segments ``(u, v, i, j, n)``, or
@@ -297,7 +282,8 @@ def _midpoint_plan(cells, budget: float, width: float, limit: int):
     until each half has a finite C or is one cell whose first-order bound
     F1 M1 h**2 / 2 fits its share of budget / 16 by width.  ``cells`` is
     math.inf past ``limit``, and where no budget or float resolution is
-    left."""
+    left, and the halving stops before its cells, done and pending, pass
+    ``limit``."""
     if not budget > 0:
         return [], math.inf, math.inf
     regular, segments, bounds = [], [], []  # first-order cells go first
@@ -316,7 +302,8 @@ def _midpoint_plan(cells, budget: float, width: float, limit: int):
             bounds.append(b)
             continue
         mid = 0.5 * (u + v)
-        if depth >= 60 or not u < mid < v:
+        halved = len(regular) + len(segments) + len(stack) + 2  # cells done and pending
+        if depth >= 60 or not u < mid < v or halved > limit:
             return [], math.inf, math.inf
         fp, gp = forms
         for lo, hi in ((mid, v), (u, mid)):
@@ -372,8 +359,10 @@ def _midpoint_limit(f: RegulatedFunction, g: RegulatedFunction,
     e_sum = 3.0 * UNIT_ROUNDOFF / (1.0 - 3.0 * UNIT_ROUNDOFF)
     limit = regulated.MAX_APPROX_CELLS
     cells, rounding = [], []
+    breaks = sorted({*f_breaks, *g_breaks})
     try:
-        for u, v, i, j in _merged_cells(f_breaks, g_breaks):
+        for u, v in zip(breaks, breaks[1:]):  # cell i of f's breaks, cell j of g's
+            i, j = bisect_right(f_breaks, u) - 1, bisect_right(g_breaks, u) - 1
             fp, gp = f_forms[i], g_forms[j]
             (f1, f2), (m1, m2) = fp.derivative_bounds_on(u, v), gp.derivative_bounds_on(u, v)
             cells.append((u, v, i, j, (f1, f2), (m1, m2), (fp, gp)))
@@ -384,9 +373,9 @@ def _midpoint_limit(f: RegulatedFunction, g: RegulatedFunction,
             rounding += (_product(e_f, m1) * w, e_g * (f1 * w + 2.0 * y + 2.0 * limit * e_f),
                          12.0 * UNIT_ROUNDOFF * max(abs(u), abs(v)) * _product(f1, m1) * w,
                          e_sum * y * (m1 * w + 2.0 * limit * e_g))
-    except DomainError:  # a base or piece without bounded f' on its cell
+        rounding = math.fsum(rounding)
+    except (DomainError, OverflowError):  # no bounded f' on a cell, or a sum past the range
         return None
-    rounding = math.fsum(rounding)
     width = f.interval.b - f.interval.a
     if not (math.isfinite(rounding) and math.isfinite(width)):
         return None
@@ -463,11 +452,13 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
                     kind: IntegralKind | str, tol: float = 1e-9) -> IntegralResult:
     """Integral of f against dg with a certified error bound.
 
-    When both arguments are catalog functions this is the second-order
-    route of ``_midpoint_limit`` (method "limit-midpoint").  Otherwise
-    (an argument built on arbitrary callables, a step argument, or
-    catalog bounds that overflow) the regulated factor is replaced by a
-    step approximant and the defect is bounded a priori:
+    A step argument gives the exact closed form of
+    ``integrate_step_pair`` (method "step-table", error_bound 0).  When
+    both arguments are catalog functions this is the second-order route
+    of ``_midpoint_limit`` (method "limit-midpoint").  Otherwise (an
+    argument built on arbitrary callables, or catalog bounds that
+    overflow) the regulated factor is replaced by a step approximant and
+    the defect is bounded a priori:
 
         |I(f, dg) - I(f_n, dg)| <= sup|f - f_n| * var g
         |I(f, dg) - I(f, dg_n)| <= (|f(a)| + |f(b)| + var f) * sup|g - g_n|
@@ -480,17 +471,17 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     inf when the factor is 0, so that each piece takes one cell.  The
     returned ``error_bound``, the achieved sup error times the factor,
     therefore never exceeds ``tol`` in floating point.  Needs at least
-    one argument of certified finite variation.  (A step argument
-    approximates to itself, so the result is then exact with error_bound
-    0.)
+    one argument of certified finite variation.
 
     An approximant's ApproximationError is re-raised with ``best_error``
     times the factor: the smallest tol this route can certify, named in
     the message when it is finite.  The second-order route refuses in
     the same way.
     """
-    kind = IntegralKind(kind)
     check_tol(tol)
+    if isinstance(f, StepFunction) or isinstance(g, StepFunction):
+        return integrate_step_pair(f, g, kind)
+    kind = IntegralKind(kind)
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
     midpoint = _midpoint_limit(f, g, kind, tol)
@@ -507,16 +498,7 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
 
     predicted_f = None if var_g is None else tol * var_g / (2.0 * var_g + 1.0)
     predicted_g = None if bv_f is None else tol * bv_f / (bv_f + 1.0)
-
-    # A step argument approximates to itself at zero cost, so that side
-    # always wins; otherwise take the smaller predicted bound.
-    if isinstance(f, StepFunction):
-        take_f = True
-    elif isinstance(g, StepFunction):
-        take_f = False
-    else:
-        take_f = predicted_g is None or (
-            predicted_f is not None and predicted_f <= predicted_g)
+    take_f = predicted_g is None or (predicted_f is not None and predicted_f <= predicted_g)
 
     # Approximate the integrand against g, or the integrator under f.
     side, factor = (f, var_g) if take_f else (g, bv_f)
@@ -532,19 +514,16 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     fn, gn = (step, g) if take_f else (f, step)
     exact = integrate_step_pair(fn, gn, kind)
     return IntegralResult(
-        exact.value, kind, 0.0 if err == 0.0 else err * factor,
+        exact.value, kind, err * factor,
         Diagnostics("limit-integrand" if take_f else "limit-integrator",
                     err, step.piece_count))
 
 
 def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | str,
               tol: float = 1e-9) -> IntegralResult:
-    """Front door: exact closed form whenever either argument is a
-    step function (no variation bound needed then), the certified limit
-    route otherwise."""
-    check_tol(tol)
-    if isinstance(f, StepFunction) or isinstance(g, StepFunction):
-        return integrate_step_pair(f, g, kind)
+    """Front door, the route ``integrate_limit`` picks: the exact closed
+    form whenever either argument is a step function (no variation bound
+    needed then), a certified limit otherwise."""
     return integrate_limit(f, g, kind, tol)
 
 

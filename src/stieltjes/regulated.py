@@ -79,7 +79,9 @@ class Power(Frozen):
     """t -> scale * t**exponent, exponent > 0.
 
     Non-integer exponents need u >= 0; exponents below 1 additionally
-    need u > 0 to stay Lipschitz.
+    need u > 0 to stay Lipschitz.  A value or Lipschitz constant past the
+    float range is refused with a DomainError; once a cell's end values
+    are read, the other bounds on it stay finite.
     """
 
     __slots__ = ("exponent", "scale")
@@ -91,7 +93,10 @@ class Power(Frozen):
         object.__setattr__(self, "scale", scale)
 
     def __call__(self, t: float) -> float:
-        return self.scale * t ** self.exponent
+        try:
+            return self.scale * t ** self.exponent
+        except OverflowError:
+            raise DomainError(f"t**{self.exponent} overflows at t = {t!r}") from None
 
     def values_at(self, ts) -> list[float]:
         s, e = self.scale, self.exponent
@@ -107,9 +112,10 @@ class Power(Frozen):
     def lipschitz_on(self, u: float, v: float) -> float:
         self._check_cell(u, v)
         e, s = self.exponent, abs(self.scale)
-        if e >= 1:
-            return s * e * max(abs(u), abs(v)) ** (e - 1)
-        return s * e * u ** (e - 1)
+        try:
+            return s * e * (max(abs(u), abs(v)) ** (e - 1) if e >= 1 else u ** (e - 1))
+        except OverflowError:
+            raise DomainError(f"t**{e} has no finite Lipschitz constant on [{u!r}, {v!r}]") from None
 
     def variation_on(self, u: float, v: float) -> float:
         self._check_cell(u, v)
@@ -260,22 +266,6 @@ class PiecewiseLipschitz(RegulatedFunction):
         self._sup = sup
         self._parts = None  # the catalog split, built on first use
 
-    def _catalog_parts(self):
-        """``_smooth_parts()`` when every piece is a catalog formula: the
-        jump step takes the gaps between the limits at each break, so that
-        on each cell f minus it is the piece minus the step's value there."""
-        if not all(hasattr(p, "derivative_bounds_on") for p in self._pieces):
-            return None
-        rows, bks = self._limits, self._breaks
-        plus = [(t, right - val) for t, (_, val, right) in zip(bks, rows[:-1])]
-        minus = [(t, val - left) for t, (left, val, _) in zip(bks[1:-1], rows[1:-1])]
-        left, val, _ = rows[-1]
-        try:
-            step = step_from_jumps(self._interval, 0.0, plus, minus, val - left)
-        except DomainError:  # a gap or a level overflows
-            return None
-        return step, self._breaks, self._pieces, tuple(step._limits_at(bks)[2][:-1])
-
     @classmethod
     def from_formulas(cls, interval: Interval, breakpoints, formulas,
                       node_values=None) -> "PiecewiseLipschitz":
@@ -334,10 +324,23 @@ class PiecewiseLipschitz(RegulatedFunction):
         return self._jumps
 
     def _smooth_parts(self):
-        # Built on first use, since only the limit route reads it; () marks
-        # a function without one.
+        """The split when every piece is a catalog formula and no gap
+        overflows: the jump step takes the gaps between the limits at each
+        break, so that on each cell f minus it is the piece minus the
+        step's value there.  Built on first use, since only the limit
+        route reads it; () marks a function without one."""
         if self._parts is None:
-            self._parts = self._catalog_parts() or ()
+            self._parts = ()
+            if all(hasattr(p, "derivative_bounds_on") for p in self._pieces):
+                rows, bks = self._limits, self._breaks
+                plus = [(t, right - val) for t, (_, val, right) in zip(bks, rows[:-1])]
+                minus = [(t, val - left) for t, (left, val, _) in zip(bks[1:-1], rows[1:-1])]
+                left, val, _ = rows[-1]
+                try:
+                    step = step_from_jumps(self._interval, 0.0, plus, minus, val - left)
+                except DomainError:  # a gap or a level overflows
+                    return None
+                self._parts = step, bks, self._pieces, tuple(step._limits_at(bks)[2][:-1])
         return self._parts or None
 
     def approximate(self, eps: float) -> StepApproximation:

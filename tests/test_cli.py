@@ -214,6 +214,9 @@ def test_refusal_reports_the_reachable_tolerance(capsys, monkeypatch):
     ("f=monotone_jumps[0,1e10]{base: affine(slope:1e300)} g=sin[0,1e10]{freq:1}", 2),
     ("f=monotone_jumps[0,1]{base: affine(slope:1.7e308); jumps: 1:1.7e308:0} "
      "g=sin[0,1]{freq:1}", 2),
+    # t**2 past the float range at b, as a function and as a monotone base.
+    ("f=power[0,1e200]{exponent:2} g=affine[0,1e200]{slope:1}", 2),
+    ("f=monotone_jumps[0,1e200]{base: power(exponent: 2)} g=affine[0,1e200]{slope:1}", 2),
 ])
 def test_overflowing_certificates_are_refused(capsys, job, code):
     got, report, err = run_json(capsys, ["integrate", "--json", job])

@@ -110,6 +110,19 @@ def test_elementary_integrand_validation():
                            SPIKY, K)                          # tau not interior
 
 
+def test_an_indicator_kind_is_a_member_or_its_value():
+    assert ElementaryIntegrand("one") == E1
+    assert ElementaryIntegrand("chi_closed_tau", 0.5) == E4
+    # The value is checked like the member: a tail kind needs its tau.
+    with pytest.raises(DomainError, match="chi_open_tau needs a location"):
+        ElementaryIntegrand("chi_open_tau")
+    for kind in ("chi_bogus", None, IntegralKind.KURZWEIL):
+        with pytest.raises(DomainError, match=f"unknown indicator kind {kind!r}"):
+            ElementaryIntegrand(kind)
+    with pytest.raises(DomainError, match="unknown indicator kind"):
+        E1._replace(kind="two")
+
+
 def test_as_step_shapes():
     assert E1.as_step(IV) == StepFunction.constant(IV, 1.0)
     f2 = E2.as_step(IV)
@@ -322,19 +335,33 @@ def test_classical_integral_through_the_limit_route():
 
 
 def test_limit_route_against_a_step_integrator():
-    # The step side approximates to itself, so the limit route lands on
-    # the closed form exactly whatever the tolerance is.
+    # A step argument goes straight to the closed form, exactly,
+    # whatever the tolerance is.
     g = indicator(IV, 0.5, 1.0, closed_left=True, closed_right=True)
     for kind in (K, Y, D):
         res = integrate_limit(IDENT, g, kind, tol=1e-6)
         assert res.value == 0.5 and res.error_bound == 0.0
-        assert res.diagnostics.method == "limit-integrator"
+        assert res.diagnostics.method == "step-table"
 
 
 def test_limit_route_with_step_integrand_is_exact():
     f = E4.as_step(IV)
     res = integrate_limit(f, IDENT, Y, tol=1e-6)
     assert res.value == 0.5 and res.error_bound == 0.0
+    assert res.diagnostics.method == "step-table"
+
+
+def test_a_step_argument_is_never_approximated(monkeypatch):
+    # Both entry points take the step-pair walk for a step argument, with
+    # no approximant and no variation bound on the other side.
+    def refuse(self, eps):
+        raise AssertionError("approximate called")
+    monkeypatch.setattr(StepFunction, "approximate", refuse)
+    step = E4.as_step(IV)
+    for f, g in ((step, NoCertificate(IV)), (NoCertificate(IV), step), (step, step)):
+        for run in (integrate, integrate_limit):
+            res = run(f, g, D, 1e-6)
+            assert res == integrate_step_pair(f, g, D)
 
 
 def test_limit_route_picks_the_cheaper_side():

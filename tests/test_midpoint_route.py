@@ -10,10 +10,16 @@ forms, by parts, and the first-order route on the same functions with
 their derivative data hidden (``Opaque``).
 """
 
+import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +288,104 @@ def test_a_pickled_catalog_function_keeps_the_route():
     assert want.diagnostics.method == "limit-midpoint"
     for copy in (fresh, pickle.loads(pickle.dumps(f))):
         assert integrate(copy, g, D, 1e-6) == want
+
+
+# ------------------------------------------------------- leaving the route
+
+def plan_spy(monkeypatch) -> list:
+    """(budget, plan) for each midpoint plan the route draws up."""
+    route = sys.modules["stieltjes.integrate"]
+    plan, calls = route._midpoint_plan, []
+
+    def spy(cells, budget, width, limit):
+        calls.append((budget, plan(cells, budget, width, limit)))
+        return calls[-1][1]
+    monkeypatch.setattr(route, "_midpoint_plan", spy)
+    return calls
+
+
+def test_a_singular_power_at_a_tol_just_above_the_rounding_term(monkeypatch):
+    # One ulp of truncation budget: the halving at 0 would need cells
+    # narrower than 2**-60 and stops at its depth limit, so the tol is
+    # refused with a larger one that the route meets.
+    calls = plan_spy(monkeypatch)
+    f, g = formula_of(Power(1.5)), formula_of(Affine(2.0))
+    integrate(f, g, K, 1e-9)
+    rough = 1e-9 - calls[-1][0]
+    calls.clear()
+    with pytest.raises(ApproximationError):  # 1.3e-13 is the smallest tol that fits
+        integrate(f, g, K, 2.0 * rough)
+    rounding = 2.0 * rough - calls[0][0]  # exact: the two are within a factor 2
+    tol = math.nextafter(rounding, math.inf)
+    calls.clear()
+    with pytest.raises(ApproximationError, match="needs more than") as info:
+        integrate(f, g, K, tol)
+    assert calls[0] == (tol - rounding, ([], math.inf, math.inf)) and calls[0][0] > 0
+    best = info.value.best_error
+    assert tol < best < math.inf
+    assert integrate(f, g, K, best).error_bound <= best
+
+
+def test_overflowing_cell_sizes_or_rounding_leave_the_route(monkeypatch):
+    # On [1e-303, 1e307], t**1.001 has f'' up to 5e299 on its one cell.
+    # Against g' = 1e-292 the rounding term is finite but the cell's
+    # weight, its width times C**(1/3), overflows; against g' = 3e-292
+    # the rounding term's four finite parts overflow in their sum.  Either
+    # way the first-order route takes over, and refuses by its own count.
+    calls = plan_spy(monkeypatch)
+    iv = Interval(1e-303, 1e307)
+    f = PiecewiseLipschitz.from_formulas(iv, (iv.a, iv.b), (Power(1.001),))
+    for slope, plans in ((1e-292, [None]), (3e-292, [])):
+        g = PiecewiseLipschitz.from_formulas(iv, (iv.a, iv.b), (Affine(slope),))
+        calls.clear()
+        with pytest.raises(ApproximationError, match=r"needs \d+ cells"):
+            integrate(f, g, K, 1.7e308)
+        assert [plan for _, plan in calls] == plans
+    # Below the rounding term, 5e307, no budget is left and 4 times it
+    # overflows: no tol is named.
+    g = PiecewiseLipschitz.from_formulas(iv, (iv.a, iv.b), (Affine(1e-292),))
+    with pytest.raises(ApproximationError, match="more than .* midpoint cells") as info:
+        integrate(f, g, K, 1e300)
+    assert info.value.best_error == math.inf and "can certify" not in str(info.value)
+
+
+def test_a_jump_past_the_float_range_leaves_the_route():
+    # Gaps of 2e308 at 0.5 give f no jump step: the first-order route.
+    f = PiecewiseLipschitz.from_formulas(IV, (0.0, 0.5, 1.0), (Affine(0.0, 1e308),) * 2,
+                                         (1e308, -1e308, 1e308))
+    assert f._smooth_parts() is None
+    res = integrate(f, formula_of(Affine(1.0)), K, 1e-3)
+    assert res.diagnostics.method == "limit-integrand" and res.value == 1e308
+
+
+BLOW_UP = "f=sin[0,1]{freq:1e300; amp:1e-290} g=affine[0,1]{slope:1}"
+
+
+def test_an_overflowing_second_derivative_halves_within_the_cell_limit():
+    # f'' = 1e310 overflows, so every cell is halved like a singular
+    # power's and every half keeps C = inf.  The halving counts its cells
+    # and stops at the limit; without the count, tol 1e4 builds segments
+    # until memory runs out.  A child process under a 1.5 GB address-space
+    # limit runs the job with the cell limit at 2**12.
+    probe = textwrap.dedent(f"""
+        import json, resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+        from stieltjes import cli, regulated
+        route = sys.modules["stieltjes.integrate"]
+        regulated.MAX_APPROX_CELLS = 1 << 12
+        plan, most = route._midpoint_plan, [0]
+        def spy(*args):
+            out = plan(*args)
+            most[0] = max(most[0], len(out[0]))
+            return out
+        route._midpoint_plan = spy
+        print(json.dumps([*cli.run_text({BLOW_UP!r}, "integrate", 1e4, None), most[0]]))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert out.returncode == 0, out.stderr
+    code, report, most = json.loads(out.stdout)
+    assert code == 3 and 1e4 < report["best_error"] < math.inf
+    assert 0 < most <= 1 << 12

@@ -57,6 +57,24 @@ def test_catalog_derivative_bounds():
     assert Power(0.5).derivative_bounds_on(0.25, 1.0) == (1.0, 2.0)
     with pytest.raises(DomainError):
         Power(0.5).derivative_bounds_on(0.0, 1.0)
+    # u**(e - 2) overflows next to 0: f'' counts as unbounded there.
+    assert Power(1.01).derivative_bounds_on(5e-324, 1.0) == (1.01, math.inf)
+
+
+def test_a_power_past_the_float_range_is_refused():
+    # t**e raises OverflowError past the float range; the catalog refuses
+    # it as a DomainError, which every constructor passes on.
+    with pytest.raises(DomainError, match=r"t\*\*2.0 overflows at t = 1e\+200"):
+        Power(2.0)(1e200)
+    for fm, u, v in ((Power(3.0), 0.0, 1e200), (Power(0.01), 5e-324, 1.0)):
+        with pytest.raises(DomainError, match="no finite Lipschitz constant"):
+            fm.lipschitz_on(u, v)
+    wide = Interval(0.0, 1e200)
+    for build in (lambda: PiecewiseLipschitz.from_formulas(wide, (0.0, 1e200), (Power(2.0),)),
+                  lambda: PiecewiseLipschitz.from_formulas(wide, (0.0, 1e200), (Power(3.0),)),
+                  lambda: MonotoneFunction(wide, Power(2.0))):
+        with pytest.raises(DomainError, match="overflows|no finite Lipschitz"):
+            build()
 
 
 def test_catalog_values_and_their_rounding():
