@@ -5,7 +5,7 @@ Three integrals of f against dg on a compact interval: the Kurzweil
 sums) integral, and the Dushnik (refinement-limit with plain interior
 sums) integral.  A pair with a step function integrates exactly; a
 catalog pair walks its jumps exactly and certifies the continuous rest
-by a midpoint sum; any other pair gets a certified error bound through
+by a Gauss-Legendre sum; any other pair gets a certified error bound through
 step approximants.  K and Y always agree here, and
 
     K(f, dg) = f(b) g(b) - f(a) g(a) - D(g, df)

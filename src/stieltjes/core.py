@@ -174,10 +174,11 @@ class RegulatedFunction(ABC):
     def _smooth_parts(self):
         """``(jump_step, breaks, formulas, offsets)`` when f is a step
         function plus a continuous part made of catalog formulas (they
-        have ``derivative_bounds_on``, ``rounding_on`` and ``values_at``):
-        on the closed cell ``[breaks[i], breaks[i + 1]]``, f - jump_step
-        is ``formulas[i](t) - offsets[i]``.  None otherwise, as here; the
-        limit route's second-order certificate needs it on both sides."""
+        have ``derivative_bound_on``, ``values_at``, ``rounding_on`` and
+        their ``derivative_`` twins): on the closed cell ``[breaks[i],
+        breaks[i + 1]]``, f - jump_step is ``formulas[i](t) - offsets[i]``.
+        None otherwise, as here; the limit route's fourth-order
+        certificate needs it on both sides."""
         return None
 
     # -- certified data ------------------------------------------------

@@ -36,11 +36,13 @@ point reads, so they share no code with either walk.
 
 Routes: ``integrate_limit`` picks one per pair, and ``integrate`` is
 the same call.  A step argument takes the walk above.  When both
-arguments are catalog functions (``_smooth_parts``), the jump steps split off by bilinearity are walked exactly and the
-continuous part, the same for K, Y and D, is a midpoint sum under a
-second-order certificate (``_midpoint_limit``), so cells grow like
-tol**-1/2.  Every other pair goes through certified step approximants
-under the first-order norm inequalities, so cells grow like 1 / tol.
+arguments are catalog functions (``_smooth_parts``), the jump steps
+split off by bilinearity are walked exactly and the continuous part,
+int f_c g_c' dt, the same for K, Y and D, is a two-point Gauss-Legendre
+sum under a fourth-order certificate (``_gauss_limit``), so cells grow
+like tol**-1/4.  Every other pair goes through certified step
+approximants under the first-order norm inequalities, so cells grow
+like 1 / tol.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import math
 from bisect import bisect_right
 from enum import Enum
 from itertools import chain
-from operator import mul, sub
+from operator import mul, neg, sub
 from typing import NamedTuple
 
 from . import regulated
@@ -259,7 +261,16 @@ def _budget(tol: float, factor: float) -> float:
     return eps
 
 
-_BATCH = 1024  # midpoint cells per list in the midpoint sum
+_BATCH = 512  # Gauss-Legendre cells per list in the sum
+
+# The two nodes of a cell of width h sit at h (1/2 -+ 1/(2 sqrt 3)); each
+# weighs h / 2.  On n equal cells of [u, v] the rule's error is at most
+# (v - u) h**4 sup|F''''| / 4320 (Davis & Rabinowitz).  Truncation bounds
+# are taken _UP high, which covers the roundings of the bounds and widths.
+_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+_UP = 1.0 + 2.0 ** -40
+_ERROR = _UP / 4320.0
+_DEPTH = 20  # levels of a graded cell, 8 times narrower each
 
 
 def _product(x: float, y: float) -> float:
@@ -268,87 +279,155 @@ def _product(x: float, y: float) -> float:
     return x * y if x and y else 0.0
 
 
-def _midpoint_plan(cells, budget: float, width: float, limit: int):
-    """Cell counts for the midpoint sum within a truncation ``budget``:
-    ``(segments, cells, bound)`` with segments ``(u, v, i, j, n)``, or
-    None when the cell sizes overflow.
+def _derivative_bounds(form, u: float, v: float, top: int) -> list:
+    """sup|form^(k)| on [u, v] for k = 1, ..., top.  A derivative whose
+    bound is 0 vanishes on the cell, and so do the higher ones."""
+    bounds, b = [], 1.0
+    for k in range(1, top + 1):
+        if b:
+            b = form.derivative_bound_on(u, v, k)
+        bounds.append(b)
+    return bounds
 
-    A cell with finite C = F2 M1 / 24 + F1 M2 / 12 and n midpoint cells of
-    width h is bounded by n h**3 C.  The widths are those of the rounded
-    grid, at most ``12 u max(|u|, |v|)`` (u the unit roundoff) wider than
-    (v - u) / n.  Minimising the cells under a total budget gives each
-    such cell n = lam (v - u) C**(1/3), one lam for all.  A cell whose
-    second derivatives are unbounded (t**e, 1 < e < 2, at 0) is halved
-    until each half has a finite C or is one cell whose first-order bound
-    F1 M1 h**2 / 2 fits its share of budget / 16 by width.  ``cells`` is
-    math.inf past ``limit``, and where no budget or float resolution is
-    left, and the halving stops before its cells, done and pending, pass
-    ``limit``."""
+
+def _cell_bounds(p, q, u: float, v: float, sup: float):
+    """``(c, d, g1)`` for F = (p - d0) q' on [u, v], with |p - d0| <= sup:
+    c = sup|F''''| times ``_ERROR``, by Leibniz from the catalog's bounds
+    on p^(k) (k <= 4) and q^(k) (k <= 5); d bounds sup|F'| and g1 sup|q'|.
+    c and d are inf where a factor is unbounded (a singular end at 0); a
+    product of finite factors past the float range raises DomainError."""
+    fs = (sup, *_derivative_bounds(p, u, v, 4))
+    gs = _derivative_bounds(q, u, v, 5)[::-1]
+    c = sum(map(mul, (1.0, 4.0, 6.0, 4.0, 1.0), map(_product, fs, gs)))
+    d = _product(fs[1], gs[4]) + _product(sup, gs[3])
+    if not c + d < math.inf and math.inf not in fs and math.inf not in gs:
+        raise DomainError(f"the fourth-order bound on [{u!r}, {v!r}] overflows")
+    return c * _ERROR, d, gs[4]
+
+
+def _node_rounding(u: float, v: float, d: float) -> float:
+    # A computed node u + (k + c) h is within 12 u max(|u|, |v|) of the
+    # exact one, which moves F by d times that; the weights add to v - u.
+    return (v - u) * d * 12.0 * UNIT_ROUNDOFF * max(abs(u), abs(v))
+
+
+class _Graded:
+    """A cell [u, v] whose fourth-order bound is unbounded at u (t**e at
+    0, e non-integer below 4 in f or below 5 in g), graded geometrically
+    toward u.  At level m, [u, y_m] with y_0 = v and y_m+1 = u + (y_m -
+    u) / 8 takes the first-order bound
+
+        b = h (F1 G1 h + sup min(2 G1, G2 h)),  h = y_m - u,
+
+    which holds for any nodes in the cell and weights adding to h; beside
+    it the cells [y_l+1, y_l], l < m, take fourth-order bounds.  Levels
+    are read on demand and kept for every budget of the pair; they end
+    at depth ``_DEPTH`` or at a level whose bounds are not finite."""
+
+    __slots__ = ("forms", "u", "v", "i", "j", "sup", "firsts", "cells")
+
+    def __init__(self, forms, u: float, v: float, i: int, j: int, sup: float):
+        self.forms, self.u, self.v, self.i, self.j, self.sup = forms, u, v, i, j, sup
+        self.firsts, self.cells = [], []
+
+    def level(self, m: int):
+        """``(b, y)`` of level m, or None past the last level; the cells
+        beside it are ``cells[:m]``."""
+        firsts, cells, u = self.firsts, self.cells, self.u
+        p, q = self.forms
+        try:
+            while len(firsts) <= m:
+                if len(firsts) > _DEPTH:
+                    return None
+                if firsts:
+                    y = firsts[-1][1]
+                    x = u + 0.125 * (y - u)
+                    c, d, _ = _cell_bounds(p, q, x, y, self.sup)
+                    weight = (y - x) * c ** 0.2
+                    if not weight < math.inf:  # x rounded to u, or a bound overflows
+                        return None
+                    cells.append((x, y, self.i, self.j, weight, c, _node_rounding(x, y, d)))
+                else:
+                    x = self.v
+                h = x - u
+                f1, g1, g2 = (p.derivative_bound_on(u, x, 1), q.derivative_bound_on(u, x, 1),
+                              q.derivative_bound_on(u, x, 2))
+                firsts.append((h * (f1 * g1 * h + _product(self.sup, min(2.0 * g1, g2 * h)))
+                               * _UP, x))
+        except DomainError:
+            return None
+        return firsts[m]
+
+
+def _gauss_plan(regular, graded, budget: float, width: float, limit: int):
+    """Cell counts for the Gauss-Legendre sum within a truncation
+    ``budget``: ``(segments, cells, bound)`` with segments ``(u, v, i, j,
+    n)``.
+
+    A cell of width w with fourth-order constant c (``_cell_bounds``) on
+    n equal cells is bounded by c w (w / n)**4.  Minimising the cells
+    under a total budget gives each n = lam w c**(1/5), one lam for all,
+    so cells grow like budget**(-1/4).  A graded cell (``_Graded``) goes
+    to the first level whose first-order bound fits its share of budget
+    / 16 by width; its cells beside that level join the allocation, and
+    their node rounding counts here.  ``cells`` is math.inf where one
+    cell alone passes ``limit``, where no budget is left, and where no
+    level fits."""
     if not budget > 0:
         return [], math.inf, math.inf
-    regular, segments, bounds = [], [], []  # first-order cells go first
-    stack = [(*cell, 0) for cell in reversed(cells)]
-    while stack:
-        u, v, i, j, (f1, f2), (m1, m2), forms, depth = stack.pop()
-        grid = 12.0 * UNIT_ROUNDOFF * max(abs(u), abs(v))
-        c = _product(f2, m1) / 24.0 + _product(f1, m2) / 12.0
-        if c < math.inf:
-            regular.append((u, v, i, j, c, grid))
-            continue
-        h = v - u + grid
-        b = _product(f1, m1) * h * h / 2.0
-        if b * width <= budget / 16.0 * (v - u):
-            segments.append((u, v, i, j, 1))
-            bounds.append(b)
-            continue
-        mid = 0.5 * (u + v)
-        halved = len(regular) + len(segments) + len(stack) + 2  # cells done and pending
-        if depth >= 60 or not u < mid < v or halved > limit:
+    alloc, segments, bounds = list(regular), [], []
+    for g in graded:
+        share, m = budget / 16.0 * ((g.v - g.u) / width), 0
+        while (level := g.level(m)) is not None:
+            if level[0] <= share:
+                break
+            m += 1
+        else:
             return [], math.inf, math.inf
-        fp, gp = forms
-        for lo, hi in ((mid, v), (u, mid)):
-            stack.append((lo, hi, i, j, fp.derivative_bounds_on(lo, hi),
-                          gp.derivative_bounds_on(lo, hi), forms, depth + 1))
+        segments.append((g.u, level[1], g.i, g.j, 1))
+        bounds.append(level[0])
+        alloc += g.cells[:m]
+        bounds += [cell[6] for cell in g.cells[:m]]
     rest = (budget - math.fsum(bounds)) * (1.0 - 2.0 ** -30)
-    weights = [(v - u + limit * grid) * c ** (1.0 / 3.0) for u, v, _, _, c, grid in regular]
-    total = math.fsum(weights)
-    if not math.isfinite(total):
-        return None
-    lam = math.sqrt(total / rest) if rest > 0 else math.inf
+    lam = math.sqrt(math.sqrt(sum(cell[4] for cell in alloc) / rest)) if rest > 0 else math.inf
     cells = len(segments)
-    for (u, v, i, j, c, grid), weight in zip(regular, weights):
+    for u, v, i, j, weight, c, *_ in alloc:
         need = lam * weight if weight else 0.0
         if not need <= limit:
             return [], math.inf, math.inf
         n = max(1, math.ceil(need))
         cells += n
+        w = v - u
         segments.append((u, v, i, j, n))
-        bounds.append(c * (v - u + n * grid) ** 3 / (n * n))
+        bounds.append(c * w * (w / n) ** 4)
     return segments, cells, math.fsum(bounds)
 
 
-def _midpoint_limit(f: RegulatedFunction, g: RegulatedFunction,
-                    kind: IntegralKind, tol: float) -> IntegralResult | None:
-    """The second-order limit route; None when either argument lacks
-    catalog derivative data (``_smooth_parts``) or its bounds overflow.
+def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
+                 kind: IntegralKind, tol: float) -> IntegralResult | None:
+    """The fourth-order limit route; None when either argument lacks
+    catalog derivative data (``_smooth_parts``) or a bound overflows.
 
     With f = f_j + f_c and g = g_j + g_c, f_j and g_j the jump steps,
 
         I(f, dg) = I(f, dg_j) + I(f_j, dg) - I(f_j, dg_j) + int f_c g_c' dt.
 
     The first three are step-pair walks for the kind; the last, the same
-    for K, Y and D, is the midpoint sum sum f_c(m) (g_c(x') - g_c(x)) on a
-    grid aligned with both break lists, sized by ``_midpoint_plan``.  The
-    rounding term adds, per cell [u, v] of the breaks' union, of width w,
-    with e_f and e_g one evaluation's error bound (``rounding_on``, plus
-    u Y for subtracting f's offset), Y = sup|f| + sup|f_j| + e_f and
-    N = MAX_APPROX_CELLS:
+    for K, Y and D, is a composite two-point Gauss-Legendre sum of f_c g_c'
+    on a grid aligned with both break lists, sized by ``_gauss_plan``, so
+    cells grow like tol**(-1/4).  The bounds are read once per pair,
+    before any budget is tried.  The rounding term adds, per cell [u, v]
+    of the breaks' union, of width w, with e_f and e_g one evaluation's
+    error bound of f_c and g_c' (``rounding_on`` plus u Y for subtracting
+    f's offset, ``derivative_rounding_on``), Y = sup|f| + sup|f_j| + e_f
+    and G1 = sup|g_c'|:
 
-        e_f M1 w + e_g (F1 w + 2 Y + 2 N e_f)     the values, summed by parts
-        12 u max(|u|, |v|) F1 M1 w                 the grid's rounded midpoints
-        gamma_3 Y (M1 w + 2 N e_g)                 the products and the sum
+        w (e_f G1 + Y e_g)                   the values
+        gamma_6 w Y (G1 + e_g)               the products, weights and sums
+        w sup|F'| 12 u max(|u|, |v|)         the nodes' irrational positions
 
-    The walks are summed with the midpoint terms by one ``math.fsum``;
+    (the last per fourth-order cell; a first-order cell needs none).  The
+    walks' terms are summed with the Gauss terms by one ``math.fsum``;
     like the step-pair route they add no rounding term."""
     fs, gs = f._smooth_parts(), g._smooth_parts()
     if fs is None or gs is None:
@@ -356,72 +435,66 @@ def _midpoint_limit(f: RegulatedFunction, g: RegulatedFunction,
     f_jumps, f_breaks, f_forms, f_offsets = fs
     g_jumps, g_breaks, g_forms, _ = gs
     sup = f.sup_bound + f_jumps.sup_bound
-    e_sum = 3.0 * UNIT_ROUNDOFF / (1.0 - 3.0 * UNIT_ROUNDOFF)
+    e_sum = 6.0 * UNIT_ROUNDOFF / (1.0 - 6.0 * UNIT_ROUNDOFF)
     limit = regulated.MAX_APPROX_CELLS
-    cells, rounding = [], []
+    width = f.interval.b - f.interval.a
+    regular, graded, rounding = [], [], []
     breaks = sorted({*f_breaks, *g_breaks})
     try:
         for u, v in zip(breaks, breaks[1:]):  # cell i of f's breaks, cell j of g's
             i, j = bisect_right(f_breaks, u) - 1, bisect_right(g_breaks, u) - 1
             fp, gp = f_forms[i], g_forms[j]
-            (f1, f2), (m1, m2) = fp.derivative_bounds_on(u, v), gp.derivative_bounds_on(u, v)
-            cells.append((u, v, i, j, (f1, f2), (m1, m2), (fp, gp)))
+            c, d, g1 = _cell_bounds(fp, gp, u, v, sup)
             w = v - u
             e_f = fp.rounding_on(u, v) + UNIT_ROUNDOFF * sup
-            e_g = gp.rounding_on(u, v)
-            y = sup + e_f  # bounds |f_c(m)| as computed
-            rounding += (_product(e_f, m1) * w, e_g * (f1 * w + 2.0 * y + 2.0 * limit * e_f),
-                         12.0 * UNIT_ROUNDOFF * max(abs(u), abs(v)) * _product(f1, m1) * w,
-                         e_sum * y * (m1 * w + 2.0 * limit * e_g))
+            e_g = gp.derivative_rounding_on(u, v)
+            y = sup + e_f  # bounds |f_c| as computed
+            rounding += (w * (e_f * g1 + y * e_g), e_sum * w * y * (g1 + e_g))
+            if c < math.inf:
+                regular.append((u, v, i, j, w * c ** 0.2, c))
+                rounding.append(_node_rounding(u, v, d))
+            else:
+                graded.append(_Graded((fp, gp), u, v, i, j, sup))
         rounding = math.fsum(rounding)
-    except (DomainError, OverflowError):  # no bounded f' on a cell, or a sum past the range
+    except (DomainError, OverflowError):  # no bounded derivative, or a sum past the range
         return None
-    width = f.interval.b - f.interval.a
-    if not (math.isfinite(rounding) and math.isfinite(width)):
+    if not (math.isfinite(rounding) and math.isfinite(width)
+            and sum(cell[4] for cell in regular) < math.inf):  # the cell sizes' weights
         return None
 
     def attempt(t):
-        plan = _midpoint_plan(cells, t - rounding, width, limit)
-        if plan is None:
-            return None
+        plan = _gauss_plan(regular, graded, t - rounding, width, limit)
         return plan, plan[1] <= limit and plan[2] + rounding <= t
 
-    found = attempt(tol)
-    if found is None:
-        return None
-    (segments, count, bound), fits = found
+    (segments, count, bound), fits = attempt(tol)
     if not fits:
         best = _smallest_tol(attempt, max(tol, rounding))  # no tol <= rounding fits
-        needs = (f"needs {count} midpoint cells" if count < math.inf
-                 else f"needs more than {limit} midpoint cells")
+        needs = (f"needs {count} Gauss-Legendre cells" if count < math.inf
+                 else f"needs more than {limit} Gauss-Legendre cells")
         floor = (f"; the smallest tol this route can certify is {best:.3g}"
                  if best < math.inf else "")
         raise ApproximationError(f"tolerance {tol!r} {needs} (limit {limit}){floor}",
                                  best_error=best)
-    walks = (integrate_step_pair(f, g_jumps, kind).value,
-             integrate_step_pair(f_jumps, g, kind).value,
-             -integrate_step_pair(f_jumps, g_jumps, kind).value)
-    terms = chain(walks, *(chain.from_iterable(
-        _midpoint_terms(f_forms[i], f_offsets[i], g_forms[j], u, v, n))
-        for u, v, i, j, n in segments))
-    return IntegralResult(finite_fsum(terms, "the midpoint sum"), kind, bound + rounding,
-                          Diagnostics("limit-midpoint", None, count))
+    dushnik = kind is IntegralKind.DUSHNIK
+    walks = (_step_integrator_terms(f, g_jumps, dushnik),
+             _step_integrand_terms(f_jumps, g, dushnik),
+             map(neg, _step_integrand_terms(f_jumps, g_jumps, dushnik)))
+    terms = chain(*walks, *(_gauss_terms(f_forms[i], f_offsets[i], g_forms[j], u, v, n)
+                            for u, v, i, j, n in segments))
+    return IntegralResult(finite_fsum(terms, "the Gauss-Legendre sum"), kind, bound + rounding,
+                          Diagnostics("limit-gauss", None, count))
 
 
-def _midpoint_terms(p, d, q, u: float, v: float, n: int):
-    """(p(m) - d) (q(x') - q(x)) on the n cells [x, x'] of the grid
-    x = u + k h, h = (v - u) / n, ending on v, with m = u + (k + 1/2) h:
-    one list per batch of _BATCH cells, so a tight tol asks for no long
-    lists, and each batch's values read through ``values_at``."""
+def _gauss_terms(p, d, q, u: float, v: float, n: int):
+    """h/2 sum (p(t) - d) q'(t) over the two nodes t of each of the n
+    cells of width h = (v - u) / n, one sum per batch of _BATCH cells, so
+    a tight tol asks for no long lists; the values read through
+    ``values_at`` and ``derivative_values_at``."""
     h = (v - u) / n
     for k0 in range(0, n, _BATCH):
-        k1 = min(k0 + _BATCH, n)
-        xs = [u + k * h for k in range(k0, k1 + 1)]
-        if k1 == n:
-            xs[-1] = v
-        zs = q.values_at(xs)
-        ys = p.values_at([u + (k + 0.5) * h for k in range(k0, k1)])
-        yield [(y - d) * (b - a) for y, a, b in zip(ys, zs, zs[1:])]
+        ts = [u + (k + c) * h for k in range(k0, min(k0 + _BATCH, n)) for c in _NODES]
+        ys, zs = p.values_at(ts), q.derivative_values_at(ts)
+        yield 0.5 * h * math.fsum([(y - d) * z for y, z in zip(ys, zs)])
 
 
 def _smallest_tol(attempt, tol: float) -> float:
@@ -432,16 +505,14 @@ def _smallest_tol(attempt, tol: float) -> float:
     lo = hi = tol
     while True:
         hi *= 4.0
-        found = attempt(hi) if hi < math.inf else None
-        if found is None:
+        if not hi < math.inf:
             return math.inf
-        if found[1]:
+        if attempt(hi)[1]:
             break
         lo = hi
     for _ in range(24):
         mid = lo * math.sqrt(hi / lo)
-        found = attempt(mid)
-        if found is not None and found[1]:
+        if attempt(mid)[1]:
             hi = mid
         else:
             lo = mid
@@ -454,8 +525,8 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
 
     A step argument gives the exact closed form of
     ``integrate_step_pair`` (method "step-table", error_bound 0).  When
-    both arguments are catalog functions this is the second-order route
-    of ``_midpoint_limit`` (method "limit-midpoint").  Otherwise (an
+    both arguments are catalog functions this is the fourth-order route
+    of ``_gauss_limit`` (method "limit-gauss").  Otherwise (an
     argument built on arbitrary callables, or catalog bounds that
     overflow) the regulated factor is replaced by a step approximant and
     the defect is bounded a priori:
@@ -475,7 +546,7 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
 
     An approximant's ApproximationError is re-raised with ``best_error``
     times the factor: the smallest tol this route can certify, named in
-    the message when it is finite.  The second-order route refuses in
+    the message when it is finite.  The fourth-order route refuses in
     the same way.
     """
     check_tol(tol)
@@ -484,9 +555,9 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     kind = IntegralKind(kind)
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
-    midpoint = _midpoint_limit(f, g, kind, tol)
-    if midpoint is not None:
-        return midpoint
+    gauss = _gauss_limit(f, g, kind, tol)
+    if gauss is not None:
+        return gauss
     a, b = f.interval.a, f.interval.b
     var_g, var_f = g.variation_bound, f.variation_bound
     bv_f = None if var_f is None else abs(f.value(a)) + abs(f.value(b)) + var_f

@@ -35,15 +35,19 @@ def _times_width(c: float, u: float, v: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Formula catalog.  Each entry knows its own Lipschitz constant and a
-# certified variation bound on any cell, which is what lets the DSL
-# build functions whose certificates need no user-supplied constants.
-# ``derivative_bounds_on`` gives sup|f'| and sup|f''| on a cell (inf
-# where f'' is unbounded), and ``rounding_on`` bounds the rounding
-# error of one evaluation at a point of the cell, assuming ``math.sin``
-# and ``**`` are within one ulp; the limit route's second-order
-# certificate reads both.  ``values_at(ts)`` is ``[f(t) for t in ts]``,
-# bit for bit, without a call per point: the route's midpoint sum.
+# Formula catalog.  Each entry knows a certified variation bound on any
+# cell and sup|f^(k)| there (``derivative_bound_on``, k >= 1; k = 1 is
+# ``lipschitz_on``), which is what lets the DSL build functions whose
+# certificates need no user-supplied constants.  A derivative bound is
+# inf only on a cell from 0 where the derivative is unbounded (t**e with
+# e non-integer below k); one past the float range is refused with a
+# DomainError.  ``values_at(ts)`` is ``[f(t) for t in ts]`` and
+# ``derivative_values_at(ts)`` the same for f', bit for bit, without a
+# call per point; ``rounding_on`` and ``derivative_rounding_on`` bound
+# the rounding error of one such evaluation at a point of the cell,
+# assuming ``math.sin``, ``math.cos`` and ``**`` are within one ulp.  The
+# limit route's Gauss-Legendre sum and its fourth-order certificate read
+# all of them.
 
 class Affine(Frozen):
     """t -> slope * t + intercept."""
@@ -61,27 +65,32 @@ class Affine(Frozen):
         s, c = self.slope, self.intercept
         return [s * t + c for t in ts]
 
+    def derivative_values_at(self, ts) -> list[float]:
+        return [self.slope] * len(ts)
+
+    def derivative_bound_on(self, u: float, v: float, k: int) -> float:
+        return abs(self.slope) if k == 1 else 0.0
+
     def lipschitz_on(self, u: float, v: float) -> float:
-        return abs(self.slope)
+        return self.derivative_bound_on(u, v, 1)
 
     def variation_on(self, u: float, v: float) -> float:
         return _times_width(abs(self.slope), u, v)
 
-    def derivative_bounds_on(self, u: float, v: float) -> tuple[float, float]:
-        return abs(self.slope), 0.0
-
     def rounding_on(self, u: float, v: float) -> float:
         # fl(fl(s t) + c): two roundings, the first one of |s t|.
         return 3.0 * UNIT_ROUNDOFF * (abs(self.slope) * max(abs(u), abs(v)) + abs(self.intercept))
+
+    def derivative_rounding_on(self, u: float, v: float) -> float:
+        return 0.0  # the slope itself
 
 
 class Power(Frozen):
     """t -> scale * t**exponent, exponent > 0.
 
     Non-integer exponents need u >= 0; exponents below 1 additionally
-    need u > 0 to stay Lipschitz.  A value or Lipschitz constant past the
-    float range is refused with a DomainError; once a cell's end values
-    are read, the other bounds on it stay finite.
+    need u > 0 to stay Lipschitz.  A value or derivative bound past the
+    float range is refused with a DomainError.
     """
 
     __slots__ = ("exponent", "scale")
@@ -102,6 +111,10 @@ class Power(Frozen):
         s, e = self.scale, self.exponent
         return [s * t ** e for t in ts]
 
+    def derivative_values_at(self, ts) -> list[float]:
+        c, e = self.scale * self.exponent, self.exponent - 1.0
+        return [c * t ** e for t in ts]
+
     def _check_cell(self, u: float, v: float) -> None:
         integral = float(self.exponent).is_integer()
         if u < 0 and not integral:
@@ -109,13 +122,35 @@ class Power(Frozen):
         if self.exponent < 1 and u <= 0:
             raise DomainError(f"t**{self.exponent} is not Lipschitz at 0")
 
-    def lipschitz_on(self, u: float, v: float) -> float:
-        self._check_cell(u, v)
-        e, s = self.exponent, abs(self.scale)
+    def derivative_bound_on(self, u: float, v: float, k: int) -> float:
+        """|scale e (e-1) ... (e-k+1)| times the sup of |t|**(e-k): at
+        the end farther from 0 when e >= k, else at u.  0 when e is an
+        integer below k; inf when e - k < 0 on a cell from 0."""
+        if u <= 0:
+            self._check_cell(u, v)
+        e = self.exponent
+        falling = e
+        for i in range(1, k):
+            falling *= e - i
+        c = abs(self.scale * falling)
+        if not c:  # an integer exponent below k, or no scale
+            return 0.0
         try:
-            return s * e * (max(abs(u), abs(v)) ** (e - 1) if e >= 1 else u ** (e - 1))
+            if e >= k:
+                bound = c * max(-u, v) ** (e - k)  # max(|u|, |v|), as u <= v
+            elif u > 0:
+                bound = c * u ** (e - k)
+            else:
+                return math.inf
         except OverflowError:
-            raise DomainError(f"t**{e} has no finite Lipschitz constant on [{u!r}, {v!r}]") from None
+            bound = math.inf
+        if bound < math.inf:
+            return bound
+        what = "Lipschitz constant" if k == 1 else f"bound on derivative {k}"
+        raise DomainError(f"t**{e} has no finite {what} on [{u!r}, {v!r}]")
+
+    def lipschitz_on(self, u: float, v: float) -> float:
+        return self.derivative_bound_on(u, v, 1)
 
     def variation_on(self, u: float, v: float) -> float:
         self._check_cell(u, v)
@@ -123,25 +158,22 @@ class Power(Frozen):
             return abs(self.scale) * abs(v ** self.exponent - u ** self.exponent)
         return _times_width(self.lipschitz_on(u, v), u, v)
 
-    def derivative_bounds_on(self, u: float, v: float) -> tuple[float, float]:
-        d1 = self.lipschitz_on(u, v)
-        e, s = self.exponent, abs(self.scale)
-        if e == 1 or not s:
-            return d1, 0.0
-        if e >= 2:  # |t|**(e - 2) grows with |t|
-            k = max(abs(u), abs(v)) ** (e - 2)
-        elif u > 0:  # it shrinks, and a non-integer e needs u >= 0
-            try:
-                k = u ** (e - 2)
-            except OverflowError:
-                k = math.inf
-        else:  # f'' is unbounded at 0
-            k = math.inf
-        return d1, s * e * abs(e - 1) * k
-
     def rounding_on(self, u: float, v: float) -> float:
         # One ulp of |t|**e, then the product with the scale.
         return 4.0 * UNIT_ROUNDOFF * abs(self.scale) * max(abs(u), abs(v)) ** self.exponent
+
+    def derivative_rounding_on(self, u: float, v: float) -> float:
+        # fl(scale e) * t**fl(e - 1): two products and one ulp of pow.
+        # fl(e - 1) misses e - 1 by eta (0 for 0.5 <= e <= 2**53), which
+        # scales t**(e - 1) by t**eta, within 2 eta |log t| of 1 in the cell.
+        e = self.exponent
+        eta = 0.0 if 0.5 <= e <= 2.0 ** 53 else abs(math.fsum((e, -1.0, 1.0 - e)))
+        rel = 4.0 * UNIT_ROUNDOFF
+        if eta:
+            if not u > 0:
+                raise DomainError(f"t**{e}: no rounding bound for f' on [{u!r}, {v!r}]")
+            rel += 2.0 * eta * max(abs(math.log(u)), abs(math.log(v)))
+        return rel * self.derivative_bound_on(u, v, 1)
 
 
 class SinWave(Frozen):
@@ -161,21 +193,37 @@ class SinWave(Frozen):
         a, w, phi, sin = self.amplitude, self.freq, self.phase, math.sin
         return [a * sin(w * t + phi) for t in ts]
 
+    def derivative_values_at(self, ts) -> list[float]:
+        c, w, phi, cos = self.amplitude * self.freq, self.freq, self.phase, math.cos
+        return [c * cos(w * t + phi) for t in ts]
+
+    def derivative_bound_on(self, u: float, v: float, k: int) -> float:
+        a, w = self.amplitude, self.freq
+        try:
+            bound = abs(a * w) if k == 1 else abs(a) * abs(w) ** k
+        except OverflowError:
+            bound = math.inf
+        if bound < math.inf:
+            return bound
+        raise DomainError(f"sin with freq {w!r} has no finite bound on derivative {k}")
+
     def lipschitz_on(self, u: float, v: float) -> float:
-        return abs(self.amplitude * self.freq)
+        return self.derivative_bound_on(u, v, 1)
 
     def variation_on(self, u: float, v: float) -> float:
         # Upper bound; the exact arc count is not worth tracking.
         return _times_width(self.lipschitz_on(u, v), u, v)
-
-    def derivative_bounds_on(self, u: float, v: float) -> tuple[float, float]:
-        return abs(self.amplitude * self.freq), abs(self.amplitude) * self.freq * self.freq
 
     def rounding_on(self, u: float, v: float) -> float:
         # The argument's two roundings, moved through sin (1-Lipschitz),
         # sin's ulp and the product with the amplitude.
         arg = abs(self.freq) * max(abs(u), abs(v)) + abs(self.phase)
         return 4.0 * UNIT_ROUNDOFF * abs(self.amplitude) * (arg + 1.0)
+
+    def derivative_rounding_on(self, u: float, v: float) -> float:
+        # The same through cos, times fl(amplitude * freq).
+        arg = abs(self.freq) * max(abs(u), abs(v)) + abs(self.phase)
+        return 4.0 * UNIT_ROUNDOFF * abs(self.amplitude * self.freq) * (arg + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +379,7 @@ class PiecewiseLipschitz(RegulatedFunction):
         route reads it; () marks a function without one."""
         if self._parts is None:
             self._parts = ()
-            if all(hasattr(p, "derivative_bounds_on") for p in self._pieces):
+            if all(hasattr(p, "derivative_bound_on") for p in self._pieces):
                 rows, bks = self._limits, self._breaks
                 plus = [(t, right - val) for t, (_, val, right) in zip(bks, rows[:-1])]
                 minus = [(t, val - left) for t, (left, val, _) in zip(bks[1:-1], rows[1:-1])]
@@ -478,7 +526,7 @@ class MonotoneFunction(RegulatedFunction):
         return self._jump_step.jump_points()
 
     def _smooth_parts(self):
-        if not hasattr(self._base, "derivative_bounds_on"):
+        if not hasattr(self._base, "derivative_bound_on"):
             return None
         return self._jump_step, (self._interval.a, self._interval.b), (self._base,), (0.0,)
 

@@ -188,10 +188,12 @@ def test_refusal_reports_the_reachable_tolerance(capsys, monkeypatch):
            "g=sin[0,1]{freq:2}"]
     code, report, _ = run_json(capsys, job)
     assert code == 3 and set(report) == {"error", "best_error"}
-    # The second-order floor: on 2**20 midpoint cells of [0, 1] the
-    # truncation bound is C / 2**40 with C = F2 M1 / 24 + F1 M2 / 12
-    # = 9 * 2 / 24 + 3 * 4 / 12 = 1.75, and the rounding term adds ~1%.
-    assert 1.75 / 2**40 < report["best_error"] <= 1.02 * 1.75 / 2**40
+    # The fourth-order floor: the truncation of 2**20 Gauss-Legendre cells
+    # is near 1e-26, so the floor is the rounding term, 245 u = 2.72e-14
+    # (u = 2**-53).  Of it, 151 u are the nodes' positions, 12 u sup|F'|
+    # with sup|F'| <= 3 * 2 + 1.64 * 4 (1.64 the certified sup of sin 3t),
+    # 75 u the values and 20 u the products and sums.
+    assert 2.7e-14 < report["best_error"] <= 2.75e-14
     assert "can certify" in report["error"]
     # A refusal that names no reachable tolerance reports null.
     def refuse(*_):
@@ -247,12 +249,13 @@ def test_overflowing_sums_are_refused(capsys, argv, what):
 
 
 def test_monotone_cell_count_overflow_keeps_its_best_error(capsys):
-    # A rise of 1e300 at tol 1e-9 needs about 1e154 midpoint cells; the
-    # second-order floor, about 1e299 / 12 over 2**40, stays finite.
+    # A rise of 1e300 leaves a rounding term near 5e285, far above tol
+    # 1e-9, so no count of Gauss-Legendre cells fits; the floor, that
+    # rounding term, stays finite.
     job = "f=monotone_jumps[0,1]{base: affine(slope:1e300)} g=sin[0,1]{freq:1}"
     got, report, err = run_json(capsys, ["integrate", "--json", job])
     assert got == 3 and err == ""
-    assert "midpoint cells" in report["error"]
+    assert "Gauss-Legendre cells" in report["error"]
     assert 0 < report["best_error"] < math.inf
 
 

@@ -547,7 +547,7 @@ def test_facade_routes_by_argument_type():
     assert integrate(E4.as_step(IV), SPIKY, D).diagnostics.method == "step-table"
     assert integrate(PLAIN_IDENT, PLAIN_IDENT, K, tol=1e-3).diagnostics.method == \
         "limit-integrand"
-    assert integrate(IDENT, IDENT, K, tol=1e-3).diagnostics.method == "limit-midpoint"
+    assert integrate(IDENT, IDENT, K, tol=1e-3).diagnostics.method == "limit-gauss"
     # The integrator's variation bound alone suffices for the limit
     # route; the integrand only has to be approximable.
     shy = UncertifiedVariation.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(1.0)),))

@@ -1,25 +1,21 @@
-"""The second-order limit route on catalog pairs.
+"""The fourth-order limit route on catalog pairs.
 
 Both arguments are catalog functions (``PiecewiseLipschitz`` over
 ``Affine``, ``Power`` and ``SinWave`` pieces, ``MonotoneFunction`` over an
 ``Affine`` or ``Power`` base), so ``integrate`` splits off the jump steps,
-walks them exactly, and bounds the continuous part's midpoint sum by the
-second-order certificate.  The references here share no code with it:
+walks them exactly, and bounds the continuous part's two-point
+Gauss-Legendre sum by the fourth-order certificate.  The references here
+share no code with it:
 exact ``Fraction`` antiderivatives of dyadic polynomial pairs, closed
 forms, by parts, and the first-order route on the same functions with
 their derivative data hidden (``Opaque``).
 """
 
-import json
 import math
-import os
 import pickle
 import random
-import subprocess
 import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +23,7 @@ from conftest import Opaque
 from stieltjes import (Affine, ApproximationError, Diagnostics, IntegralKind,
                        Interval, MonotoneFunction, PiecewiseLipschitz, Power,
                        SinWave, by_parts, integrate)
-from stieltjes import regulated
+from stieltjes import cli, regulated
 
 IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK
@@ -47,18 +43,36 @@ def test_affine_pair_at_the_default_tol_is_one_exact_cell():
     for kind in KINDS:
         res = integrate(ident, ident, kind)
         assert res.value == 0.5
-        assert res.diagnostics == Diagnostics("limit-midpoint", None, 1)
+        assert res.diagnostics == Diagnostics("limit-gauss", None, 1)
         # f'' = g'' = 0: only the rounding term is left.
         assert 0.0 < res.error_bound <= 1e-14
 
 
-def test_sin_against_a_square_at_the_default_tol():
-    f, g = formula_of(SinWave(3.0)), formula_of(Power(2.0))
-    exact = 2.0 * (math.sin(3.0) / 9.0 - math.cos(3.0) / 3.0)
+@pytest.mark.parametrize("f, g, width, exact, pin", [
+    # The midpoint rule needed 63,247, 35,356 and 566,411 cells for these.
+    (Power(3.0), Power(4.0), 1.0, 4.0 / 7.0, 1000),
+    (SinWave(3.0), Power(2.0), 1.0, 2.0 * (math.sin(3.0) / 9.0 - math.cos(3.0) / 3.0), 1000),
+    (Power(3.0), SinWave(1.0), 4.0,
+     40.0 * math.sin(4.0) + 42.0 * math.cos(4.0) + 6.0, 5000),
+])
+def test_gauss_cells_at_the_default_tol(f, g, width, exact, pin):
+    iv = Interval(0.0, width)
+    f, g = (PiecewiseLipschitz.from_formulas(iv, (0.0, width), (fm,)) for fm in (f, g))
     for kind in KINDS:
         res = integrate(f, g, kind, 1e-9)
-        assert res.diagnostics.method == "limit-midpoint"
+        assert res.diagnostics.method == "limit-gauss"
+        assert res.diagnostics.approximant_pieces < pin
         assert abs(res.value - exact) <= res.error_bound <= 1e-9
+
+
+def test_the_certificate_is_attained_on_t_against_t4():
+    # F = t * 4 t**3 has a fourth derivative of 96 everywhere, and Leibniz
+    # gives 4 F1 G4 = 96 too, so the rule's error on each cell is its
+    # bound: the value misses 4/5 by the truncation bound, short only by
+    # the rounding term.
+    res = integrate(formula_of(Affine(1.0)), formula_of(Power(4.0)), K, 1e-9)
+    miss = abs(res.value - 0.8)
+    assert 0.9999 * res.error_bound <= miss <= res.error_bound
 
 
 # ---------------------------------------------------------- exact references
@@ -181,7 +195,7 @@ def test_catalog_pairs_against_exact_dyadic_integrals():
         tol = (1e-3, 1e-6, 1e-9)[n % 3]
         for kind in KINDS:
             res = integrate(f, g, kind, tol)
-            assert res.diagnostics.method == "limit-midpoint"
+            assert res.diagnostics.method == "limit-gauss"
             assert res.error_bound <= tol
             exact = exact_integral(fm, gm, kind)
             assert abs(Fraction(res.value) - exact) <= res.error_bound + WALK_ROUNDING
@@ -192,8 +206,9 @@ def test_catalog_pairs_against_exact_dyadic_integrals():
 # -------------------------------------------------- float catalog pairs
 
 def rand_catalog_pieces(rng, singular: bool):
-    """Random pieces, the first a power with exponent in [1, 2) starting at
-    0 when ``singular`` (its second derivative is unbounded there)."""
+    """Random pieces, the first a power with exponent in (1, 4) starting at
+    0 when ``singular`` (a derivative the certificate reads is unbounded
+    there)."""
     n = rng.randint(1, 3)
     inner = sorted(rng.uniform(0.1, 0.9) for _ in range(n - 1))
     breaks = [0.0] + inner + [1.0]
@@ -201,7 +216,7 @@ def rand_catalog_pieces(rng, singular: bool):
     for k in range(n):
         pick = rng.randrange(3)
         if singular and k == 0:
-            forms.append(Power(rng.uniform(1.0, 2.0), rng.uniform(-2.0, 2.0)))
+            forms.append(Power(rng.uniform(1.0, 4.0), rng.uniform(-2.0, 2.0)))
         elif pick == 0:
             forms.append(Affine(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)))
         elif pick == 1:
@@ -214,7 +229,7 @@ def rand_catalog_pieces(rng, singular: bool):
 
 
 def rand_catalog_monotone(rng, singular: bool):
-    base = (Power(rng.uniform(1.0, 2.0)) if singular
+    base = (Power(rng.uniform(1.0, 4.0)) if singular
             else rng.choice((Affine(rng.uniform(0.3, 2.0)), Power(3.0, rng.uniform(0.3, 2.0)))))
     jumps = [(rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3))
              for _ in range(rng.randint(0, 2))]
@@ -235,11 +250,11 @@ def twins(rng, singular: bool):
 def test_catalog_pairs_against_by_parts_and_the_first_order_route():
     rng = random.Random(5150)
     for n in range(18):
-        singular = n % 3 == 0  # a power with exponent in [1, 2) at 0
+        singular = n % 3 == 0  # a power with exponent in (1, 4) at 0
         (f, f_plain), (g, g_plain) = twins(rng, singular), twins(rng, singular)
         for kind in KINDS:
             res = integrate(f, g, kind, 1e-7)
-            assert res.diagnostics.method == "limit-midpoint"
+            assert res.diagnostics.method == "limit-gauss"
             assert res.error_bound <= 1e-7
             flipped = by_parts(f, g, kind, 1e-7)
             assert abs(res.value - flipped.value) <= \
@@ -251,26 +266,30 @@ def test_catalog_pairs_against_by_parts_and_the_first_order_route():
 
 
 def test_a_singular_power_stays_on_the_route_with_few_cells():
-    # t**1.5 has an unbounded second derivative at 0, on either side:
-    # first-order cells there, graded second-order cells beside them, far
-    # fewer than the first-order route's 1 / tol.
+    # t**1.5 has unbounded derivatives of order 2 and up at 0, t**2.5 and
+    # t**3.5 of order 3 and 4 and up, on either side: the cell from 0 is
+    # graded, first-order next to 0 and fourth-order beside it, with far
+    # fewer cells than the first-order route's 1 / tol.
     for f, g, exact in ((formula_of(Power(1.5)), formula_of(Affine(2.0)), 2.0 / 2.5),
-                        (formula_of(Affine(1.0)), formula_of(Power(1.5)), 1.5 / 2.5)):
+                        (formula_of(Affine(1.0)), formula_of(Power(1.5)), 1.5 / 2.5),
+                        (formula_of(Power(2.5)), formula_of(Power(3.5)), 3.5 / 6.0)):
         for kind in KINDS:
             res = integrate(f, g, kind, 1e-9)
-            assert res.diagnostics.method == "limit-midpoint"
-            assert res.diagnostics.approximant_pieces < 20000
+            assert res.diagnostics.method == "limit-gauss"
+            assert res.diagnostics.approximant_pieces < 1000
             assert abs(res.value - exact) <= res.error_bound + WALK_ROUNDING
 
 
 def test_a_refusal_names_a_tol_that_is_met_on_retry(monkeypatch):
+    # 256 cells take the fourth-order sum below 1e-9; a midpoint sum on as
+    # many reached only 1.9e-5 and 2.2e-6 on these pairs.
     monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 256)
     for f, g in ((formula_of(SinWave(3.0)), formula_of(Power(2.0))),
                  (formula_of(Power(1.5, -2.0)), MonotoneFunction(IV, Affine(1.0), ((0.5, 0.25, 0.0),)))):
-        with pytest.raises(ApproximationError, match="midpoint cells") as info:
+        with pytest.raises(ApproximationError, match="Gauss-Legendre cells") as info:
             integrate(f, g, K, 1e-12)
         best = info.value.best_error
-        assert "can certify" in str(info.value) and 1e-12 < best < 1e-3
+        assert "can certify" in str(info.value) and 1e-12 < best < 1e-9
         res = integrate(f, g, K, best)
         assert res.error_bound <= best and res.diagnostics.approximant_pieces <= 256
         with pytest.raises(ApproximationError):
@@ -285,7 +304,7 @@ def test_a_pickled_catalog_function_keeps_the_route():
     g = MonotoneFunction(IV, Power(2.0), ((0.5, 0.25, 0.125),))
     fresh = pickle.loads(pickle.dumps(f))
     want = integrate(f, g, D, 1e-6)
-    assert want.diagnostics.method == "limit-midpoint"
+    assert want.diagnostics.method == "limit-gauss"
     for copy in (fresh, pickle.loads(pickle.dumps(f))):
         assert integrate(copy, g, D, 1e-6) == want
 
@@ -293,31 +312,47 @@ def test_a_pickled_catalog_function_keeps_the_route():
 # ------------------------------------------------------- leaving the route
 
 def plan_spy(monkeypatch) -> list:
-    """(budget, plan) for each midpoint plan the route draws up."""
+    """(budget, plan) for each Gauss-Legendre plan the route draws up."""
     route = sys.modules["stieltjes.integrate"]
-    plan, calls = route._midpoint_plan, []
+    plan, calls = route._gauss_plan, []
 
-    def spy(cells, budget, width, limit):
-        calls.append((budget, plan(cells, budget, width, limit)))
+    def spy(regular, graded, budget, width, limit):
+        calls.append((budget, plan(regular, graded, budget, width, limit)))
         return calls[-1][1]
-    monkeypatch.setattr(route, "_midpoint_plan", spy)
+    monkeypatch.setattr(route, "_gauss_plan", spy)
     return calls
 
 
-def test_a_singular_power_at_a_tol_just_above_the_rounding_term(monkeypatch):
-    # One ulp of truncation budget: the halving at 0 would need cells
-    # narrower than 2**-60 and stops at its depth limit, so the tol is
-    # refused with a larger one that the route meets.
-    calls = plan_spy(monkeypatch)
-    f, g = formula_of(Power(1.5)), formula_of(Affine(2.0))
-    integrate(f, g, K, 1e-9)
-    rough = 1e-9 - calls[-1][0]
+def rounding_term(f, g, calls: list, tol: float) -> float:
+    """The route's rounding term on (f, g), read off the budgets of two
+    plans: one at ``tol`` and, exact by Sterbenz, one within a factor 2."""
+    integrate(f, g, K, tol)
+    rough = tol - calls[-1][0]
     calls.clear()
-    with pytest.raises(ApproximationError):  # 1.3e-13 is the smallest tol that fits
+    try:
         integrate(f, g, K, 2.0 * rough)
-    rounding = 2.0 * rough - calls[0][0]  # exact: the two are within a factor 2
-    tol = math.nextafter(rounding, math.inf)
+    except ApproximationError:
+        pass
+    rounding = 2.0 * rough - calls[0][0]
     calls.clear()
+    return rounding
+
+
+@pytest.mark.parametrize("f, g", [
+    # The graded cell's first-order end fits one ulp of budget at its 15th
+    # level, but the fourth-order cells beside it need more than 2**20.
+    (Power(1.5), Affine(2.0)),
+    # Against t**1.001 the first-order end shrinks like its width, and 20
+    # levels, each 8 times narrower, are not enough.
+    (Affine(0.0, 1.0), Power(1.001)),
+])
+def test_a_singular_power_at_a_tol_just_above_the_rounding_term(monkeypatch, f, g):
+    # One ulp of truncation budget is refused, with a larger tol that the
+    # route meets.
+    calls = plan_spy(monkeypatch)
+    f, g = formula_of(f), formula_of(g)
+    rounding = rounding_term(f, g, calls, 1e-9)
+    tol = math.nextafter(rounding, math.inf)
     with pytest.raises(ApproximationError, match="needs more than") as info:
         integrate(f, g, K, tol)
     assert calls[0] == (tol - rounding, ([], math.inf, math.inf)) and calls[0][0] > 0
@@ -326,27 +361,63 @@ def test_a_singular_power_at_a_tol_just_above_the_rounding_term(monkeypatch):
     assert integrate(f, g, K, best).error_bound <= best
 
 
-def test_overflowing_cell_sizes_or_rounding_leave_the_route(monkeypatch):
-    # On [1e-303, 1e307], t**1.001 has f'' up to 5e299 on its one cell.
-    # Against g' = 1e-292 the rounding term is finite but the cell's
-    # weight, its width times C**(1/3), overflows; against g' = 3e-292
-    # the rounding term's four finite parts overflow in their sum.  Either
-    # way the first-order route takes over, and refuses by its own count.
+def test_a_graded_level_past_the_float_range_ends_the_grading():
+    # On [0, 1e-100], the fifth derivative of t**1.5 overflows on the
+    # second level, [1.25e-101, 1e-100]: a tol whose budget share is below
+    # the first level's bound, 6e-250, is refused (the rounding term is
+    # near 1e-266), and a tol the first level meets is named.
+    iv = Interval(0.0, 1e-100)
+    f, g = (PiecewiseLipschitz.from_formulas(iv, (0.0, 1e-100), (fm,))
+            for fm in (Affine(1.0), Power(1.5)))
+    assert integrate(f, g, K, 1e-200).diagnostics.approximant_pieces == 1
+    with pytest.raises(ApproximationError, match="needs more than") as info:
+        integrate(f, g, K, 1e-252)
+    best = info.value.best_error
+    assert 1e-252 < best < 1e-247
+    assert integrate(f, g, K, best).diagnostics.approximant_pieces == 1
+
+
+def test_bounds_are_read_once_per_pair(monkeypatch):
+    # A refusal tries some 26 budgets; the bounds, and the graded levels of
+    # a cell from 0, are all read while the first plan is drawn up.
+    reads = []
+    for cls in (Affine, Power, SinWave):
+        bound = cls.derivative_bound_on
+        monkeypatch.setattr(cls, "derivative_bound_on",
+                            lambda self, u, v, k, _b=bound: reads.append(k) or _b(self, u, v, k))
+    route = sys.modules["stieltjes.integrate"]
+    plan, seen = route._gauss_plan, []
+
+    def spy(*args):
+        before = len(reads)
+        out = plan(*args)
+        seen.append((before, len(reads)))
+        return out
+    monkeypatch.setattr(route, "_gauss_plan", spy)
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 64)
+    for f, g in ((formula_of(SinWave(3.0)), formula_of(Power(2.5))),
+                 (formula_of(Power(1.5)), MonotoneFunction(IV, Affine(1.0), ((0.5, 0.25, 0.0),)))):
+        seen.clear()
+        with pytest.raises(ApproximationError, match="can certify"):
+            integrate(f, g, K, 1e-12)
+        assert len(seen) > 20
+        assert all(before == after == seen[0][1] for before, after in seen[1:])
+
+
+def test_overflowing_bounds_leave_the_route_whatever_the_tol(monkeypatch):
+    # On [1e-303, 1e307], t**1.001 has a third derivative past the float
+    # range next to 1e-303, so the pair leaves for the first-order route
+    # before any budget is tried, above the rounding term (1.7e308) as
+    # below it (1e300); that route refuses by its own count.
     calls = plan_spy(monkeypatch)
     iv = Interval(1e-303, 1e307)
     f = PiecewiseLipschitz.from_formulas(iv, (iv.a, iv.b), (Power(1.001),))
-    for slope, plans in ((1e-292, [None]), (3e-292, [])):
+    for slope in (1e-292, 3e-292):
         g = PiecewiseLipschitz.from_formulas(iv, (iv.a, iv.b), (Affine(slope),))
-        calls.clear()
-        with pytest.raises(ApproximationError, match=r"needs \d+ cells"):
-            integrate(f, g, K, 1.7e308)
-        assert [plan for _, plan in calls] == plans
-    # Below the rounding term, 5e307, no budget is left and 4 times it
-    # overflows: no tol is named.
-    g = PiecewiseLipschitz.from_formulas(iv, (iv.a, iv.b), (Affine(1e-292),))
-    with pytest.raises(ApproximationError, match="more than .* midpoint cells") as info:
-        integrate(f, g, K, 1e300)
-    assert info.value.best_error == math.inf and "can certify" not in str(info.value)
+        for tol in (1e300, 1.7e308):
+            with pytest.raises(ApproximationError, match=r"needs \d+ cells"):
+                integrate(f, g, K, tol)
+    assert calls == []
 
 
 def test_a_jump_past_the_float_range_leaves_the_route():
@@ -361,31 +432,12 @@ def test_a_jump_past_the_float_range_leaves_the_route():
 BLOW_UP = "f=sin[0,1]{freq:1e300; amp:1e-290} g=affine[0,1]{slope:1}"
 
 
-def test_an_overflowing_second_derivative_halves_within_the_cell_limit():
-    # f'' = 1e310 overflows, so every cell is halved like a singular
-    # power's and every half keeps C = inf.  The halving counts its cells
-    # and stops at the limit; without the count, tol 1e4 builds segments
-    # until memory runs out.  A child process under a 1.5 GB address-space
-    # limit runs the job with the cell limit at 2**12.
-    probe = textwrap.dedent(f"""
-        import json, resource, sys
-        resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
-        from stieltjes import cli, regulated
-        route = sys.modules["stieltjes.integrate"]
-        regulated.MAX_APPROX_CELLS = 1 << 12
-        plan, most = route._midpoint_plan, [0]
-        def spy(*args):
-            out = plan(*args)
-            most[0] = max(most[0], len(out[0]))
-            return out
-        route._midpoint_plan = spy
-        print(json.dumps([*cli.run_text({BLOW_UP!r}, "integrate", 1e4, None), most[0]]))
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert out.returncode == 0, out.stderr
-    code, report, most = json.loads(out.stdout)
+def test_an_overflowing_derivative_bound_leaves_the_route_at_once(monkeypatch):
+    # f'' = 1e310 is past the float range, so no plan is drawn up and the
+    # first-order route takes the job: with the cell limit at 2**12 it
+    # refuses by its own count.  (At the real limit it fits: 1e6 cells.)
+    calls = plan_spy(monkeypatch)
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 1 << 12)
+    code, report = cli.run_text(BLOW_UP, "integrate", 1e4, None)
     assert code == 3 and 1e4 < report["best_error"] < math.inf
-    assert 0 < most <= 1 << 12
+    assert "cells (limit 4096)" in report["error"] and calls == []

@@ -44,21 +44,56 @@ def test_sin_catalog_data():
     assert f.lipschitz_on(0.0, 1.0) == 6.0
 
 
-def test_catalog_derivative_bounds():
-    assert Affine(-2.0, 1.0).derivative_bounds_on(0.0, 1.0) == (2.0, 0.0)
-    assert SinWave(2.0, 3.0).derivative_bounds_on(0.0, 1.0) == (6.0, 12.0)
-    # -2 t**3: |f'| = 6 t**2 and |f''| = 12 |t| peak at t = -1.
-    assert Power(3.0, -2.0).derivative_bounds_on(-1.0, 0.5) == (6.0, 12.0)
-    assert Power(2.0, 3.0).derivative_bounds_on(0.0, 1.0) == (6.0, 6.0)
-    assert Power(1.0, 2.0).derivative_bounds_on(0.0, 1.0) == (2.0, 0.0)
-    # Below exponent 2, f'' peaks at the left end, and is unbounded at 0.
-    assert Power(1.5).derivative_bounds_on(0.0, 1.0) == (1.5, math.inf)
-    assert Power(1.5).derivative_bounds_on(0.25, 1.0) == (1.5, 1.5)
-    assert Power(0.5).derivative_bounds_on(0.25, 1.0) == (1.0, 2.0)
+def bounds(formula, u, v, top=5):
+    return [formula.derivative_bound_on(u, v, k) for k in range(1, top + 1)]
+
+
+def test_affine_derivative_bounds():
+    assert bounds(Affine(-2.0, 1.0), 0.0, 1.0) == [2.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_sin_derivative_bounds():
+    # |a| |w|**k everywhere.
+    assert bounds(SinWave(2.0, 3.0), 0.0, 1.0) == [6.0, 12.0, 24.0, 48.0, 96.0]
+    assert bounds(SinWave(-2.0, -0.5, 1.0), -4.0, 4.0, 3) == [1.0, 2.0, 4.0]
+    # |w|**2, or |a w| itself, past the float range is refused, not inf.
+    with pytest.raises(DomainError, match="derivative 2"):
+        SinWave(1e300, 1e-290).derivative_bound_on(0.0, 1.0, 2)
+    assert SinWave(1e300, 1e-290).derivative_bound_on(0.0, 1.0, 1) == 1e300 * 1e-290
+    with pytest.raises(DomainError, match="derivative 1"):
+        SinWave(1e300, 1e10).lipschitz_on(0.0, 1.0)
+
+
+def test_power_derivative_bounds():
+    # -2 t**3: |f^(k)| = 6 t**2, 12 |t|, 12 peak at t = -1; 0 from k = 4 on.
+    assert bounds(Power(3.0, -2.0), -1.0, 0.5) == [6.0, 12.0, 12.0, 0.0, 0.0]
+    assert bounds(Power(2.0, 3.0), 0.0, 1.0) == [6.0, 6.0, 0.0, 0.0, 0.0]
+    assert bounds(Power(1.0, 2.0), 0.0, 1.0) == [2.0, 0.0, 0.0, 0.0, 0.0]
+    # t**2.5: e - k >= 0 peaks at the far end, below it at the near end.
+    assert bounds(Power(2.5), 0.25, 1.0, 3) == [2.5, 2.5 * 1.5, 2.5 * 1.5 * 0.5 * 2.0]
+    assert bounds(Power(2.5), 0.25, 1.0)[3:] == [2.5 * 1.5 * 0.5 * 0.5 * 8.0,
+                                                  2.5 * 1.5 * 0.5 * 0.5 * 1.5 * 32.0]
+    # A non-integer exponent below k is unbounded at 0, and only there.
+    for e, finite in ((1.5, 1), (2.5, 2), (3.5, 3), (4.5, 4)):
+        at_zero = bounds(Power(e), 0.0, 1.0)
+        assert all(math.isfinite(b) for b in at_zero[:finite])
+        assert at_zero[finite:] == [math.inf] * (5 - finite)
+        assert all(math.isfinite(b) for b in bounds(Power(e), 1e-3, 1.0))
+    assert bounds(Power(0.5), 0.25, 1.0, 2) == [1.0, 2.0]
     with pytest.raises(DomainError):
-        Power(0.5).derivative_bounds_on(0.0, 1.0)
-    # u**(e - 2) overflows next to 0: f'' counts as unbounded there.
-    assert Power(1.01).derivative_bounds_on(5e-324, 1.0) == (1.01, math.inf)
+        Power(0.5).derivative_bound_on(0.0, 1.0, 1)
+    # u**(e - k) overflowing next to 0 is refused, not inf.
+    assert Power(1.01).derivative_bound_on(5e-324, 1.0, 1) == 1.01
+    with pytest.raises(DomainError, match="derivative 2"):
+        Power(1.01).derivative_bound_on(5e-324, 1.0, 2)
+
+
+def test_lipschitz_on_is_the_first_derivative_bound():
+    cells = ((0.0, 1.0), (-3.0, 2.0), (0.25, 4.0))
+    for fm in (Affine(-2.0, 1.0), SinWave(3.0, -0.5, 1.0), Power(3.0, -2.0), Power(2.0, 0.5)):
+        for u, v in cells:
+            assert fm.lipschitz_on(u, v) == fm.derivative_bound_on(u, v, 1)
+    assert Power(1.5).lipschitz_on(0.25, 4.0) == Power(1.5).derivative_bound_on(0.25, 4.0, 1)
 
 
 def test_a_power_past_the_float_range_is_refused():
@@ -78,20 +113,42 @@ def test_a_power_past_the_float_range_is_refused():
 
 
 def test_catalog_values_and_their_rounding():
-    # values_at is the pointwise call, bit for bit; an evaluation is within
-    # rounding_on of the exact value (checked exactly for polynomials).
+    # values_at is the pointwise call, bit for bit, and derivative_values_at
+    # the closed-form derivative; an evaluation is within rounding_on, or
+    # derivative_rounding_on, of the exact value (checked exactly for
+    # polynomials; for sin, within twice the bound of the float closed form).
     rng = random.Random(7)
     ts = [rng.uniform(-2.0, 2.0) for _ in range(200)]
     for fm in (Affine(rng.uniform(-3, 3), rng.uniform(-3, 3)), Power(3.0, rng.uniform(-3, 3)),
-               Power(2.0, rng.uniform(-3, 3)), SinWave(3.0, 0.5, 1.0)):
+               Power(2.0, rng.uniform(-3, 3)), Power(1.0, rng.uniform(-3, 3)),
+               SinWave(3.0, 0.5, 1.0)):
         assert fm.values_at(ts) == [fm(t) for t in ts]
+        slopes = fm.derivative_values_at(ts)
         if isinstance(fm, SinWave):
+            for t, d in zip(ts, slopes):
+                assert abs(d - 1.5 * math.cos(3.0 * t + 1.0)) <= 2.0 * fm.derivative_rounding_on(-2.0, 2.0)
             continue
         coef = ({1: fm.slope, 0: fm.intercept} if isinstance(fm, Affine)
                 else {int(fm.exponent): fm.scale})
-        for t in ts:
+        for t, d in zip(ts, slopes):
             exact = sum(Fraction(c) * Fraction(t) ** k for k, c in coef.items())
             assert abs(Fraction(fm(t)) - exact) <= fm.rounding_on(-2.0, 2.0)
+            slope = sum(Fraction(c) * k * Fraction(t) ** (k - 1) for k, c in coef.items() if k)
+            assert abs(Fraction(d) - slope) <= fm.derivative_rounding_on(-2.0, 2.0)
+
+
+def test_a_power_derivative_with_an_inexact_exponent():
+    # For e = 0.3, fl(e - 1) misses -0.7: the rounding bound adds that
+    # miss times |log t|, and needs the cell away from 0.
+    fm, u, v = Power(0.3, 2.0), 0.5, 3.0
+    assert math.fsum((0.3, -1.0, 0.7)) != 0.0
+    plain = 4.0 * 2.0 ** -53 * fm.derivative_bound_on(u, v, 1)
+    assert fm.derivative_rounding_on(u, v) > plain
+    ts = [u + (v - u) * k / 64 for k in range(65)]
+    for t, d in zip(ts, fm.derivative_values_at(ts)):
+        exact = 0.6 * math.exp(-0.7 * math.log(t))
+        assert abs(d - exact) <= fm.derivative_rounding_on(u, v) + 1e-15 * abs(exact)
+    assert Power(2.5).derivative_rounding_on(0.0, 1.0) == 4.0 * 2.0 ** -53 * 2.5
 
 
 def test_an_overflowing_width_keeps_finite_bounds():
