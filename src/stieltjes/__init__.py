@@ -3,10 +3,13 @@
 Three integrals of f against dg on a compact interval: the Kurzweil
 (gauge-limit) integral, the Young (refinement-limit with jump-aware
 sums) integral, and the Dushnik (refinement-limit with plain interior
-sums) integral.  A pair with a step function integrates exactly; a
-catalog pair walks its jumps exactly and certifies the continuous rest
-by a Gauss-Legendre sum; any other pair gets a certified error bound through
-step approximants.  K and Y always agree here, and
+sums) integral.  A pair with a step function integrates exactly.  A
+catalog pair splits into jump steps and continuous parts: the kind
+enters only through one exact walk of the two jump steps, each
+continuous part is read at the other side's jump nodes, and a
+Gauss-Legendre sum certifies the continuous rest.  Any other pair gets
+a certified error bound through step approximants.  K and Y always
+agree here, and
 
     K(f, dg) = f(b) g(b) - f(a) g(a) - D(g, df)
 

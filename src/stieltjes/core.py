@@ -34,9 +34,15 @@ class Frozen:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
+        # Slot by slot as tuple equality goes (identity, then ==), so it
+        # agrees with __hash__, without building the two tuples.
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        for name in self.__slots__:
+            x, y = getattr(self, name), getattr(other, name)
+            if x is not y and x != y:
+                return False
+        return True
 
     def __hash__(self):
         return hash(self._values())

@@ -36,13 +36,15 @@ point reads, so they share no code with either walk.
 
 Routes: ``integrate_limit`` picks one per pair, and ``integrate`` is
 the same call.  A step argument takes the walk above.  When both
-arguments are catalog functions (``_smooth_parts``), the jump steps
-split off by bilinearity are walked exactly and the continuous part,
-int f_c g_c' dt, the same for K, Y and D, is a two-point Gauss-Legendre
-sum under a fourth-order certificate (``_gauss_limit``), so cells grow
-like tol**-1/4.  Every other pair goes through certified step
-approximants under the first-order norm inequalities, so cells grow
-like 1 / tol.
+arguments are catalog functions (``_smooth_parts``), they split by
+bilinearity into jump steps and continuous parts, and the kind enters
+only through one walk of the jump step of f against that of g.  Each
+continuous part meets the other side's jump step in exact node terms,
+and int f_c g_c' dt, the same for K, Y and D, is a two-point
+Gauss-Legendre sum under a fourth-order certificate (``_gauss_limit``),
+so cells grow like tol**-1/4.  Every other pair goes through certified
+step approximants under the first-order norm inequalities, so cells
+grow like 1 / tol.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import math
 from bisect import bisect_right
 from enum import Enum
 from itertools import chain
-from operator import mul, neg, sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import regulated
@@ -408,26 +410,32 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
     """The fourth-order limit route; None when either argument lacks
     catalog derivative data (``_smooth_parts``) or a bound overflows.
 
-    With f = f_j + f_c and g = g_j + g_c, f_j and g_j the jump steps,
+    With f = f_j + f_c and g = g_j + g_c, f_j and g_j the jump steps
+    with nodes sigma_k and values c_k at them and d_k between them, and
+    f_c, g_c continuous,
 
-        I(f, dg) = I(f, dg_j) + I(f_j, dg) - I(f_j, dg_j) + int f_c g_c' dt.
+        I(f, dg) = I(f_j, dg_j) + sum_k f_c(sigma_k) [g_j(sigma_k+) - g_j(sigma_k-)]
+                   + sum_k d_k(f_j) [g_c(sigma_k+1) - g_c(sigma_k)] + int f_c g_c' dt,
 
-    The first three are step-pair walks for the kind; the last, the same
-    for K, Y and D, is a composite two-point Gauss-Legendre sum of f_c g_c'
-    on a grid aligned with both break lists, sized by ``_gauss_plan``, so
-    cells grow like tol**(-1/4).  The bounds are read once per pair,
-    before any budget is tried.  The rounding term adds, per cell [u, v]
-    of the breaks' union, of width w, with e_f and e_g one evaluation's
-    error bound of f_c and g_c' (``rounding_on`` plus u Y for subtracting
-    f's offset, ``derivative_rounding_on``), Y = sup|f| + sup|f_j| + e_f
-    and G1 = sup|g_c'|:
+    the first sum over g_j's nodes and the second over f_j's.  Only the
+    first term depends on the kind: the step-pair walk of f_j against
+    g_j.  The two sums, the same for K, Y and D, read f_c and g_c at the
+    other side's nodes (``_continuous_at``).  The last term is a
+    composite two-point Gauss-Legendre sum of f_c g_c' on a grid aligned
+    with both break lists, sized by ``_gauss_plan``, so cells grow like
+    tol**(-1/4).  The bounds are read once per pair, before any budget
+    is tried.  The rounding term adds, per cell [u, v] of the breaks'
+    union, of width w, with e_f and e_g one evaluation's error bound of
+    f_c and g_c' (``rounding_on`` plus u Y for subtracting f's offset,
+    ``derivative_rounding_on``), Y = sup|f| + sup|f_j| + e_f and G1 =
+    sup|g_c'|:
 
         w (e_f G1 + Y e_g)                   the values
         gamma_6 w Y (G1 + e_g)               the products, weights and sums
         w sup|F'| 12 u max(|u|, |v|)         the nodes' irrational positions
 
     (the last per fourth-order cell; a first-order cell needs none).  The
-    walks' terms are summed with the Gauss terms by one ``math.fsum``;
+    jump terms are summed with the Gauss terms by one ``math.fsum``;
     like the step-pair route they add no rounding term."""
     fs, gs = f._smooth_parts(), g._smooth_parts()
     if fs is None or gs is None:
@@ -475,14 +483,25 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
                  if best < math.inf else "")
         raise ApproximationError(f"tolerance {tol!r} {needs} (limit {limit}){floor}",
                                  best_error=best)
-    dushnik = kind is IntegralKind.DUSHNIK
-    walks = (_step_integrator_terms(f, g_jumps, dushnik),
-             _step_integrand_terms(f_jumps, g, dushnik),
-             map(neg, _step_integrand_terms(f_jumps, g_jumps, dushnik)))
-    terms = chain(*walks, *(_gauss_terms(f_forms[i], f_offsets[i], g_forms[j], u, v, n)
-                            for u, v, i, j, n in segments))
+    g_before = g_jumps.node_values[:1] + g_jumps.interior_values  # g_j(a-) := g_j(a)
+    g_after = g_jumps.interior_values + g_jumps.node_values[-1:]  # g_j(b+) := g_j(b)
+    g_cs = _continuous_at(gs, f_jumps.nodes)
+    terms = chain(_step_integrand_terms(f_jumps, g_jumps, kind is IntegralKind.DUSHNIK),
+                  map(mul, _continuous_at(fs, g_jumps.nodes), map(sub, g_after, g_before)),
+                  map(mul, f_jumps.interior_values, map(sub, g_cs[1:], g_cs)),
+                  *(_gauss_terms(f_forms[i], f_offsets[i], g_forms[j], u, v, n)
+                    for u, v, i, j, n in segments))
     return IntegralResult(finite_fsum(terms, "the Gauss-Legendre sum"), kind, bound + rounding,
                           Diagnostics("limit-gauss", None, count))
+
+
+def _continuous_at(parts, nodes) -> list:
+    """The continuous part f - f_j at each of ``nodes``, from f's
+    ``_smooth_parts``: one formula call per node, in the cell that starts
+    at or before it (the last cell at b)."""
+    _, breaks, forms, offsets = parts
+    cells = [min(bisect_right(breaks, t), len(forms)) - 1 for t in nodes]
+    return [forms[i](t) - offsets[i] for i, t in zip(cells, nodes)]
 
 
 def _gauss_terms(p, d, q, u: float, v: float, n: int):

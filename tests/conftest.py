@@ -133,6 +133,12 @@ def rand_smooth(rng: random.Random,
     return PiecewiseLipschitz.from_formulas(interval, breaks, forms, at)
 
 
+def gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), the bound on n roundings' relative error."""
+    u = 2.0 ** -53
+    return n * u / (1.0 - n * u)
+
+
 def brute_variation(fn, interval: Interval, n: int = 4000) -> float:
     """Dense-sample lower bound on the total variation, with both
     endpoints of every sampling cell; never exceeds the true value."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import NoCertificate, Opaque, dyadic_steps, rand_smooth, rand_step
+from conftest import NoCertificate, Opaque, dyadic_steps, gamma, rand_smooth, rand_step
 from stieltjes import (Affine, ApproximationError, DomainError,
                        ElementaryIntegrand, IndicatorKind, IntegralKind,
                        Interval, MonotoneFunction, PiecewiseLipschitz, Power,
@@ -295,11 +295,6 @@ def exact_step_pair(f, g, kind):
                       + on * (F(g.left_limit(v)) - F(g.right_limit(u)))
                       + F(f.value(v)) * (F(g.value(v)) - F(g.left_limit(v))))
     return total
-
-
-def gamma(n):
-    u = 2.0 ** -53
-    return n * u / (1.0 - n * u)
 
 
 def test_node_walk_matches_the_indicator_table():

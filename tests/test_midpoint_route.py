@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Opaque
+from conftest import Opaque, gamma
 from stieltjes import (Affine, ApproximationError, Diagnostics, IntegralKind,
                        Interval, MonotoneFunction, PiecewiseLipschitz, Power,
                        SinWave, by_parts, integrate)
@@ -29,8 +29,10 @@ IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK
 KINDS = (K, Y, D)
 
-# The jump walks are summed in floating point like the step-pair route,
-# which counts no rounding; their few terms here stay below 1e-14 each.
+# The jump terms (one step-pair walk of the two jump steps, and each
+# continuous part at the other side's jump nodes) are summed in floating
+# point like the step-pair route, which counts no rounding; their few
+# terms here stay below 1e-14 each.
 WALK_ROUNDING = 1e-13
 
 
@@ -201,6 +203,89 @@ def test_catalog_pairs_against_exact_dyadic_integrals():
             assert abs(Fraction(res.value) - exact) <= res.error_bound + WALK_ROUNDING
             checked += 1
     assert checked == 120
+
+
+def rand_jumping_monotone(rng):
+    """A dyadic monotone function with at least one jump."""
+    while True:
+        g, gm = rand_dyadic_monotone(rng)
+        if g.jump_points():
+            return g, gm
+
+
+def test_each_cross_term_alone_against_exact_dyadic_values():
+    # A continuous f has no jump step, so against a g with jumps only f_c
+    # at g's jump nodes is left of the jump terms; the reverse pair leaves
+    # only f's jump step against g_c.  The jump terms differ from K to D
+    # only in the walk of the two jump steps, which is 0 on both.
+    rng = random.Random(20261020)
+    for n in range(24):
+        form = rand_dyadic_formula(rng)
+        poly = poly_of(form)
+        ends = poly_at(poly, 0.0), poly_at(poly, 1.0)
+        smooth = formula_of(form), Model((0.0, 1.0), (poly,), ends)
+        jumping = rand_jumping_monotone(rng)
+        (f, fm), (g, gm) = (smooth, jumping) if n % 2 else (jumping, smooth)
+        tol = (1e-3, 1e-9)[n // 2 % 2]
+        values = []
+        for kind in KINDS:
+            res = integrate(f, g, kind, tol)
+            assert res.diagnostics.method == "limit-gauss"
+            exact = exact_integral(fm, gm, kind)
+            assert abs(Fraction(res.value) - exact) <= res.error_bound + WALK_ROUNDING
+            values.append(res.value)
+        assert values[0] == values[1] == values[2]
+
+
+def jump_correction(f, g) -> float:
+    """J = sum over t in (a, b] of (f(t) - f(t-)) (g(t) - g(t-)) minus the
+    sum over t in [a, b) of (f(t+) - f(t)) (g(t+) - g(t)), from one-sided
+    limits at the union of both functions' jump points; K - D = J (the
+    source paper, arXiv:1806.07954).  It shares no code with the walks."""
+    a, b = f.interval.a, f.interval.b
+    terms = []
+    for t in sorted({*f.jump_points(), *g.jump_points()}):
+        fv, gv = f.value(t), g.value(t)
+        if t > a:
+            terms.append((fv - f.left_limit(t)) * (gv - g.left_limit(t)))
+        if t < b:
+            terms.append(-(f.right_limit(t) - fv) * (g.right_limit(t) - gv))
+    return math.fsum(terms)
+
+
+def shared_jumps(rng):
+    """Catalog pieces with a value of their own at each break, and a
+    monotone function jumping at the same inner breaks and now and then
+    at a or b, always when the pieces have no inner break."""
+    breaks, forms, _ = rand_catalog_pieces(rng, False)
+    pieces = PiecewiseLipschitz.from_formulas(IV, breaks, forms,
+                                              [rng.uniform(-2.0, 2.0) for _ in breaks])
+    base, _ = rand_catalog_monotone(rng, False)
+    jumps = [(t, rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)) for t in breaks[1:-1]]
+    if len(breaks) == 2 or rng.random() < 0.5:
+        jumps += [(0.0, 0.0, rng.uniform(0.0, 0.3)), (1.0, rng.uniform(0.0, 0.3), 0.0)]
+    return pieces, MonotoneFunction(IV, base, jumps)
+
+
+def test_k_minus_d_is_the_shared_jump_sum_on_catalog_pairs():
+    # K and D share every term but the walk of the two jump steps, so
+    # K - D - J is rounding: the walks' products and differences, the
+    # jump steps' summed levels, J's own terms and the two roundings of K
+    # and D, each within gamma_n of sup times variation per jump point.
+    rng = random.Random(20261021)
+    for n in range(24):
+        pieces, mono = shared_jumps(rng)
+        f, g = (mono, pieces) if n % 2 else (pieces, mono)
+        tol = (1e-3, 1e-6, 1e-9)[n % 3]
+        k, y, d = (integrate(f, g, kind, tol) for kind in KINDS)
+        assert k.diagnostics.method == d.diagnostics.method == "limit-gauss"
+        assert (k.value, k.error_bound) == (y.value, y.error_bound)
+        points = len({*f.jump_points(), *g.jump_points()}) + 2
+        scale = (points * (f.sup_bound + f.variation_bound) * (g.sup_bound + g.variation_bound)
+                 + abs(k.value) + abs(d.value))
+        j = jump_correction(f, g)
+        assert abs(j) > 1e-3  # the pair shares a jump
+        assert abs(k.value - d.value - j) <= gamma(8 * points) * scale
 
 
 # -------------------------------------------------- float catalog pairs
