@@ -37,9 +37,10 @@ from .dsl import COMMANDS, JobSpec, build_pair, parse_spec
 from .integrate import IntegralKind, by_parts, check_integral_bounds, integrate
 from .oracle import oracle_gauge, oracle_refinement
 from .partitions import Division, interior_tags
-from .sums import check_sum_bounds
+from .regulated import UNIT_ROUNDOFF
+from .sums import _rounding_slack, check_sum_bounds
 
-RESIDUAL_TOL = 1e-12
+RESIDUAL_TOL = 1e-12  # verify-main's least allowance, and all of it without both variations
 
 # A runner takes (job, f, g, kind) and returns (exit code, fields): the
 # report's kind, value and error_bound, then any fields of its own.
@@ -53,19 +54,34 @@ def _cmd_integrate(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
 
 def _cmd_verify_main(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]:
     """Check the two structural identities the three kinds satisfy:
-    K = Y, and K = boundary - D with the roles of f and g swapped.
+    K = Y, and K = boundary - D with the roles of f and g swapped, each
+    within the results' error bounds plus a rounding allowance.
 
-    ``k_minus_y`` is 0 by construction: ``integrate`` gives K and Y the
-    same approximant and the same branch of the step-pair walk, so the
-    residual compares a value with itself.  Only the oracles test K = Y
-    (``oracle_gauge`` against ``oracle_refinement``)."""
+    ``k_minus_y`` is 0 by construction: ``integrate`` takes the same
+    route for K and Y, and the kind enters it only through the step-pair
+    walk, whose K and Y branch is one, so the residual compares a value
+    with itself.  Only the oracles test K = Y (``oracle_gauge`` against
+    ``oracle_refinement``)."""
     res_k = integrate(f, g, IntegralKind.KURZWEIL, job.tol)
     res_y = integrate(f, g, IntegralKind.YOUNG, job.tol)
     res_parts = by_parts(f, g, IntegralKind.KURZWEIL, job.tol)
     r_ky = abs(res_k.value - res_y.value)
     r_parts = abs(res_k.value - res_parts.value)
-    ok = (r_ky <= res_k.error_bound + res_y.error_bound + RESIDUAL_TOL
-          and r_parts <= res_k.error_bound + res_parts.error_bound + RESIDUAL_TOL)
+    var_f, var_g = f.variation_bound, g.variation_bound
+    allowance = RESIDUAL_TOL
+    if var_f is not None and var_g is not None:
+        # n = 3: a walk term c (x - y) and each boundary product round
+        # twice, and D's fsum, within u of |boundary| + |P|, once more.
+        # The walk terms of K(f, dg) and D(g, df) add up in absolute
+        # value to at most sup|f| var g and sup|g| var f.  The fsums and
+        # the final subtraction add the 2u (|K| + |P|).
+        a, b = f.interval.a, f.interval.b
+        scale = (abs(f.value(b) * g.value(b)) + abs(f.value(a) * g.value(a))
+                 + f.sup_bound * var_g + g.sup_bound * var_f)
+        allowance = max(RESIDUAL_TOL, _rounding_slack(
+            3, scale, 2.0 * UNIT_ROUNDOFF * (abs(res_k.value) + abs(res_parts.value))))
+    ok = (r_ky <= res_k.error_bound + res_y.error_bound + allowance
+          and r_parts <= res_k.error_bound + res_parts.error_bound + allowance)
     return (0 if ok else 1), {
         "kind": "K", "value": res_k.value, "error_bound": res_k.error_bound,
         "residuals": {"k_minus_y": r_ky, "by_parts": r_parts}, "ok": ok}

@@ -30,6 +30,10 @@ class Frozen:
 
     __slots__ = ()
 
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -73,8 +77,7 @@ class Interval(Frozen):
             raise DomainError(f"interval endpoints must be finite, got [{a}, {b}]")
         if not a < b:
             raise DomainError(f"degenerate interval [{a}, {b}]")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__init__(a, b)
 
     @property
     def width(self) -> float:
@@ -163,15 +166,17 @@ class RegulatedFunction(ABC):
 
         Precondition, not checked: ``nodes`` are the sorted nodes of an
         already-checked ``StepFunction`` on this interval, so they
-        increase strictly from a to b.  The step-pair walks in
-        ``integrate`` are the only callers.  This default reads the
-        three point methods.  The built-in families override it with one
-        of two walks that give bit-identical values: ``StepFunction``
-        merges its nodes with the query nodes one by one, since the two
-        lists may be equally dense; the families with few breaks
-        (``PiecewiseLipschitz``'s, and the nodes of ``MonotoneFunction``'s
-        jump step, a and b alone without jumps) bisect once per break
-        and slice the query nodes between breaks."""
+        increase strictly from a to b.  The callers are the step-pair
+        walks of ``integrate_step_pair`` and ``_gauss_limit``, and
+        ``PiecewiseLipschitz._smooth_parts`` on its checked breakpoints.
+        This default reads the three point methods.  The built-in
+        families override it with one of two walks that give
+        bit-identical values: ``StepFunction`` merges its nodes with the
+        query nodes one by one, since the two lists may be equally dense;
+        the families with few breaks (``PiecewiseLipschitz``'s, and the
+        nodes of ``MonotoneFunction``'s jump step, a and b alone without
+        jumps) bisect once per break and slice the query nodes between
+        breaks."""
         values = [self.value(t) for t in nodes]
         lefts = [values[0]] + [self.left_limit(t) for t in nodes[1:]]
         rights = [self.right_limit(t) for t in nodes[:-1]] + [values[-1]]

@@ -189,15 +189,15 @@ def elementary_backward(g: RegulatedFunction, e: ElementaryIntegrand,
     return IntegralResult(value, kind, 0.0, Diagnostics("indicator-table"))
 
 
-def _step_integrand_terms(f: StepFunction, g: RegulatedFunction, dushnik: bool):
+def _step_integrand_terms(f: StepFunction, limits, dushnik: bool):
     # D: sum_k d_k [g(sigma_{k+1}) - g(sigma_k)].
     # K, Y: sum_k c_k [g(sigma_k+) - g(sigma_k-)]
     #       + sum_k d_k [g(sigma_{k+1}-) - g(sigma_k+)],
-    # with g(a-) := g(a) and g(b+) := g(b).  The terms come in node
-    # order, c_0 first and then d_k before c_{k+1}, as iterators rather
-    # than lists (fsum's order matters only when a partial sum overflows).
+    # with g(a-) := g(a) and g(b+) := g(b) in ``limits``, g's ``_limits_at(f.nodes)``.
+    # The terms come in node order, c_0 first and then d_k before c_{k+1},
+    # as iterators (fsum's order matters only when a partial sum overflows).
     cs, ds = f.node_values, f.interior_values
-    lefts, values, rights = g._limits_at(f.nodes)
+    lefts, values, rights = limits
     if dushnik:
         return map(mul, ds, map(sub, values[1:], values))
     at_node = map(mul, cs, map(sub, rights, lefts))
@@ -205,25 +205,20 @@ def _step_integrand_terms(f: StepFunction, g: RegulatedFunction, dushnik: bool):
     return chain((next(at_node),), chain.from_iterable(zip(on_piece, at_node)))
 
 
-def _step_integrator_terms(f: RegulatedFunction, g: StepFunction, dushnik: bool):
+def _step_integrator_terms(limits, g: StepFunction, dushnik: bool):
     # K, Y: sum_k f(sigma_k) [g(sigma_k+) - g(sigma_k-)].
     # D: sum_k f(sigma_k+) [g(sigma_k+) - g(sigma_k)]
-    #          + f(sigma_k-) [g(sigma_k) - g(sigma_k-)].
-    # f is read at every node of g.  A node where g does not move (only
-    # an endpoint can be one, by the canonical form) adds no term.
+    #          + f(sigma_k-) [g(sigma_k) - g(sigma_k-)],
+    # from ``limits``, f's ``_limits_at(g.nodes)``.  Where g does not move
+    # the term is a zero (f is finite), which leaves fsum's result as it is.
     cs, ds = g.node_values, g.interior_values
-    lefts, values, rights = f._limits_at(g.nodes)
+    lefts, values, rights = limits
     before = cs[:1] + ds  # g(a-) := g(a)
     after = ds + cs[-1:]  # g(b+) := g(b)
     if not dushnik:
-        return [fv * (hi - lo) for fv, lo, hi in zip(values, before, after) if hi != lo]
-    terms = []
-    for fl, fr, lo, c, hi in zip(lefts, rights, before, cs, after):
-        if hi != c:
-            terms.append(fr * (hi - c))
-        if c != lo:
-            terms.append(fl * (c - lo))
-    return terms
+        return map(mul, values, map(sub, after, before))
+    return chain.from_iterable(zip(map(mul, rights, map(sub, after, cs)),
+                                   map(mul, lefts, map(sub, cs, before))))
 
 
 def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
@@ -237,9 +232,9 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
         raise DomainError("integrand and integrator live on different intervals")
     dushnik = kind is IntegralKind.DUSHNIK
     if isinstance(f, StepFunction):
-        terms = _step_integrand_terms(f, g, dushnik)
+        terms = _step_integrand_terms(f, g._limits_at(f.nodes), dushnik)
     elif isinstance(g, StepFunction):
-        terms = _step_integrator_terms(f, g, dushnik)
+        terms = _step_integrator_terms(f._limits_at(g.nodes), g, dushnik)
     else:
         raise StepPairError(
             "integrate_step_pair needs a step function in one slot; "
@@ -419,16 +414,16 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
 
     the first sum over g_j's nodes and the second over f_j's.  Only the
     first term depends on the kind: the step-pair walk of f_j against
-    g_j.  The two sums, the same for K, Y and D, read f_c and g_c at the
-    other side's nodes (``_continuous_at``).  The last term is a
-    composite two-point Gauss-Legendre sum of f_c g_c' on a grid aligned
-    with both break lists, sized by ``_gauss_plan``, so cells grow like
-    tol**(-1/4).  The bounds are read once per pair, before any budget
-    is tried.  The rounding term adds, per cell [u, v] of the breaks'
-    union, of width w, with e_f and e_g one evaluation's error bound of
-    f_c and g_c' (``rounding_on`` plus u Y for subtracting f's offset,
-    ``derivative_rounding_on``), Y = sup|f| + sup|f_j| + e_f and G1 =
-    sup|g_c'|:
+    g_j.  The two sums, the same for K, Y and D, are walks too, on f_c
+    and g_c at the other side's nodes (``_continuous_at``).  The last
+    term is a composite two-point Gauss-Legendre sum of f_c g_c' on a
+    grid aligned with both break lists, sized by ``_gauss_plan``, so
+    cells grow like tol**(-1/4).  The bounds are read once per pair,
+    before any budget is tried.  The rounding term adds, per cell [u, v]
+    of the breaks' union, of width w, with e_f and e_g one evaluation's
+    error bound of f_c and g_c' (``rounding_on`` plus u Y for
+    subtracting f's offset, ``derivative_rounding_on``), Y = sup|f| +
+    sup|f_j| + e_f and G1 = sup|g_c'|:
 
         w (e_f G1 + Y e_g)                   the values
         gamma_6 w Y (G1 + e_g)               the products, weights and sums
@@ -483,12 +478,13 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
                  if best < math.inf else "")
         raise ApproximationError(f"tolerance {tol!r} {needs} (limit {limit}){floor}",
                                  best_error=best)
-    g_before = g_jumps.node_values[:1] + g_jumps.interior_values  # g_j(a-) := g_j(a)
-    g_after = g_jumps.interior_values + g_jumps.node_values[-1:]  # g_j(b+) := g_j(b)
-    g_cs = _continuous_at(gs, f_jumps.nodes)
-    terms = chain(_step_integrand_terms(f_jumps, g_jumps, kind is IntegralKind.DUSHNIK),
-                  map(mul, _continuous_at(fs, g_jumps.nodes), map(sub, g_after, g_before)),
-                  map(mul, f_jumps.interior_values, map(sub, g_cs[1:], g_cs)),
+    # A continuous side's left limit, value and right limit coincide, so
+    # each cross sum is a walk: the integrator's K form, the integrand's D.
+    f_cs, g_cs = _continuous_at(fs, g_jumps.nodes), _continuous_at(gs, f_jumps.nodes)
+    terms = chain(_step_integrand_terms(f_jumps, g_jumps._limits_at(f_jumps.nodes),
+                                        kind is IntegralKind.DUSHNIK),
+                  _step_integrator_terms((f_cs, f_cs, f_cs), g_jumps, False),
+                  _step_integrand_terms(f_jumps, (g_cs, g_cs, g_cs), True),
                   *(_gauss_terms(f_forms[i], f_offsets[i], g_forms[j], u, v, n)
                     for u, v, i, j, n in segments))
     return IntegralResult(finite_fsum(terms, "the Gauss-Legendre sum"), kind, bound + rounding,
@@ -642,5 +638,9 @@ def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | st
 def check_integral_bounds(result: IntegralResult, f: RegulatedFunction,
                           g: RegulatedFunction) -> BoundsReport:
     """The integral-level versions of the sum bounds, inflated by the
-    result's own error bound."""
-    return _norm_checks(f, g, (("integral", result.value),), result.error_bound)
+    result's own error bound.  The value counts as summed over the
+    approximant's cells, or else the step argument's pieces (f's when
+    both are steps, as the walk takes), or one cell."""
+    steps = (h.piece_count for h in (f, g) if isinstance(h, StepFunction))
+    cells = result.diagnostics.approximant_pieces or next(steps, 1)
+    return _norm_checks(f, g, (("integral", result.value),), cells, result.error_bound)

@@ -34,29 +34,39 @@ def _times_width(c: float, u: float, v: float) -> float:
     return y if math.isfinite(y) else math.inf
 
 
-# ----------------------------------------------------------------------
-# Formula catalog.  Each entry knows a certified variation bound on any
-# cell and sup|f^(k)| there (``derivative_bound_on``, k >= 1; k = 1 is
-# ``lipschitz_on``), which is what lets the DSL build functions whose
-# certificates need no user-supplied constants.  A derivative bound is
-# inf only on a cell from 0 where the derivative is unbounded (t**e with
-# e non-integer below k); one past the float range is refused with a
-# DomainError.  ``values_at(ts)`` is ``[f(t) for t in ts]`` and
-# ``derivative_values_at(ts)`` the same for f', bit for bit, without a
-# call per point; ``rounding_on`` and ``derivative_rounding_on`` bound
-# the rounding error of one such evaluation at a point of the cell,
-# assuming ``math.sin``, ``math.cos`` and ``**`` are within one ulp.  The
-# limit route's Gauss-Legendre sum and its fourth-order certificate read
-# all of them.
+class Formula(Frozen):
+    """Base of the formula catalog.  Each entry knows sup|f^(k)| on any
+    cell (``derivative_bound_on``, k >= 1; k = 1 is ``lipschitz_on``)
+    and a certified variation bound there (``variation_on``), which is
+    what lets the DSL build functions whose certificates need no
+    user-supplied constants.  A derivative bound is inf only on a cell
+    from 0 where the derivative is unbounded (t**e with e non-integer
+    below k); one past the float range is refused with a DomainError.
+    ``values_at(ts)`` is ``[f(t) for t in ts]`` and
+    ``derivative_values_at(ts)`` the same for f', bit for bit, without a
+    call per point; ``rounding_on`` and ``derivative_rounding_on`` bound
+    the rounding error of one such evaluation at a point of the cell,
+    assuming ``math.sin``, ``math.cos`` and ``**`` are within one ulp.
+    The limit route's Gauss-Legendre sum and its fourth-order
+    certificate read all of them."""
 
-class Affine(Frozen):
+    __slots__ = ()
+
+    def lipschitz_on(self, u: float, v: float) -> float:
+        return self.derivative_bound_on(u, v, 1)
+
+    def variation_on(self, u: float, v: float) -> float:
+        # Lipschitz times width; an upper bound wherever f' changes sign.
+        return _times_width(self.lipschitz_on(u, v), u, v)
+
+
+class Affine(Formula):
     """t -> slope * t + intercept."""
 
     __slots__ = ("slope", "intercept")
 
     def __init__(self, slope: float, intercept: float = 0.0):
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "intercept", intercept)
+        super().__init__(slope, intercept)
 
     def __call__(self, t: float) -> float:
         return self.slope * t + self.intercept
@@ -71,12 +81,6 @@ class Affine(Frozen):
     def derivative_bound_on(self, u: float, v: float, k: int) -> float:
         return abs(self.slope) if k == 1 else 0.0
 
-    def lipschitz_on(self, u: float, v: float) -> float:
-        return self.derivative_bound_on(u, v, 1)
-
-    def variation_on(self, u: float, v: float) -> float:
-        return _times_width(abs(self.slope), u, v)
-
     def rounding_on(self, u: float, v: float) -> float:
         # fl(fl(s t) + c): two roundings, the first one of |s t|.
         return 3.0 * UNIT_ROUNDOFF * (abs(self.slope) * max(abs(u), abs(v)) + abs(self.intercept))
@@ -85,7 +89,7 @@ class Affine(Frozen):
         return 0.0  # the slope itself
 
 
-class Power(Frozen):
+class Power(Formula):
     """t -> scale * t**exponent, exponent > 0.
 
     Non-integer exponents need u >= 0; exponents below 1 additionally
@@ -98,8 +102,7 @@ class Power(Frozen):
     def __init__(self, exponent: float, scale: float = 1.0):
         if not exponent > 0:
             raise DomainError(f"power exponent must be positive, got {exponent!r}")
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "scale", scale)
+        super().__init__(exponent, scale)
 
     def __call__(self, t: float) -> float:
         try:
@@ -149,9 +152,6 @@ class Power(Frozen):
         what = "Lipschitz constant" if k == 1 else f"bound on derivative {k}"
         raise DomainError(f"t**{e} has no finite {what} on [{u!r}, {v!r}]")
 
-    def lipschitz_on(self, u: float, v: float) -> float:
-        return self.derivative_bound_on(u, v, 1)
-
     def variation_on(self, u: float, v: float) -> float:
         self._check_cell(u, v)
         if u >= 0:  # monotone on [0, inf)
@@ -176,15 +176,13 @@ class Power(Frozen):
         return rel * self.derivative_bound_on(u, v, 1)
 
 
-class SinWave(Frozen):
+class SinWave(Formula):
     """t -> amplitude * sin(freq * t + phase)."""
 
     __slots__ = ("freq", "amplitude", "phase")
 
     def __init__(self, freq: float, amplitude: float = 1.0, phase: float = 0.0):
-        object.__setattr__(self, "freq", freq)
-        object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "phase", phase)
+        super().__init__(freq, amplitude, phase)
 
     def __call__(self, t: float) -> float:
         return self.amplitude * math.sin(self.freq * t + self.phase)
@@ -206,13 +204,6 @@ class SinWave(Frozen):
         if bound < math.inf:
             return bound
         raise DomainError(f"sin with freq {w!r} has no finite bound on derivative {k}")
-
-    def lipschitz_on(self, u: float, v: float) -> float:
-        return self.derivative_bound_on(u, v, 1)
-
-    def variation_on(self, u: float, v: float) -> float:
-        # Upper bound; the exact arc count is not worth tracking.
-        return _times_width(self.lipschitz_on(u, v), u, v)
 
     def rounding_on(self, u: float, v: float) -> float:
         # The argument's two roundings, moved through sin (1-Lipschitz),

@@ -38,8 +38,9 @@ from typing import NamedTuple, Sequence
 from .core import RegulatedFunction
 from .errors import DomainError, finite_fsum
 from .partitions import Division, Partition
+from .regulated import UNIT_ROUNDOFF
 
-BOUND_SLACK = 1e-12  # a bound check holds while |observed| <= bound + this
+BOUND_SLACK = 1e-12  # the least rounding allowance of a bound check
 
 
 class SumValue(NamedTuple):
@@ -108,7 +109,8 @@ def young_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) 
 
 
 class BoundCheck(NamedTuple):
-    """One inequality: |observed| <= bound (within ``BOUND_SLACK``).
+    """One inequality: |observed| <= bound, within the rounding allowance
+    of ``_norm_checks``; ``slack`` is bound - |observed|.
 
     ``holds`` is None when the needed norm is unknown, or the bound
     overflowed, and the check was skipped.
@@ -132,28 +134,46 @@ class BoundsReport(tuple):
         return all(c.holds is not False for c in self)
 
 
-def _make_check(name: str, observed: float, bound: float | None) -> BoundCheck:
+def _rounding_slack(n: int, scale: float, extra: float = 0.0) -> float:
+    """gamma_n * scale + extra, the most rounding can move a computed
+    value past an exact one, with gamma_n = n u / (1 - n u); never less
+    than BOUND_SLACK, which is also what a scale or extra past the float
+    range gets.  The callers assume that each value they read is within
+    a few ulps of its magnitude: ``math.sin`` at large arguments can miss
+    by more."""
+    slack = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) * scale + extra
+    return slack if BOUND_SLACK < slack < math.inf else BOUND_SLACK
+
+
+def _make_check(name: str, observed: float, bound: float | None, cells: int,
+                reads: float) -> BoundCheck:
     if bound is None or not math.isfinite(bound):
         return BoundCheck(name, observed, None, None, None)
     margin = bound - abs(observed)
-    return BoundCheck(name, observed, bound, margin, margin >= -BOUND_SLACK)
+    return BoundCheck(name, observed, bound, margin,
+                      margin >= -_rounding_slack(cells + 3, bound, reads))
 
 
 def _norm_checks(f: RegulatedFunction, g: RegulatedFunction,
-                 observed: Sequence[tuple[str, float]],
+                 observed: Sequence[tuple[str, float]], cells: int,
                  error_bound: float = -0.0) -> BoundsReport:
     """For each (name, value) of ``observed``, the checks ``name_sup_var``
     and ``name_bv_sup`` of |value| against the two norm products, each
     plus ``error_bound`` (by default -0.0, which leaves every float as
-    it is).  A bound whose norm is unknown, or which overflowed, is skipped."""
+    it is).  A bound whose norm is unknown, or which overflowed, is skipped.
+
+    A check holds within the rounding of a value summed over ``cells``
+    cells and of its bound: gamma_(N+3) times the bound for N cells, plus
+    4 u sup|f| sup|g| for each of the 2(N + 1) values the differences read."""
     a, b = f.interval.a, f.interval.b
     var_f, var_g = f.variation_bound, g.variation_bound
     sup_var = None if var_g is None else f.sup_bound * var_g + error_bound
     bv_sup = None if var_f is None else \
         (abs(f.value(a)) + abs(f.value(b)) + var_f) * g.sup_bound + error_bound
+    reads = 8.0 * (cells + 1) * UNIT_ROUNDOFF * f.sup_bound * g.sup_bound
     return BoundsReport(check for name, value in observed
-                        for check in (_make_check(f"{name}_sup_var", value, sup_var),
-                                      _make_check(f"{name}_bv_sup", value, bv_sup)))
+                        for check in (_make_check(f"{name}_sup_var", value, sup_var, cells, reads),
+                                      _make_check(f"{name}_bv_sup", value, bv_sup, cells, reads)))
 
 
 def check_sum_bounds(f: RegulatedFunction, g: RegulatedFunction,
@@ -163,7 +183,8 @@ def check_sum_bounds(f: RegulatedFunction, g: RegulatedFunction,
         |S|, |SY| <= sup|f| * var g
         |S|, |SY| <= (|f(a)| + |f(b)| + var f) * sup|g|
 
-    Bounds whose norms are unavailable are reported as skipped.
+    each within the rounding of the sums and the bound.  Bounds whose
+    norms are unavailable are reported as skipped.
     """
     return _norm_checks(f, g, (("riemann", riemann_sum(f, g, partition).value),
-                               ("young", young_sum(f, g, partition).value)))
+                               ("young", young_sum(f, g, partition).value)), partition.size)
