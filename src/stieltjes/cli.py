@@ -27,6 +27,7 @@ omits it) and exits with the worst per-line code.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -39,8 +40,6 @@ from .oracle import oracle_gauge, oracle_refinement
 from .partitions import Division, interior_tags
 from .regulated import UNIT_ROUNDOFF
 from .sums import _rounding_slack, check_sum_bounds
-
-RESIDUAL_TOL = 1e-12  # verify-main's least allowance, and all of it without both variations
 
 # A runner takes (job, f, g, kind) and returns (exit code, fields): the
 # report's kind, value and error_bound, then any fields of its own.
@@ -68,7 +67,7 @@ def _cmd_verify_main(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]
     r_ky = abs(res_k.value - res_y.value)
     r_parts = abs(res_k.value - res_parts.value)
     var_f, var_g = f.variation_bound, g.variation_bound
-    allowance = RESIDUAL_TOL
+    scale = math.inf  # without both variations, the slack's floor
     if var_f is not None and var_g is not None:
         # n = 3: a walk term c (x - y) and each boundary product round
         # twice, and D's fsum, within u of |boundary| + |P|, once more.
@@ -78,8 +77,8 @@ def _cmd_verify_main(job: JobSpec, f, g, kind: IntegralKind) -> tuple[int, dict]
         a, b = f.interval.a, f.interval.b
         scale = (abs(f.value(b) * g.value(b)) + abs(f.value(a) * g.value(a))
                  + f.sup_bound * var_g + g.sup_bound * var_f)
-        allowance = max(RESIDUAL_TOL, _rounding_slack(
-            3, scale, 2.0 * UNIT_ROUNDOFF * (abs(res_k.value) + abs(res_parts.value))))
+    allowance = _rounding_slack(
+        3, scale, 2.0 * UNIT_ROUNDOFF * (abs(res_k.value) + abs(res_parts.value)))
     ok = (r_ky <= res_k.error_bound + res_y.error_bound + allowance
           and r_parts <= res_k.error_bound + res_parts.error_bound + allowance)
     return (0 if ok else 1), {

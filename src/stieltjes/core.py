@@ -79,10 +79,6 @@ class Interval(Frozen):
             raise DomainError(f"degenerate interval [{a}, {b}]")
         super().__init__(a, b)
 
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
     def require(self, t: float) -> None:
         if not self.a <= t <= self.b:
             raise DomainError(f"point {t!r} outside interval [{self.a}, {self.b}]")

@@ -88,11 +88,9 @@ _FORMULAS = {"affine": Affine, "power": Power, "sin": SinWave}
 
 
 class FunctionSpec(NamedTuple):
-    """Parsed function description.  ``name`` records which job slot it
-    fills (or the formula family for nested terms); payload keys sit in
-    canonical order so equal texts give equal specs."""
+    """Parsed function description; payload keys sit in canonical order
+    so equal texts give equal specs."""
 
-    name: str
     family: str
     interval: tuple[float, float] | None
     payload: tuple[tuple[str, object], ...]
@@ -214,7 +212,7 @@ class _Parser:
             raise DSLSemanticError(
                 f"unknown formula family {fam!r}; pick one of " + ", ".join(_FORMULAS))
         self.expect("(", "'('")
-        return FunctionSpec(fam, fam, None, self.entries(fam, ",", ")"))
+        return FunctionSpec(fam, None, self.entries(fam, ",", ")"))
 
     def entries(self, family: str, sep: str, close: str) -> tuple[tuple[str, object], ...]:
         """``key: value`` entries separated by ``sep`` up to ``close``,
@@ -239,7 +237,7 @@ class _Parser:
                 raise DSLSemanticError(f"{family} needs {key}: ...")
         return tuple((k, seen[k]) for k in schema if k in seen)
 
-    def function(self, slot: str) -> FunctionSpec:
+    def function(self) -> FunctionSpec:
         fam = self.name("a function family")
         if fam not in _SCHEMA:
             raise DSLSemanticError(
@@ -251,7 +249,7 @@ class _Parser:
         b = self.number("the interval end")
         self.expect("]", "']'")
         self.expect("{", "'{'")
-        return FunctionSpec(slot, fam, (a, b), self.entries(fam, ";", "}"))
+        return FunctionSpec(fam, (a, b), self.entries(fam, ";", "}"))
 
     def job(self) -> JobSpec:
         command = self.name("a command")
@@ -267,7 +265,7 @@ class _Parser:
                 raise DSLSemanticError(f"duplicate job field {key!r}")
             self.expect("=", "'='")
             if key in ("f", "g"):
-                fields[key] = self.function(key)
+                fields[key] = self.function()
             elif key == "kind":
                 fields[key] = self.name("an integral kind")
             else:

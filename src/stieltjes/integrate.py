@@ -109,17 +109,10 @@ class ElementaryIntegrand(NamedTuple("ElementaryIntegrand",
         return super().__new__(cls, kind, tau)
 
     def as_step(self, interval: Interval) -> StepFunction:
-        a, b = interval.a, interval.b
-        k = self.kind
-        if k is IndicatorKind.ONE:
+        if self.kind is IndicatorKind.ONE:
             return StepFunction.constant(interval, 1.0)
-        if k is IndicatorKind.OPEN_FROM_A:
-            return indicator(interval, a, b, closed_left=False, closed_right=True)
-        if k is IndicatorKind.POINT_B:
-            return indicator(interval, b, b, closed_left=True, closed_right=True)
-        closed = k is IndicatorKind.CLOSED_TAIL
-        return indicator(interval, _require_tau(self, interval), b,
-                         closed_left=closed, closed_right=True)
+        tau, closed = _tail(self, interval)
+        return indicator(interval, tau, interval.b, closed_left=closed, closed_right=True)
 
 
 class Diagnostics(NamedTuple):
@@ -135,12 +128,18 @@ class IntegralResult(NamedTuple):
     diagnostics: Diagnostics
 
 
-def _require_tau(e: ElementaryIntegrand, interval: Interval) -> float:
-    tau = e.tau
-    if not interval.a < tau < interval.b:
+def _tail(e: ElementaryIntegrand, interval: Interval) -> tuple[float, bool]:
+    """``(tau, closed)`` of a shape other than ONE, as the tail (tau, b]
+    or [tau, b]: chi of (a, b] is the open tail at a, chi of [b] the
+    closed tail at b."""
+    if e.kind is IndicatorKind.OPEN_FROM_A:
+        return interval.a, False
+    if e.kind is IndicatorKind.POINT_B:
+        return interval.b, True
+    if not interval.a < e.tau < interval.b:
         raise DomainError(
-            f"tau={tau!r} must be strictly inside [{interval.a}, {interval.b}]")
-    return tau
+            f"tau={e.tau!r} must be strictly inside [{interval.a}, {interval.b}]")
+    return e.tau, e.kind is IndicatorKind.CLOSED_TAIL
 
 
 def elementary_forward(e: ElementaryIntegrand, g: RegulatedFunction,
@@ -149,21 +148,13 @@ def elementary_forward(e: ElementaryIntegrand, g: RegulatedFunction,
     and Y share a column; D ignores one-sided limits at the left cut and
     drops the endpoint atom (its tags never reach the nodes)."""
     kind = IntegralKind(kind)
-    a, b = g.interval.a, g.interval.b
-    ky = kind is not IntegralKind.DUSHNIK
-    k = e.kind
-    if k is IndicatorKind.ONE:
-        value = g.value(b) - g.value(a)
-    elif k is IndicatorKind.OPEN_FROM_A:
-        value = g.value(b) - (g.right_limit(a) if ky else g.value(a))
-    elif k is IndicatorKind.OPEN_TAIL:
-        tau = _require_tau(e, g.interval)
-        value = g.value(b) - (g.right_limit(tau) if ky else g.value(tau))
-    elif k is IndicatorKind.CLOSED_TAIL:
-        tau = _require_tau(e, g.interval)
-        value = g.value(b) - (g.left_limit(tau) if ky else g.value(tau))
-    else:  # POINT_B
-        value = (g.value(b) - g.left_limit(b)) if ky else 0.0
+    b = g.interval.b
+    if e.kind is IndicatorKind.ONE:
+        value = g.value(b) - g.value(g.interval.a)
+    else:
+        tau, closed = _tail(e, g.interval)
+        limit = g.left_limit if closed else g.right_limit
+        value = g.value(b) - (g.value(tau) if kind is IntegralKind.DUSHNIK else limit(tau))
     return IntegralResult(value, kind, 0.0, Diagnostics("indicator-table"))
 
 
@@ -171,21 +162,12 @@ def elementary_backward(g: RegulatedFunction, e: ElementaryIntegrand,
                         kind: IntegralKind | str) -> IntegralResult:
     """Closed-form integral of g against the indicator's differential."""
     kind = IntegralKind(kind)
-    a, b = g.interval.a, g.interval.b
-    ky = kind is not IntegralKind.DUSHNIK
-    k = e.kind
-    if k is IndicatorKind.ONE:
+    if e.kind is IndicatorKind.ONE:
         value = 0.0
-    elif k is IndicatorKind.OPEN_FROM_A:
-        value = g.value(a) if ky else g.right_limit(a)
-    elif k is IndicatorKind.OPEN_TAIL:
-        tau = _require_tau(e, g.interval)
-        value = g.value(tau) if ky else g.right_limit(tau)
-    elif k is IndicatorKind.CLOSED_TAIL:
-        tau = _require_tau(e, g.interval)
-        value = g.value(tau) if ky else g.left_limit(tau)
-    else:  # POINT_B
-        value = g.value(b) if ky else g.left_limit(b)
+    else:
+        tau, closed = _tail(e, g.interval)
+        limit = g.left_limit if closed else g.right_limit
+        value = limit(tau) if kind is IntegralKind.DUSHNIK else g.value(tau)
     return IntegralResult(value, kind, 0.0, Diagnostics("indicator-table"))
 
 
@@ -403,7 +385,8 @@ def _gauss_plan(regular, graded, budget: float, width: float, limit: int):
 def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
                  kind: IntegralKind, tol: float) -> IntegralResult | None:
     """The fourth-order limit route; None when either argument lacks
-    catalog derivative data (``_smooth_parts``) or a bound overflows.
+    catalog derivative data (``_smooth_parts``), when a bound overflows,
+    or when a power below 1 meets 0, where it is not Lipschitz.
 
     With f = f_j + f_c and g = g_j + g_c, f_j and g_j the jump steps
     with nodes sigma_k and values c_k at them and d_k between them, and

@@ -160,7 +160,7 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
     """
     check_tol(tol)
     jumps, seeds, global_dyadic = _jumps_and_seeds(f, g)
-    width = f.interval.width
+    width = f.interval.b - f.interval.a
     floor = 8.0 * math.ulp(width)
     # An override over half the gap to the nearest other jump would let
     # a cell tagged at p reach that jump and weigh its step by f(p).

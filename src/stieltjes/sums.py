@@ -134,7 +134,7 @@ class BoundsReport(tuple):
         return all(c.holds is not False for c in self)
 
 
-def _rounding_slack(n: int, scale: float, extra: float = 0.0) -> float:
+def _rounding_slack(n: int, scale: float, extra: float) -> float:
     """gamma_n * scale + extra, the most rounding can move a computed
     value past an exact one, with gamma_n = n u / (1 - n u); never less
     than BOUND_SLACK, which is also what a scale or extra past the float

@@ -526,3 +526,40 @@ def test_an_overflowing_derivative_bound_leaves_the_route_at_once(monkeypatch):
     code, report = cli.run_text(BLOW_UP, "integrate", 1e4, None)
     assert code == 3 and 1e4 < report["best_error"] < math.inf
     assert "cells (limit 4096)" in report["error"] and calls == []
+
+
+def test_a_fourth_order_bound_past_the_float_range_leaves_the_route(monkeypatch):
+    # Every derivative bound is finite, but sup|f| = 1e200 times the
+    # sine's g'' = 1e60 passes the float range: no plan is drawn up, and
+    # the constant f takes one first-order cell with no error.
+    calls = plan_spy(monkeypatch)
+    f, g = formula_of(Affine(0.0, 1e200)), formula_of(SinWave(1e60, 1e-60))
+    res = integrate(f, g, K)
+    assert res.diagnostics.method == "limit-integrand" and res.error_bound == 0.0
+    assert res.value == 1e200 * (g(1.0) - g(0.0)) and calls == []
+
+
+def test_a_route_that_no_tol_fits_names_no_floor(monkeypatch):
+    # Eight pieces need eight cells at any tol, twice the limit.
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 4)
+    f = PiecewiseLipschitz.from_formulas(IV, [k / 8 for k in range(9)],
+                                         [Affine(1.0, k) for k in range(8)])
+    with pytest.raises(ApproximationError) as info:
+        integrate(f, formula_of(SinWave(3.0)), K)
+    assert "needs more than 4 Gauss-Legendre cells (limit 4)" in str(info.value)
+    assert "can certify" not in str(info.value) and info.value.best_error == math.inf
+
+
+def test_a_square_root_base_takes_the_first_order_route():
+    # sqrt t is not Lipschitz at 0, so the monotone function has no
+    # catalog derivative data there; sin 3t is continuous, so its jump
+    # at 0.5 weighs the same for every kind.
+    f = MonotoneFunction(IV, Power(0.5), ((0.5, 0.1, 0.2),))
+    g = formula_of(SinWave(3.0))
+    results = [integrate(f, g, kind, 1e-3) for kind in KINDS]
+    for res in results:
+        assert res.diagnostics.method == "limit-integrand"
+        assert res.diagnostics.approximant_pieces == 2123 and res.error_bound <= 1e-3
+    assert results[0].value == results[1].value == results[2].value
+    with pytest.raises(ApproximationError, match=r"can certify is 1\.43e-06"):
+        integrate(f, g, K, 1e-9)

@@ -47,6 +47,11 @@ def test_json_floats_are_full_precision(capsys):
     assert '"value": 0.10000000000000001' in out
 
 
+def test_json_refuses_a_value_it_cannot_spell():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._json([1.0])
+
+
 def test_verify_main_passes_on_mixed_pair(capsys):
     code, report, _ = run_json(capsys, ["verify-main", "--json", PAIR])
     assert code == 0 and report["ok"] is True

@@ -16,7 +16,7 @@ def test_reference_job_parses_and_integrates():
     job = parse_spec(CANON)
     assert job.command == "integrate"
     assert job.kind == "K" and job.tol == 1e-9 and job.seed == 0
-    assert job.f.name == "f" and job.f.family == "step"
+    assert job.f.family == "step"
     assert job.f.interval == (0.0, 1.0)
     assert job.f.get("nodes") == (0.0, 0.5, 1.0)
     assert job.g.family == "affine" and job.g.get("slope") == 1.0

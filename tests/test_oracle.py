@@ -31,6 +31,14 @@ def test_refinement_rejects_kurzweil():
         oracle_refinement(chi(True), IDENT, K)
 
 
+def test_oracles_refuse_two_intervals():
+    f, g = StepFunction.constant(IV, 1.0), StepFunction.constant(Interval(0.0, 2.0), 1.0)
+    with pytest.raises(DomainError, match="different intervals"):
+        oracle_refinement(f, g, IntegralKind.YOUNG)
+    with pytest.raises(DomainError, match="different intervals"):
+        oracle_gauge(f, g)
+
+
 def test_refinement_matches_elementary_table():
     cases = [
         (ElementaryIntegrand(IndicatorKind.OPEN_TAIL, 0.5), IDENT),

@@ -36,6 +36,10 @@ def test_power_catalog_data():
         Power(exponent=0.5).lipschitz_on(0.0, 1.0)   # sqrt blows up at 0
     # sqrt is fine away from 0
     assert Power(exponent=0.5).lipschitz_on(0.25, 1.0) == 1.0
+    # Left of 0 only an integral exponent is defined.
+    with pytest.raises(DomainError, match="undefined left of 0"):
+        Power(exponent=1.5).lipschitz_on(-1.0, 1.0)
+    assert Power(exponent=2.0).lipschitz_on(-1.0, 1.0) == 2.0
 
 
 def test_sin_catalog_data():
@@ -219,6 +223,9 @@ def test_construction_errors():
         PiecewiseLipschitz(IV, (0.0, 1.0), (Affine(1.0),), (-1.0,))
     with pytest.raises(DomainError):
         PiecewiseLipschitz(IV, (), (), ())
+    for at in ((0.0,), (0.0, 1.0, 2.0)):
+        with pytest.raises(DomainError, match="one node value per breakpoint"):
+            PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1.0),), at)
 
 
 def test_from_formulas_checks_breakpoints_before_reading_formulas():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as hs
 
 from conftest import brute_variation, dyadic_steps, rand_step
-from stieltjes import (Decomposition, DomainError, Interval, StepFunction,
-                       indicator, step_from_jumps)
+from stieltjes import (Affine, Decomposition, DomainError, Interval, PiecewiseLipschitz,
+                       StepFunction, indicator, step_from_jumps)
 
 IV = Interval(0.0, 1.0)
 
@@ -195,6 +195,24 @@ def test_algebra_on_known_values():
     assert d.variation_bound == 2.0
     assert (2.0 * f)(0.5) == 2.0
     assert (-f)(0.5) == -1.0
+
+
+def test_combining_needs_a_step_on_the_same_interval():
+    f = chi_closed(0.5)
+    smooth = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(1.0),))
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(f, smooth)
+        with pytest.raises(DomainError, match="different intervals"):
+            op(f, StepFunction.constant(Interval(0.0, 2.0), 1.0))
+    with pytest.raises(TypeError):
+        f * f
+
+
+def test_equality_and_repr():
+    f = chi_closed(0.5)
+    assert f != 1.0 and IV != (0.0, 1.0)
+    assert eval(repr(f), {"StepFunction": StepFunction, "Interval": Interval}) == f
 
 
 steps = dyadic_steps
