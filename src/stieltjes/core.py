@@ -73,7 +73,7 @@ class Interval(Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        if not (math.isfinite(a) and math.isfinite(b)):
+        if not all(map(math.isfinite, as_floats((a, b), "interval endpoints"))):
             raise DomainError(f"interval endpoints must be finite, got [{a}, {b}]")
         if not a < b:
             raise DomainError(f"degenerate interval [{a}, {b}]")
@@ -86,7 +86,7 @@ class Interval(Frozen):
     def check_division(self, points, what: str) -> list[float]:
         """``points`` as floats, once they form a division of the interval:
         two or more, increasing, from a to b.  ``what`` names them in errors."""
-        pts = list(map(float, points))
+        pts = as_floats(points, what)
         if len(pts) < 2:
             raise DomainError(f"at least 2 {what} needed, got {len(pts)}")
         if not all(map(operator.lt, pts, pts[1:])):
@@ -96,6 +96,16 @@ class Interval(Frozen):
             raise DomainError(f"{what} must run from {self.a!r} to {self.b!r}, "
                               f"got {pts[0]!r} to {pts[-1]!r}")
         return pts
+
+
+def as_floats(values, what: str) -> list[float]:
+    """``values`` as a list of floats.  A number past the float range,
+    such as a large int, is refused with a DomainError naming ``what``
+    rather than ``float``'s OverflowError."""
+    try:
+        return list(map(float, values))
+    except OverflowError as exc:
+        raise DomainError(f"{what} must be finite: {exc}") from None
 
 
 @classmethod

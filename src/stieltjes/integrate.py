@@ -544,7 +544,8 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
 
     An approximant's ApproximationError is re-raised with ``best_error``
     times the factor: the smallest tol this route can certify, named in
-    the message when it is finite.  The fourth-order route refuses in
+    the message when it is finite.  The message names tol where the
+    approximant's named its eps.  The fourth-order route refuses in
     the same way.
     """
     check_tol(tol)
@@ -571,15 +572,19 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
 
     # Approximate the integrand against g, or the integrator under f.
     side, factor = (f, var_g) if take_f else (g, bv_f)
+    eps = _budget(tol, factor)
     try:
-        step, err = side.approximate(_budget(tol, factor))
+        step, err = side.approximate(eps)
     except ApproximationError as exc:
         # Without a positive factor eps was already inf: no tol helps.
         # An infinite floor names no tol, so the message leaves it out.
         best = exc.best_error * factor if factor else math.inf
         floor = (f"; the smallest tol this route can certify is {best:.3g}"
                  if math.isfinite(best) else "")
-        raise ApproximationError(f"{exc}{floor}", best_error=best) from exc
+        # The approximant names its eps as the tolerance; the caller gave tol.
+        text, head = str(exc), f"tolerance {eps!r} "
+        why = text[len(head):] if text.startswith(head) else f"is refused: {text}"
+        raise ApproximationError(f"tolerance {tol!r} {why}{floor}", best_error=best) from exc
     fn, gn = (step, g) if take_f else (f, step)
     exact = integrate_step_pair(fn, gn, kind)
     return IntegralResult(

@@ -15,6 +15,14 @@ neither function is a step function.  A candidate value counts as
 converged once all probe sums of two consecutive levels agree with the
 current center sum to within ``tol``.  A level's sums differ only in
 their tags, so they share one read of f and g at the division's nodes.
+The center sum's midpoint partition refuses a cell too narrow for an
+interior tag; each seeded probe draws its tags only for the cells
+where g's factor is nonzero, through the last of them, so a Young
+level against a step g seeds no generator at all.
+
+A gauge level reads its gauge in one call per point: the override at
+a jump, else the clipped distance to the nearest jump, checked
+positive and finite as ``Gauge`` checks it.
 
 The reported spread is a diagnostic stability measure, not a certified
 error bound; certified bounds come from ``integrate``.
@@ -32,12 +40,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .core import RegulatedFunction
 from .errors import DomainError, GaugeTooFineError, check_tol
 from .integrate import IntegralKind
-from .partitions import Division, Gauge, _fine_partition, interior_tags
+from .partitions import Division, SeededTags, _fine_partition, _width_refusal, interior_tags
 from .stepfun import StepFunction
 from .sums import _riemann_values, _young_values, riemann_sum
 
@@ -112,8 +120,10 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
             terms += (PROBES + 1) * division.nu
             if terms > MAX_TERMS and level:
                 return
-            yield sum_fn(f, g, [interior_tags(division, s)
-                                for s in _level_seeds(seed, level, PROBES)])
+            # The midpoint partition refuses a cell too narrow for an
+            # interior tag, so the seeded probes need not check.
+            probes = [SeededTags(division, s) for s in _level_seeds(seed, level, PROBES)[1:]]
+            yield sum_fn(f, g, [interior_tags(division), *probes])
             extra: list[float] = []
             for u, v in division.cells():
                 w = v - u
@@ -130,20 +140,30 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
     return _converge(level_sums(), kind, tol)
 
 
-def _distance_body(base: float, jumps: tuple[float, ...], floor: float):
-    if not jumps:
-        return base
+def _distance_gauge(base: float, jumps: tuple[float, ...], floor: float,
+                    overrides: dict[float, float]) -> Callable[[float], float]:
+    """The gauge ``Gauge(body, overrides)`` reads, in one call: the
+    override at t, else max(min(base, half the distance from t to the
+    nearest of ``jumps``), floor), or base alone when there are no
+    jumps; refused unless positive and finite."""
     fence = (-math.inf, *jumps, math.inf)
+    get = overrides.get
+    if not jumps:
+        floor = 0.0  # the distance is inf, so delta is base, unfloored
 
-    def body(t: float) -> float:
-        # The nearest jump is one of the two that bracket t.  This is
-        # max(min(base, 0.5 * min(left, right)), floor), spelled out.
-        i = bisect_left(fence, t)
-        left, right = t - fence[i - 1], fence[i] - t
-        d = 0.5 * (right if right < left else left)
-        d = d if d < base else base
-        return floor if floor > d else d
-    return body
+    def gauge(t: float) -> float:
+        d = get(t)
+        if d is None:
+            # The nearest jump is one of the two that bracket t.
+            i = bisect_left(fence, t)
+            left, right = t - fence[i - 1], fence[i] - t
+            d = 0.5 * (right if right < left else left)
+            d = d if d < base else base
+            d = floor if floor > d else d
+        if not 0.0 < d < math.inf:
+            raise _width_refusal(d, t)
+        return d
+    return gauge
 
 
 def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
@@ -172,8 +192,8 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
         for level in range(MAX_LEVELS):
             base = width * 2.0 ** (-(level + 1)) if global_dyadic else 0.25 * width
             gamma = max(width * 16.0 ** (-(level + 1)), 64.0 * math.ulp(width))
-            gauge = Gauge(_distance_body(base, jumps, floor),
-                          {p: min(gamma, h) for p, h in zip(jumps, half_gaps)})
+            gauge = _distance_gauge(base, jumps, floor,
+                                    {p: min(gamma, h) for p, h in zip(jumps, half_gaps)})
             try:
                 parts = [_fine_partition(gauge, seeds, s, budget)
                          for s in _level_seeds(seed, level, PARTITIONS - 1)]

@@ -23,7 +23,7 @@ import math
 import random
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import Interval, checked_make
+from .core import Interval, as_floats, checked_make
 from .errors import DomainError, GaugeError, GaugeTooFineError
 
 TAG_FREE = "free"
@@ -105,25 +105,55 @@ class Partition(NamedTuple("Partition", [("division", Division),
         for (u, v), t in zip(self.division.cells(), self.tags):
             yield u, v, t
 
+    def tags_at(self, cells) -> list[float]:
+        """The tags of ``cells``, a sequence of cell indices."""
+        tags = self.tags
+        return [tags[j] for j in cells]
+
 
 def interior_tags(division: Division, seed: int | None = None) -> Partition:
     """Tag every cell strictly inside: at its midpoint, or, given a
     seed, at a reproducible draw from the cell's middle 90%."""
-    tags = []
-    draw = None if seed is None else random.Random(seed).random
-    for u, v in division.cells():
-        mid = 0.5 * (u + v)
+    pts = division.points
+    tags = [0.5 * (u + v) for u, v in zip(pts, pts[1:])]
+    for u, v, mid in zip(pts, pts[1:], tags):
         if not u < mid < v:
             raise DomainError(f"cell [{u}, {v}] too narrow for a strictly interior tag")
-        if draw is None:
-            tags.append(mid)
-        else:
-            # rng.uniform(0.05, 0.95), by its own formula.
-            t = u + (v - u) * (0.05 + _TAG_SPAN * draw())
-            tags.append(t if u < t < v else mid)
+    if seed is not None:
+        tags = _seeded_tags(pts, seed, range(len(tags)))
     # Every tag is strictly inside its cell, which is all the checked
     # constructor's loop would test again.
     return tuple.__new__(Partition, (division, tuple(tags), TAG_INTERIOR))
+
+
+def _seeded_tags(pts, seed: int, cells) -> list[float]:
+    """The seeded interior tags of ``cells``, increasing indices of
+    cells of the division with nodes ``pts``, none too narrow for one.
+    ``Random(seed).random`` draws once per cell in cell order, up to the
+    last of ``cells``; a cell's tag is rng.uniform(0.05, 0.95)'s formula
+    at its draw, or its midpoint where that rounds onto an end."""
+    if not cells:
+        return []
+    draws = list(map(random.Random.random, itertools.repeat(random.Random(seed), cells[-1] + 1)))
+    tags = []
+    for j in cells:
+        u, v = pts[j], pts[j + 1]
+        t = u + (v - u) * (0.05 + _TAG_SPAN * draws[j])
+        tags.append(t if u < t < v else 0.5 * (u + v))
+    return tags
+
+
+class SeededTags(NamedTuple):
+    """The tags ``interior_tags(division, seed)`` gives, drawn only for
+    the cells a sum reads.  Like a ``Partition``, a probe of the batched
+    sums: ``tags_at`` gives the tags of the cells asked for.  It checks
+    no cell; ``interior_tags(division)`` refuses one too narrow."""
+
+    division: Division
+    seed: int
+
+    def tags_at(self, cells) -> list[float]:
+        return _seeded_tags(self.division.points, self.seed, cells)
 
 
 class Gauge:
@@ -134,20 +164,30 @@ class Gauge:
     Positivity of callable bodies can only be checked where they are
     evaluated, and is.  A body must be a pure function of t: a fine
     partition reads it once at a point and reuses the value there.
+    A constant body and the override widths are made floats here, so
+    one past the float range is refused on construction.
     """
 
     __slots__ = ("_body", "_overrides")
 
     def __init__(self, body, overrides: dict[float, float] | None = None):
-        self._body = body if callable(body) else (lambda t: body)
-        self._overrides = dict(overrides) if overrides else {}
+        width = None if callable(body) else as_floats((body,), "gauge widths")[0]
+        self._body = body if width is None else (lambda t: width)
+        overrides = dict(overrides) if overrides else {}
+        self._overrides = dict(zip(overrides, as_floats(overrides.values(), "gauge widths")))
 
     def __call__(self, t: float) -> float:
         d = self._overrides.get(t, _NO_OVERRIDE)
         d = float(self._body(t) if d is _NO_OVERRIDE else d)
         if not 0.0 < d < math.inf:
-            raise GaugeError(f"gauge must be positive and finite, got {d!r} at t={t!r}")
+            raise _width_refusal(d, t)
         return d
+
+
+def _width_refusal(d: float, t: float) -> GaugeError:
+    """The refusal of a gauge width ``d`` at ``t`` that is not positive
+    and finite."""
+    return GaugeError(f"gauge must be positive and finite, got {d!r} at t={t!r}")
 
 
 def is_fine(partition: Partition, gauge: Gauge) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from .core import Frozen, Interval, RegulatedFunction, StepApproximation
+from .core import Frozen, Interval, RegulatedFunction, StepApproximation, as_floats
 from .errors import ApproximationError, DomainError
 from .stepfun import StepFunction, step_from_jumps
 
@@ -256,7 +256,7 @@ class PiecewiseLipschitz(RegulatedFunction):
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
                  node_values=None):
         bks = interval.check_division(breakpoints, "breakpoints")
-        lipschitz = tuple(float(c) for c in lipschitz)
+        lipschitz = tuple(as_floats(lipschitz, "Lipschitz constants"))
         self._setup(interval, bks, tuple(pieces), lipschitz, node_values,
                     (_times_width(c, u, v) for c, u, v in zip(lipschitz, bks, bks[1:])))
 
@@ -274,7 +274,7 @@ class PiecewiseLipschitz(RegulatedFunction):
         rights = [p(v) for p, v in zip(pieces, bks[1:])]
         if node_values is None:
             node_values = lefts + rights[-1:]
-        node_values = tuple(float(x) for x in node_values)
+        node_values = tuple(as_floats(node_values, "node values"))
         if len(node_values) != len(bks):
             raise DomainError("need one node value per breakpoint")
 
@@ -445,7 +445,8 @@ class MonotoneFunction(RegulatedFunction):
         span = base_b - base_a
         direction = math.copysign(1.0, span) if span else 0.0
         plus, minus, endpoint = [], [], 0.0
-        for t, pre, post in sorted((float(t), float(pre), float(post)) for t, pre, post in jumps):
+        for t, pre, post in sorted(tuple(as_floats((t, pre, post), "jumps"))
+                                   for t, pre, post in jumps):
             interval.require(t)
             if t == a and pre != 0.0:
                 raise DomainError("no left limit exists at the interval start")

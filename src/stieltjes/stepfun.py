@@ -16,7 +16,7 @@ import operator
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .core import Interval, RegulatedFunction, StepApproximation, checked_make
+from .core import Interval, RegulatedFunction, StepApproximation, as_floats, checked_make
 from .errors import DomainError
 
 
@@ -32,8 +32,8 @@ class StepFunction(RegulatedFunction):
 
     def __init__(self, interval: Interval, nodes, node_values, interior_values):
         ns = interval.check_division(nodes, "nodes")
-        cs = list(map(float, node_values))
-        ds = list(map(float, interior_values))
+        cs = as_floats(node_values, "step function values")
+        ds = as_floats(interior_values, "step function values")
         if len(cs) != len(ns) or len(ds) != len(ns) - 1:
             raise DomainError(
                 f"length mismatch: {len(ns)} nodes need {len(ns)} node values "
@@ -205,7 +205,7 @@ class StepFunction(RegulatedFunction):
         """``self op other`` by one walk over the union of both node
         lists; a scalar operand is the constant step function."""
         if isinstance(other, (int, float)):
-            other = StepFunction.constant(self._interval, float(other))
+            other = StepFunction.constant(self._interval, other)
         if not isinstance(other, StepFunction):
             return NotImplemented
         if other._interval != self._interval:
@@ -244,7 +244,7 @@ class StepFunction(RegulatedFunction):
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        lam = float(scalar)
+        lam = as_floats((scalar,), "a step function's scalar factor")[0]
         return StepFunction(
             self._interval, self._nodes,
             [lam * v for v in self._node_values],
@@ -340,10 +340,11 @@ def _scaled(x: float) -> int:
 def step_from_jumps(interval: Interval, base: float = 0.0,
                     plus_jumps=(), minus_jumps=(), endpoint: float = 0.0) -> StepFunction:
     """Build the step function with the given indicator weights."""
+    base, endpoint = as_floats((base, endpoint), "step function values")
     return Decomposition(
         interval=interval,
-        base=float(base),
-        plus_jumps=tuple((float(s), float(w)) for s, w in plus_jumps),
-        minus_jumps=tuple((float(s), float(w)) for s, w in minus_jumps),
-        endpoint=float(endpoint),
+        base=base,
+        plus_jumps=tuple(tuple(as_floats((s, w), "jumps")) for s, w in plus_jumps),
+        minus_jumps=tuple(tuple(as_floats((s, w), "jumps")) for s, w in minus_jumps),
+        endpoint=endpoint,
     ).to_step()

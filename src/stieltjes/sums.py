@@ -14,11 +14,15 @@ than at the tags.  Both sums add their terms with ``math.fsum``, so
 each is the correctly rounded sum of its computed terms; a sum past the
 float range is refused with a StieltjesError.
 
-Each sum has one implementation, which takes several partitions of one
+Each sum has one implementation, which takes several probes of one
 division: the node data (g's values and one-sided limits, f's values)
-is read once and only the tag terms are computed per partition.  A
-refinement level's probe sums share that read; ``riemann_sum`` and
-``young_sum`` are its one-partition calls.
+is read once and only the tag terms are computed per probe.  A probe
+is a ``Partition`` or a ``partitions.SeededTags``, which draws its tags
+only for the cells it is asked for.  The sum first finds the live
+cells, those whose g factor below is nonzero, and then asks each probe
+for the tags of those cells alone.  A refinement level's probe sums
+share that read; ``riemann_sum`` and ``young_sum`` are its
+one-partition calls.
 
 A term whose g factor is exactly zero is left out: S(P) reads f only at
 the tags of cells with g(a_j) != g(a_{j-1}), and SY(P) only at the tags
@@ -33,14 +37,17 @@ Against a step g whose jumps are all nodes, no Young tag term is left.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+import operator
+from typing import NamedTuple, Sequence, Union
 
 from .core import RegulatedFunction
 from .errors import DomainError, finite_fsum
-from .partitions import Division, Partition
+from .partitions import Division, Partition, SeededTags
 from .regulated import UNIT_ROUNDOFF
 
 BOUND_SLACK = 1e-12  # the least rounding allowance of a bound check
+# What a batched sum reads tags from: a division and its tags at given cells.
+Probe = Union[Partition, SeededTags]
 
 
 class SumValue(NamedTuple):
@@ -49,53 +56,58 @@ class SumValue(NamedTuple):
     partition_size: int
 
 
-def _check_pair(f: RegulatedFunction, g: RegulatedFunction,
-                partitions: Sequence[Partition]) -> Division:
-    """The one division all ``partitions`` share, on the pair's interval."""
+def _check_pair(f: RegulatedFunction, g: RegulatedFunction, probes: Sequence[Probe]) -> Division:
+    """The one division all ``probes`` share, on the pair's interval."""
     if f.interval != g.interval:
         raise DomainError("integrand and integrator live on different intervals")
-    division = partitions[0].division
+    division = probes[0].division
     if division.interval != f.interval:
         raise DomainError("partition interval does not match the functions")
-    if any(p.division != division for p in partitions):
+    if any(p.division != division for p in probes):
         raise DomainError("partitions of one batched sum must share one division")
     return division
 
 
-def _riemann_values(f: RegulatedFunction, g: RegulatedFunction,
-                    partitions: Sequence[Partition]) -> list[float]:
-    """S(P) for each of ``partitions`` (one division): g read once per
-    node, f only at the tags of cells where g's increment is nonzero."""
-    pts = _check_pair(f, g, partitions).points
-    gvals = [g.value(x) for x in pts]
-    live = [(j, r - l) for j, (l, r) in enumerate(zip(gvals, gvals[1:])) if r - l]
+def _tag_sums(f: RegulatedFunction, probes: Sequence[Probe], frame: list[float],
+              weights: list[float], what: str) -> list[float]:
+    """For each probe, the sum of ``frame`` and f(xi_j) * weights[j] over
+    the live cells j, those whose weight is nonzero, in cell order.  A
+    probe is asked for the tags xi_j of the live cells only."""
+    cells = [j for j, w in enumerate(weights) if w]
+    live = [weights[j] for j in cells]
     fv = f.value
-    return [finite_fsum([fv(p.tags[j]) * d for j, d in live], "the Riemann sum")
-            for p in partitions]
+    return [finite_fsum(frame + [fv(t) * w for t, w in zip(p.tags_at(cells), live)], what)
+            for p in probes]
+
+
+def _riemann_values(f: RegulatedFunction, g: RegulatedFunction,
+                    probes: Sequence[Probe]) -> list[float]:
+    """S(P) for each of ``probes`` (one division): g read once per node,
+    f only at the tags of cells where g's increment is nonzero."""
+    gvals = [g.value(x) for x in _check_pair(f, g, probes).points]
+    return _tag_sums(f, probes, [], list(map(operator.sub, gvals[1:], gvals)),
+                     "the Riemann sum")
 
 
 def _young_values(f: RegulatedFunction, g: RegulatedFunction,
-                  partitions: Sequence[Partition]) -> list[float]:
-    """SY(P) for each of ``partitions`` (one division): g's values and
+                  probes: Sequence[Probe]) -> list[float]:
+    """SY(P) for each of ``probes`` (one division): g's values and
     one-sided limits and f's values read once per node, f at the tags
     of cells where g(a_j-) - g(a_{j-1}+) is nonzero.  Each sum sees the
     nonzero node terms c_j and d_j in cell order, then the nonzero tag
     terms in cell order."""
-    pts = _check_pair(f, g, partitions).points
+    pts = _check_pair(f, g, probes).points
     gvals = [g.value(x) for x in pts]
     grights = [g.right_limit(x) for x in pts[:-1]]   # alpha_0 .. alpha_{nu-1}
     glefts = [g.left_limit(x) for x in pts[1:]]      # alpha_1 .. alpha_nu
     fvals = [f.value(x) for x in pts]
-    live = [(j, l - r) for j, (r, l) in enumerate(zip(grights, glefts)) if l - r]
-    # c_j and d_j depend on the nodes alone; each partition adds its
-    # tag terms to them.
+    # c_j and d_j depend on the nodes alone; each probe adds its tag
+    # terms to them.
     frame = [0.0] * (2 * len(grights))
     frame[0::2] = [fx * (r - gx) for fx, r, gx in zip(fvals, grights, gvals)]
     frame[1::2] = [fx * (gx - l) for fx, gx, l in zip(fvals[1:], gvals[1:], glefts)]
-    frame = [c for c in frame if c]
-    fv = f.value
-    return [finite_fsum(frame + [fv(p.tags[j]) * w for j, w in live], "the Young sum")
-            for p in partitions]
+    return _tag_sums(f, probes, [c for c in frame if c],
+                     list(map(operator.sub, glefts, grights)), "the Young sum")
 
 
 def riemann_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) -> SumValue:

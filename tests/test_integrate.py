@@ -487,6 +487,25 @@ def test_limit_route_refusal_names_the_reachable_tolerance(monkeypatch):
             integrate_limit(f, g, K, tol=0.9 * best)
 
 
+def test_limit_route_refusal_names_the_tol_it_was_given(monkeypatch):
+    # The approximants are asked for eps = tol / var g and tol / bv f;
+    # the refusal names the caller's tol, the cells and the floor.
+    monkeypatch.setattr(regulated, "MAX_APPROX_CELLS", 1024)
+    slope2 = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(2.0)),))
+    quarter = PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Opaque(Affine(0.25)),))
+    steep = MonotoneFunction(IV, Opaque(Affine(4.0)))
+    tol = 2.0 ** -30
+    for f, g, text in (
+            (PLAIN_IDENT, slope2, "needs 2147483648 cells (limit 1024); "
+                                  "the smallest tol this route can certify is 0.00195"),
+            (quarter, steep, "needs at least 1.07e+09 cells (limit 1024); "
+                             "the smallest tol this route can certify is 0.000977"),
+            (NoCertificate(IV), slope2, "is refused: no certificate")):
+        with pytest.raises(ApproximationError) as info:
+            integrate_limit(f, g, K, tol=tol)
+        assert str(info.value) == f"tolerance {tol!r} {text}"
+
+
 def test_limit_route_refusal_names_no_infinite_floor(monkeypatch):
     # t**3 passes the monotone rise pre-check at 64 cells, then bisection
     # needs more: that refusal knows no reachable tol, so the message

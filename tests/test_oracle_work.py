@@ -1,16 +1,20 @@
 """The oracles do only the work that reaches a sum.
 
 The sums read f only at the tags of cells whose increment is nonzero,
-and the fine-cell generator reads the gauge once at each point of a
-fine partition.  These tests pin the generator, bit for bit, to a
-tests-only copy of the one that re-read them and shuffled its
-candidates with ``Random.shuffle``, count the reads that are left, and
-check that every refusal keeps its text and every shortcut builds what
-the long way built.
+and a seeded probe draws tags only for those cells.  The fine-cell
+generator reads the gauge once at each point of a fine partition, and
+the gauge oracle reads its gauge in one call.  These tests pin the
+generator, bit for bit, to a tests-only copy of the one that re-read
+them and shuffled its candidates with ``Random.shuffle``, and the gauge
+oracle to a public ``Gauge`` over a tests-only copy of its two-call
+body; they count the reads and draws that are left, and check that
+every refusal keeps its text and every shortcut builds what the long
+way built.
 """
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -21,7 +25,9 @@ from stieltjes import (Affine, Division, DomainError, Gauge, GaugeError,
                        cousin_fine_partition, interior_tags, oracle_refinement,
                        parse_spec)
 from stieltjes import cli, oracle, partitions
-from stieltjes.partitions import MAX_DEPTH, TAG_FREE, TAG_INTERIOR, _fine_partition
+from stieltjes.partitions import (MAX_DEPTH, TAG_FREE, TAG_INTERIOR, SeededTags,
+                                  _fine_partition)
+from test_step_walk import rand_family, step_through
 
 IV = Interval(0.0, 1.0)
 
@@ -85,6 +91,27 @@ def outcome(build, *args):
     return ([x.hex() for x in p.division.points], [t.hex() for t in p.tags])
 
 
+def two_call_body(base, jumps, floor):
+    """The body of the public ``Gauge`` the gauge oracle read through
+    before it read its gauge in one call."""
+    if not jumps:
+        return base
+    fence = (-math.inf, *jumps, math.inf)
+
+    def body(t):
+        i = bisect_left(fence, t)
+        left, right = t - fence[i - 1], fence[i] - t
+        d = 0.5 * (right if right < left else left)
+        d = d if d < base else base
+        return floor if floor > d else d
+    return body
+
+
+def two_call_gauge(base, jumps, floor, overrides):
+    """``oracle._distance_gauge`` as a public ``Gauge`` over ``two_call_body``."""
+    return Gauge(two_call_body(base, jumps, floor), overrides)
+
+
 def distance_gauges(jumps, width=1.0, levels=4):
     """The gauge oracle's gauges of its first ``levels`` levels."""
     floor = 8.0 * math.ulp(width)
@@ -93,8 +120,8 @@ def distance_gauges(jumps, width=1.0, levels=4):
     for level in range(levels):
         for base in (width * 2.0 ** (-(level + 1)), 0.25 * width):
             gamma = max(width * 16.0 ** (-(level + 1)), 64.0 * math.ulp(width))
-            yield Gauge(oracle._distance_body(base, jumps, floor),
-                        {p: min(gamma, h) for p, h in zip(jumps, half_gaps)})
+            yield oracle._distance_gauge(base, jumps, floor,
+                                         {p: min(gamma, h) for p, h in zip(jumps, half_gaps)})
 
 
 SEEDS = (None, 0, 1, 7, 135, 1_000_003)
@@ -181,8 +208,13 @@ def test_one_cell_tree_reads_its_ends_once():
 
 
 def counting(gauge):
-    """A copy of ``gauge`` that counts its reads."""
-    return CountingGauge(gauge._body, gauge._overrides)
+    """``gauge`` and a Counter of the points it is read at."""
+    reads = Counter()
+
+    def counted(t):
+        reads[t] += 1
+        return gauge(t)
+    return counted, reads
 
 
 def random_step(rng):
@@ -213,9 +245,9 @@ def test_a_fine_partition_reads_each_point_once():
         assert len(seeds) > 2
         for gauge in distance_gauges(jumps):
             for seed in SEEDS:
-                counted = counting(gauge)
+                counted, reads = counting(gauge)
                 _fine_partition(counted, seeds, seed)
-                assert max(counted.reads.values()) == 1
+                assert max(reads.values()) == 1
 
 
 def test_one_refinement_level_reads_f_only_where_g_moves(monkeypatch):
@@ -250,21 +282,102 @@ def test_one_refinement_level_reads_f_only_where_g_moves(monkeypatch):
     assert reads == Counter(division.points)
 
 
+def test_a_level_draws_tags_only_for_the_cells_its_sums_read(monkeypatch):
+    # g is constant on [0, 0.2] and [0.8, 1], where f jumps at 0.8: a
+    # Dushnik sum reads tags in the two cells between, a Young sum in none.
+    f = PiecewiseLipschitz.from_formulas(IV, (0.0, 0.8, 1.0), (Affine(2.0), Affine(-1.0)))
+    g = StepFunction(IV, (0.0, 0.2, 0.5, 1.0), (1.0, 1.0, -1.0, 0.5), (0.0, 1.5, 0.5))
+    division = Division(IV, oracle._jumps_and_seeds(f, g)[1])
+    assert division.points == (0.0, 0.2, 0.5, 0.8, 1.0)
+    seeded, drawn, tags = [0], [0], []
+    seed, draw, tags_at = random.Random.seed, random.Random.random, partitions.SeededTags.tags_at
+
+    def counting_seed(self, *args, **kwargs):
+        seeded[0] += 1
+        return seed(self, *args, **kwargs)
+
+    def counting_draw(self):
+        drawn[0] += 1
+        return draw(self)
+
+    def recording(self, cells):
+        tags.append((self.seed, list(cells), tags_at(self, cells)))
+        return tags[-1][2]
+
+    monkeypatch.setattr(oracle, "MAX_LEVELS", 1)
+    monkeypatch.setattr(random.Random, "seed", counting_seed)
+    monkeypatch.setattr(random.Random, "random", counting_draw)
+    monkeypatch.setattr(partitions.SeededTags, "tags_at", recording)
+    assert oracle_refinement(f, g, IntegralKind.YOUNG, seed=5).levels == 1
+    assert seeded == drawn == [0]
+    assert oracle_refinement(f, g, IntegralKind.DUSHNIK, seed=5).levels == 1
+    # Each probe draws through the last cell read, cell 2 of 4.
+    assert seeded == [oracle.PROBES] and drawn == [3 * oracle.PROBES]
+    monkeypatch.undo()
+    young, dushnik = tags[:oracle.PROBES], tags[oracle.PROBES:]
+    assert all(cells == got == [] for _, cells, got in young)
+    assert len(dushnik) == oracle.PROBES
+    for s, cells, got in dushnik:
+        assert cells == [1, 2] and got == list(interior_tags(division, s).tags[1:3])
+
+
 # -------------------------------------------------------- refusals
 
-def test_the_distance_body_is_the_min_max_formula():
+def test_the_distance_gauge_is_the_min_max_formula():
     jumps = (0.1, 0.35, 0.4, 0.9)
     fence = (-math.inf, *jumps, math.inf)
     ts = [0.0, 0.1, 0.225, 0.35, 0.375, 0.4, 0.65, 0.9, 0.95, 1.0, 0.1 + 1e-17, 0.4 - 1e-17]
     ts += [random.Random(3).uniform(0.0, 1.0) for _ in range(200)]
+    overrides = {0.35: 1e-3, 0.9: 0.05}
     for base in (0.0625, 0.125, 0.025, 0.5):
-        for floor in (0.0, 8.0 * math.ulp(1.0), 0.0125, 0.025):
-            body = oracle._distance_body(base, jumps, floor)
+        for floor in (8.0 * math.ulp(1.0), 0.0125, 0.025):
+            gauge = oracle._distance_gauge(base, jumps, floor, {})
+            with_overrides = oracle._distance_gauge(base, jumps, floor, overrides)
+            reference = two_call_gauge(base, jumps, floor, overrides)
             for t in ts:
-                i = oracle.bisect_left(fence, t)
+                i = bisect_left(fence, t)
                 want = max(min(base, 0.5 * min(t - fence[i - 1], fence[i] - t)), floor)
-                assert body(t).hex() == want.hex()
-    assert oracle._distance_body(0.25, (), 1e-15) == 0.25
+                assert gauge(t).hex() == want.hex()
+                assert with_overrides(t).hex() == reference(t).hex()
+    # Without jumps the width is base, even below the floor.
+    for base, floor in ((0.25, 1e-15), (1e-16, 1e-15)):
+        assert oracle._distance_gauge(base, (), floor, {})(0.5) == base
+        assert two_call_gauge(base, (), floor, {})(0.5) == base
+    # A width that is not positive and finite is refused as Gauge refuses it.
+    for jumps, floor, overrides, t in (((0.5,), 1e-15, {0.5: 0.0}, 0.5),
+                                       ((0.5,), 0.0, {}, 0.5),
+                                       ((), 0.0, {}, 0.25),
+                                       ((0.5,), 1e-15, {0.5: math.nan}, 0.5)):
+        base = 0.0 if not jumps else 0.25
+        texts = []
+        for gauge in (oracle._distance_gauge(base, jumps, floor, overrides),
+                      two_call_gauge(base, jumps, floor, overrides)):
+            with pytest.raises(GaugeError) as info:
+                gauge(t)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1] and texts[0].startswith("gauge must be positive")
+
+
+def oracle_bits(report):
+    return (report.value.hex(), report.achieved_spread.hex(), report.levels, report.converged)
+
+
+def test_the_gauge_oracle_equals_the_two_call_gauge(monkeypatch):
+    """The gauge oracle's reports, bit for bit, against the same oracle
+    reading a public ``Gauge`` over the two-call body."""
+    rng = random.Random(2610)
+    pairs = []
+    for _ in range(2):
+        smooth = rand_family(rng, "formulas")
+        step = step_through(rng, smooth, 4)
+        pairs += [(step, step_through(rng, smooth, 4)), (smooth, step), (step, smooth)]
+    runs = [(f, g, tol, rng.randrange(1000)) for f, g in pairs for tol in (1e-8, 1e-9)]
+    got = [oracle_bits(oracle.oracle_gauge(f, g, tol, seed)) for f, g, tol, seed in runs]
+    monkeypatch.setattr(oracle, "_distance_gauge", two_call_gauge)
+    want = [oracle_bits(oracle.oracle_gauge(f, g, tol, seed)) for f, g, tol, seed in runs]
+    assert got == want
+    # Step/formula pairs run past two levels, through shrinking gauges.
+    assert all(converged for *_, converged in got) and max(levels for *_, levels, _ in got) >= 8
 
 
 def test_the_gauge_oracle_passes_on_a_depth_refusal(monkeypatch):
@@ -398,4 +511,8 @@ def test_interior_tags_build_what_the_checked_constructor_builds():
             assert p == Partition(d, tags, TAG_INTERIOR)
             assert type(p) is Partition and type(p.tags) is tuple
             assert all(type(t) is float for t in p.tags)
+            # A seeded reader gives the same tags at any cells it is asked for.
+            cells = sorted(rng.sample(range(d.nu), rng.randint(0, d.nu)))
+            assert SeededTags(d, seed).tags_at(cells) == p.tags_at(cells) == \
+                [p.tags[j] for j in cells]
     assert fallbacks > 0

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as hs
 
 from conftest import brute_variation, dyadic_steps, rand_step
-from stieltjes import (Affine, Decomposition, DomainError, Interval, PiecewiseLipschitz,
-                       StepFunction, indicator, step_from_jumps)
+from stieltjes import (Affine, Decomposition, DomainError, Gauge, Interval, MonotoneFunction,
+                       PiecewiseLipschitz, StepFunction, indicator, step_from_jumps)
 
 IV = Interval(0.0, 1.0)
 
@@ -25,6 +25,34 @@ def test_interval_rejects_degenerate_and_infinite():
         Interval(2.0, 1.0)
     with pytest.raises(DomainError):
         Interval(0.0, math.inf)
+
+
+HUGE = 10 ** 400  # an int past the float range
+STEP = StepFunction(IV, (0.0, 0.5, 1.0), (0.0, 1.0, 2.0), (0.5, 1.5))
+PAST_THE_FLOAT_RANGE = {
+    "interval": lambda: Interval(0, HUGE),
+    "step nodes": lambda: StepFunction(Interval(0.0, 1e300), (0.0, HUGE), (0.0, 1.0), (0.5,)),
+    "step node values": lambda: StepFunction(IV, (0.0, 1.0), (0.0, HUGE), (0.5,)),
+    "step piece values": lambda: StepFunction(IV, (0.0, 1.0), (0.0, 1.0), (HUGE,)),
+    "step scalar sum": lambda: STEP + HUGE,
+    "step scalar difference": lambda: STEP - HUGE,
+    "step scalar product": lambda: HUGE * STEP,
+    "step_from_jumps base": lambda: step_from_jumps(IV, HUGE),
+    "step_from_jumps jump": lambda: step_from_jumps(IV, 0.0, plus_jumps=((0.5, HUGE),)),
+    "step_from_jumps endpoint": lambda: step_from_jumps(IV, 0.0, endpoint=-HUGE),
+    "monotone jump": lambda: MonotoneFunction(IV, Affine(1.0), ((0.5, 0.0, HUGE),)),
+    "lipschitz node value": lambda: PiecewiseLipschitz(IV, (0.0, 1.0), (Affine(1.0),), (1.0,),
+                                                       (0.0, HUGE)),
+    "lipschitz constant": lambda: PiecewiseLipschitz(IV, (0.0, 1.0), (Affine(1.0),), (HUGE,)),
+    "gauge override": lambda: Gauge(0.1, {0.5: HUGE}),
+    "gauge constant": lambda: Gauge(HUGE),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PAST_THE_FLOAT_RANGE))
+def test_a_number_past_the_float_range_is_a_domain_error(site):
+    with pytest.raises(DomainError, match="must be finite: int too large to convert to float"):
+        PAST_THE_FLOAT_RANGE[site]()
 
 
 def test_interval_membership():
