@@ -165,7 +165,8 @@ class Gauge:
     evaluated, and is.  A body must be a pure function of t: a fine
     partition reads it once at a point and reuses the value there.
     A constant body and the override widths are made floats here, so
-    one past the float range is refused on construction.
+    one past the float range is refused on construction; a callable
+    body's value past it is refused where it is read.
     """
 
     __slots__ = ("_body", "_overrides")
@@ -178,7 +179,12 @@ class Gauge:
 
     def __call__(self, t: float) -> float:
         d = self._overrides.get(t, _NO_OVERRIDE)
-        d = float(self._body(t) if d is _NO_OVERRIDE else d)
+        if d is _NO_OVERRIDE:
+            d = self._body(t)
+            try:
+                d = float(d)
+            except OverflowError as exc:  # an int past the float range
+                raise DomainError(f"gauge widths must be finite: {exc}") from None
         if not 0.0 < d < math.inf:
             raise _width_refusal(d, t)
         return d

@@ -7,6 +7,15 @@ A step function is stored by its division nodes
 ``sigma_0 < ... < sigma_m`` (the endpoints included), one value per
 node and one value per open piece ``(sigma_{k-1}, sigma_k)``.  All node
 lookups compare floats exactly: nodes are data, not approximations.
+
+The stored form is canonical: an interior node whose value equals both
+pieces beside it is invisible to the function and is dropped, and the
+merged piece keeps the value of the piece before it (the two can differ
+only in the sign of a zero).  So equal functions get equal
+representations and ``==`` is decidable.  The public constructor
+applies this rule after checking its input; ``+`` and ``-`` apply it
+inside their merge walk; a scalar product applies it only where scaling
+made a node value equal to the piece before it.
 """
 
 from __future__ import annotations
@@ -21,12 +30,8 @@ from .errors import DomainError
 
 
 class StepFunction(RegulatedFunction):
-    """Piecewise-constant function with finitely many pieces.
-
-    Construction merges every interior node whose value agrees with
-    both neighbouring pieces, so equal functions get equal
-    representations and ``==`` is decidable.
-    """
+    """Piecewise-constant function with finitely many pieces, stored in
+    the canonical form of the module docstring."""
 
     __slots__ = ("_nodes", "_node_values", "_interior_values")
 
@@ -38,21 +43,21 @@ class StepFunction(RegulatedFunction):
             raise DomainError(
                 f"length mismatch: {len(ns)} nodes need {len(ns)} node values "
                 f"and {len(ns) - 1} interior values, got {len(cs)} and {len(ds)}")
-        if not (all(map(math.isfinite, cs)) and all(map(math.isfinite, ds))):
-            raise DomainError("step function values must be finite")
-        # Canonical form: drop interior nodes invisible to the function.
-        # A kept node's right piece is the one it had before the merge.
-        drop = {k for k, c, left, right in zip(range(1, len(ns) - 1), cs[1:], ds, ds[1:])
-                if c == left == right}
-        if drop:
-            keep = [k for k in range(len(ns)) if k not in drop]
-            ns = [ns[k] for k in keep]
-            cs = [cs[k] for k in keep]
-            ds = [ds[k] for k in keep[:-1]]
+        _check_finite(cs, ds)
         super().__init__(interval)
-        self._nodes = tuple(ns)
-        self._node_values = tuple(cs)
-        self._interior_values = tuple(ds)
+        self._nodes, self._node_values, self._interior_values = _drop_silent(ns, cs, ds)
+
+    @classmethod
+    def _trusted(cls, interval: Interval, nodes, node_values, interior_values) -> "StepFunction":
+        """A step function from lists already in canonical form on a
+        division of ``interval``; only finiteness is checked."""
+        _check_finite(node_values, interior_values)
+        self = cls.__new__(cls)
+        RegulatedFunction.__init__(self, interval)
+        self._nodes = tuple(nodes)
+        self._node_values = tuple(node_values)
+        self._interior_values = tuple(interior_values)
+        return self
 
     @classmethod
     def constant(cls, interval: Interval, value: float) -> "StepFunction":
@@ -202,33 +207,53 @@ class StepFunction(RegulatedFunction):
     # -- algebra -----------------------------------------------------------
 
     def _combine(self, other, op):
-        """``self op other`` by one walk over the union of both node
-        lists; a scalar operand is the constant step function."""
+        """``self op other`` by one merge walk over the union of both
+        node lists, which applies the canonical rule to each node as it
+        is met; a scalar operand is walked as the constant with nodes a
+        and b.  The union of two divisions of one interval is a
+        division, so of the public constructor's checks the result
+        needs only finiteness."""
         if isinstance(other, (int, float)):
-            other = StepFunction.constant(self._interval, other)
-        if not isinstance(other, StepFunction):
+            s = as_floats((other,), "step function values")[0]
+            ys, yc, yd = (self._interval.a, self._interval.b), (s, s), (s,)
+        elif isinstance(other, StepFunction):
+            if other._interval != self._interval:
+                raise DomainError("step functions live on different intervals")
+            ys, yc, yd = other._nodes, other._node_values, other._interior_values
+        else:
             return NotImplemented
-        if other._interval != self._interval:
-            raise DomainError("step functions live on different intervals")
         xs, xc, xd = self._nodes, self._node_values, self._interior_values
-        ys, yc, yd = other._nodes, other._node_values, other._interior_values
-        nodes, at, on = [], [], []
-        i = j = 0
+        # A node of one side lies inside a piece of the other unless both
+        # sides have it; both lists start at a and end at b.  ``piece`` is
+        # the value right of the last node kept.
+        nodes, at, on = [xs[0]], [op(xc[0], yc[0])], []
+        piece = op(xd[0], yd[0])
+        i = j = 1
+        end = len(xs) - 1
         while True:
-            # A node of one side lies inside a piece of the other unless
-            # both sides have it; both lists start at a and end at b.
             x, y = xs[i], ys[j]
-            nodes.append(x if x <= y else y)
-            at.append(op(xc[i] if x <= y else xd[i - 1],
-                         yc[j] if y <= x else yd[j - 1]))
-            if x <= y:
+            if x < y:
+                v, w = op(xc[i], yd[j - 1]), op(xd[i], yd[j - 1])
                 i += 1
-            if y <= x:
+            elif y < x:
+                x, v, w = y, op(xd[i - 1], yc[j]), op(xd[i - 1], yd[j])
                 j += 1
-            if i == len(xs):
+            elif i == end:  # x == y == b
                 break
-            on.append(op(xd[i - 1], yd[j - 1]))
-        return StepFunction(self._interval, nodes, at, on)
+            else:
+                v, w = op(xc[i], yc[j]), op(xd[i], yd[j])
+                i += 1
+                j += 1
+            if v == piece == w:
+                continue
+            nodes.append(x)
+            at.append(v)
+            on.append(piece)
+            piece = w
+        nodes.append(x)
+        at.append(op(xc[i], yc[j]))
+        on.append(piece)
+        return StepFunction._trusted(self._interval, nodes, at, on)
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -242,15 +267,39 @@ class StepFunction(RegulatedFunction):
         return self * -1.0
 
     def __mul__(self, scalar):
+        """``scalar * self`` on this function's nodes, which stay a
+        division.  Rounding can make pieces agree (and 0 * f makes them
+        all agree), so the canonical rule is applied again, but only
+        when some node value now equals the piece before it."""
         if not isinstance(scalar, (int, float)):
             return NotImplemented
         lam = as_floats((scalar,), "a step function's scalar factor")[0]
-        return StepFunction(
-            self._interval, self._nodes,
-            [lam * v for v in self._node_values],
-            [lam * v for v in self._interior_values])
+        ns = self._nodes
+        cs = [lam * v for v in self._node_values]
+        ds = [lam * v for v in self._interior_values]
+        if any(map(operator.eq, cs[1:-1], ds)):
+            ns, cs, ds = _drop_silent(ns, cs, ds)
+        return StepFunction._trusted(self._interval, ns, cs, ds)
 
     __rmul__ = __mul__
+
+
+def _check_finite(node_values, interior_values) -> None:
+    if not (all(map(math.isfinite, node_values)) and all(map(math.isfinite, interior_values))):
+        raise DomainError("step function values must be finite")
+
+
+def _drop_silent(ns, cs, ds) -> tuple[tuple, tuple, tuple]:
+    """The lists of a step function in the module docstring's canonical
+    form."""
+    drop = {k for k, c, left, right in zip(range(1, len(ns) - 1), cs[1:], ds, ds[1:])
+            if c == left == right}
+    if drop:
+        keep = [k for k in range(len(ns)) if k not in drop]
+        ns = [ns[k] for k in keep]
+        cs = [cs[k] for k in keep]
+        ds = [ds[k] for k in keep[:-1]]
+    return tuple(ns), tuple(cs), tuple(ds)
 
 
 def indicator(interval: Interval, lo: float, hi: float, *,

@@ -46,6 +46,7 @@ PAST_THE_FLOAT_RANGE = {
     "lipschitz constant": lambda: PiecewiseLipschitz(IV, (0.0, 1.0), (Affine(1.0),), (HUGE,)),
     "gauge override": lambda: Gauge(0.1, {0.5: HUGE}),
     "gauge constant": lambda: Gauge(HUGE),
+    "gauge callable body": lambda: Gauge(lambda t: HUGE)(0.5),
 }
 
 
@@ -285,6 +286,87 @@ def test_merge_walk_is_pointwise_on_nondyadic_pairs():
                 if x < 1.0:
                     assert h.right_limit(x) == op(f.right_limit(x), g.right_limit(x))
         assert f - f == StepFunction.constant(IV, 0.0)
+
+
+def _bits(h: StepFunction) -> tuple:
+    return tuple(tuple(map(float.hex, seq))
+                 for seq in (h.nodes, h.node_values, h.interior_values))
+
+
+def _reference(f: StepFunction, g, op) -> StepFunction:
+    """``f op g`` from its definition, independent of the merge walk:
+    the sorted union of the nodes, each read by ``value`` and
+    ``right_limit``, through the public constructor.  A number g is the
+    constant function."""
+    if isinstance(g, StepFunction):
+        nodes = sorted(set(f.nodes) | set(g.nodes))
+        value, right = g.value, g.right_limit
+    else:
+        nodes = f.nodes
+        value = right = lambda x, c=float(g): c
+    return StepFunction(f.interval, nodes, [op(f.value(x), value(x)) for x in nodes],
+                        [op(f.right_limit(x), right(x)) for x in nodes[:-1]])
+
+
+def _scaled_reference(f: StepFunction, lam) -> StepFunction:
+    lam = float(lam)
+    return StepFunction(f.interval, f.nodes, [lam * v for v in f.node_values],
+                        [lam * v for v in f.interior_values])
+
+
+def _pooled_step(rng: random.Random, pool, inner) -> StepFunction:
+    nodes = [0.0] + sorted(set(inner) - {0.0, 1.0}) + [1.0]
+    return StepFunction(IV, nodes, [rng.choice(pool) for _ in nodes],
+                        [rng.choice(pool) for _ in nodes[1:]])
+
+
+def test_algebra_is_bit_identical_to_its_definition():
+    rng = random.Random(20261019)
+    # Small pools make pieces agree, so results have silent nodes to drop;
+    # signed zeros agree under == but not bit for bit.
+    pools = ([0.0, -0.0], [0.0, -0.0, 1.0, -1.0], [1e-20, 1.0, 0.1, 0.2, 0.3],
+             [rng.uniform(-3.0, 3.0) for _ in range(3)] + [0.1, 0.7])
+    for n, reps in ((0, 20), (1, 20), (6, 20), (60, 8), (400, 3), (2000, 1)):
+        for _ in range(reps):
+            pool = rng.choice(pools)
+            f = _pooled_step(rng, pool, [rng.random() for _ in range(n)])
+            inner = list(f.nodes[1:-1])
+            shared = _pooled_step(
+                rng, pool, rng.sample(inner, len(inner) // 2) + [rng.random() for _ in range(n // 4)])
+            disjoint = _pooled_step(rng, pool, [rng.random() for _ in range(n)])
+            cancelling = StepFunction(
+                IV, f.nodes, [-v for v in f.node_values],
+                [-v if rng.random() < 0.7 else rng.choice(pool) for v in f.interior_values])
+            cases = [(-f, _scaled_reference(f, -1.0)),
+                     (sum([f, shared, disjoint]),
+                      _reference(_reference(_reference(f, 0, operator.add),
+                                            shared, operator.add), disjoint, operator.add))]
+            for g in (shared, disjoint, cancelling):
+                cases += [(f + g, _reference(f, g, operator.add)),
+                          (f - g, _reference(f, g, operator.sub)),
+                          (g - f, _reference(g, f, operator.sub))]
+            for c in (0, 0.0, -0.0, 3, -2, 0.1, rng.choice(pool)):
+                cases += [(f + c, _reference(f, c, operator.add)),
+                          (c + f, _reference(f, c, operator.add)),
+                          (f - c, _reference(f, c, operator.sub)),
+                          (f * c, _scaled_reference(f, c)),
+                          (c * f, _scaled_reference(f, c))]
+            for h, ref in cases:
+                assert _bits(h) == _bits(ref)
+                assert h == StepFunction(h.interval, h.nodes, h.node_values, h.interior_values)
+
+
+BIG = StepFunction(IV, (0.0, 0.5, 1.0), (1e308, -1e308, 1e308), (1e308, -1e308))
+
+
+@pytest.mark.parametrize("op", [lambda: BIG + BIG, lambda: BIG - (-BIG), lambda: BIG + 1e308,
+                                lambda: 1e308 + BIG, lambda: BIG - 1e308, lambda: 2.0 * BIG,
+                                lambda: BIG * 1e10],
+                         ids=["sum", "difference", "scalar sum", "scalar sum, reflected",
+                              "scalar difference", "scalar product", "scalar product, right"])
+def test_algebra_refuses_an_overflow_to_infinity(op):
+    with pytest.raises(DomainError, match=r"^step function values must be finite$"):
+        op()
 
 
 @given(steps(), steps())
