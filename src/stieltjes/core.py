@@ -179,10 +179,11 @@ class RegulatedFunction(ABC):
         families override it with one of two walks that give
         bit-identical values: ``StepFunction`` merges its nodes with the
         query nodes one by one, since the two lists may be equally dense;
-        the families with few breaks (``PiecewiseLipschitz``'s, and the
-        nodes of ``MonotoneFunction``'s jump step, a and b alone without
-        jumps) bisect once per break and slice the query nodes between
-        breaks."""
+        the two smooth families share one walk over their few breaks
+        (``PiecewiseLipschitz``'s, and the nodes of ``MonotoneFunction``'s
+        jump step, a and b alone without jumps), which bisects once per
+        break, calls the cell's piece on the query nodes between breaks
+        and takes the stored limit row at a node on a break."""
         values = [self.value(t) for t in nodes]
         lefts = [values[0]] + [self.left_limit(t) for t in nodes[1:]]
         rights = [self.right_limit(t) for t in nodes[:-1]] + [values[-1]]

@@ -29,10 +29,11 @@ table collapses into one walk over the step argument's nodes, which
 other argument once, through ``_limits_at``: its left limits, values
 and right limits at all the nodes, in place of a bisecting point read
 per limit.  A step function gives them by a per-node merge of the two
-node lists, which may be equally dense; the smooth families, with few
-breaks, by a break walk that bisects once per break and reads the
-nodes between breaks in one slice.  The sums and the oracles keep the
-point reads, so they share no code with either walk.
+node lists, which may be equally dense; the two smooth families, with
+few breaks, by the one break walk they share, which bisects once per
+break, calls the cell's piece on the nodes between breaks and takes the
+stored limit row at a node on a break.  The sums and the oracles keep
+the point reads, so they share no code with either walk.
 
 Routes: ``integrate_limit`` picks one per pair, and ``integrate`` is
 the same call.  A step argument takes the walk above.  When both

@@ -10,7 +10,8 @@ point samples.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import partial
 
 from .core import Frozen, Interval, RegulatedFunction, StepApproximation, as_floats
 from .errors import ApproximationError, DomainError
@@ -220,27 +221,57 @@ class SinWave(Formula):
 # ----------------------------------------------------------------------
 
 
-def _break_walk(nodes, breaks, inside, on_break) -> tuple[list, list, list]:
-    """``_limits_at`` over a family's few sorted ``breaks``, from a to b,
-    by one bisection into ``nodes`` per break.  ``inside(j, lo, k)`` gives
-    the values at ``nodes[lo:k]``, inside the cell left of break j;
-    ``on_break(j, k)`` the (left, value, right) triple at a node on it."""
-    out = [], [], []
-    lo = 0
-    for j, y in enumerate(breaks):
-        k = bisect_left(nodes, y, lo)
-        piece = inside(j, lo, k)
-        for part in out:
-            part += piece
-        lo = k
-        if nodes[k] == y:
-            for part, x in zip(out, on_break(j, k)):
-                part.append(x)
-            lo = k + 1
-    return out
+class _Piecewise(RegulatedFunction):
+    """The read path of both smooth families: sorted ``_breaks`` from a
+    to b, ``_pieces[i]`` giving f on the open cell right of break i, and
+    ``_limits[j]`` the ``(f(t-), f(t), f(t+))`` row at break j, with
+    f(a-) := f(a) and f(b+) := f(b).  A one-sided limit at a break is
+    the piece beside it, read there; ``_jumps`` lists the breaks where a
+    limit differs from the value."""
+
+    __slots__ = ("_breaks", "_pieces", "_limits", "_jumps")
+
+    def value(self, t: float) -> float:
+        self._interval.require(t)
+        i = bisect_left(self._breaks, t)
+        if self._breaks[i] == t:
+            return self._limits[i][1]
+        return self._pieces[i - 1](t)
+
+    def left_limit(self, t: float) -> float:
+        if not self._interval.a < t <= self._interval.b:
+            raise DomainError(f"left limit needs t in ({self._interval.a}, {self._interval.b}]")
+        return self._pieces[bisect_left(self._breaks, t) - 1](t)
+
+    def right_limit(self, t: float) -> float:
+        if not self._interval.a <= t < self._interval.b:
+            raise DomainError(f"right limit needs t in [{self._interval.a}, {self._interval.b})")
+        return self._pieces[bisect_right(self._breaks, t) - 1](t)
+
+    def _limits_at(self, nodes) -> tuple[list, list, list]:
+        """``RegulatedFunction._limits_at`` (same precondition) by the
+        break walk: one bisection into ``nodes`` per break, one piece
+        call per node inside a cell, the stored row at a node on a break."""
+        pieces, limits = self._pieces, self._limits
+        out = [], [], []
+        lo = 0
+        for j, y in enumerate(self._breaks):
+            k = bisect_left(nodes, y, lo)
+            inside = list(map(pieces[j - 1], nodes[lo:k]))
+            for part in out:
+                part += inside
+            lo = k
+            if nodes[k] == y:
+                for part, x in zip(out, limits[j]):
+                    part.append(x)
+                lo = k + 1
+        return out
+
+    def jump_points(self) -> tuple[float, ...]:
+        return self._jumps
 
 
-class PiecewiseLipschitz(RegulatedFunction):
+class PiecewiseLipschitz(_Piecewise):
     """One Lipschitz-continuous formula per piece, arbitrary values at
     the piece boundaries.  Jumps happen at breakpoints and nowhere else.
 
@@ -250,8 +281,7 @@ class PiecewiseLipschitz(RegulatedFunction):
     there.  Default node values splice continuously from the right.
     """
 
-    __slots__ = ("_breaks", "_pieces", "_lipschitz", "_node_values",
-                 "_limits", "_jumps", "_variation", "_sup", "_parts")
+    __slots__ = ("_lipschitz", "_variation", "_sup", "_parts")
 
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
                  node_values=None):
@@ -282,7 +312,6 @@ class PiecewiseLipschitz(RegulatedFunction):
         self._breaks = tuple(bks)
         self._pieces = pieces
         self._lipschitz = lipschitz
-        self._node_values = node_values
         # f(t-), f(t), f(t+) at each break from the pieces' raw ends, with
         # f(a-) := f(a) and f(b+) := f(b); a limit off f(t) makes a jump.
         self._limits = tuple(zip(node_values[:1] + tuple(rights), node_values,
@@ -319,38 +348,6 @@ class PiecewiseLipschitz(RegulatedFunction):
                     node_values, (fm.variation_on(u, v) for fm, u, v in cells))
         return self
 
-    # -- RegulatedFunction interface --------------------------------------
-
-    def value(self, t: float) -> float:
-        self._interval.require(t)
-        i = bisect_left(self._breaks, t)
-        if self._breaks[i] == t:
-            return self._node_values[i]
-        return self._pieces[i - 1](t)
-
-    def left_limit(self, t: float) -> float:
-        if not self._interval.a < t <= self._interval.b:
-            raise DomainError(f"left limit needs t in ({self._interval.a}, {self._interval.b}]")
-        i = bisect_left(self._breaks, t)
-        return self._pieces[i - 1](t)
-
-    def right_limit(self, t: float) -> float:
-        if not self._interval.a <= t < self._interval.b:
-            raise DomainError(f"right limit needs t in [{self._interval.a}, {self._interval.b})")
-        i = bisect_left(self._breaks, t)
-        if self._breaks[i] == t:
-            return self._pieces[i](t)
-        return self._pieces[i - 1](t)
-
-    def _limits_at(self, nodes) -> tuple[list, list, list]:
-        """``RegulatedFunction._limits_at`` (same precondition) by the
-        break walk: one piece call per node inside a cell, the stored
-        limits at a node on a break."""
-        pieces, limits = self._pieces, self._limits
-        return _break_walk(nodes, self._breaks,
-                           lambda j, lo, k: list(map(pieces[j - 1], nodes[lo:k])),
-                           lambda j, k: limits[j])
-
     @property
     def variation_bound(self) -> float:
         return self._variation
@@ -358,9 +355,6 @@ class PiecewiseLipschitz(RegulatedFunction):
     @property
     def sup_bound(self) -> float:
         return self._sup
-
-    def jump_points(self) -> tuple[float, ...]:
-        return self._jumps
 
     def _smooth_parts(self):
         """The split when every piece is a catalog formula and no gap
@@ -385,11 +379,13 @@ class PiecewiseLipschitz(RegulatedFunction):
     def approximate(self, eps: float) -> StepApproximation:
         """Uniform grid per piece with spacing <= eps / Lipschitz;
         constant midpoint values inside cells, exact values at nodes.
-        Achieved error is max over pieces of Lipschitz * spacing / 2."""
+        Achieved error is max over pieces of Lipschitz * spacing / 2.
+        A cell whose width overflows lays its grid out at half scale and
+        doubles it back, so every point read stays inside the cell."""
         if not eps > 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
-        need = [c * (v - u) / eps
-                for c, u, v in zip(self._lipschitz, self._breaks, self._breaks[1:])]
+        bks = self._breaks
+        need = [_times_width(c, u, v) / eps for c, u, v in zip(self._lipschitz, bks, bks[1:])]
         if not all(map(math.isfinite, need)):  # best_error stays inf: no tol fits
             raise ApproximationError(f"tolerance {eps!r} needs a cell count that overflows")
         counts = [max(1, math.ceil(x)) for x in need]
@@ -399,28 +395,38 @@ class PiecewiseLipschitz(RegulatedFunction):
             raise ApproximationError(
                 f"tolerance {eps!r} needs {total} cells (limit {MAX_APPROX_CELLS})",
                 best_error=eps * scale)
-        nodes: list[float] = [self._breaks[0]]
-        node_values: list[float] = [self._node_values[0]]
+        nodes: list[float] = [bks[0]]
+        node_values: list[float] = [self._limits[0][1]]
         interior: list[float] = []
         err = 0.0
-        for p, c, n, u, v, fv in zip(self._pieces, self._lipschitz, counts,
-                                     self._breaks, self._breaks[1:],
-                                     self._node_values[1:]):
+        for p, c, n, u, v, (_, fv, _) in zip(self._pieces, self._lipschitz, counts,
+                                             bks, bks[1:], self._limits[1:]):
             h = (v - u) / n
-            err = max(err, 0.5 * c * h)
-            for j in range(1, n):
-                x = u + j * h
-                interior.append(p(u + (j - 0.5) * h))
-                nodes.append(x)
-                node_values.append(p(x))
-            interior.append(p(u + (n - 0.5) * h))
+            if h < math.inf:
+                err = max(err, 0.5 * c * h)
+                xs = [u + j * h for j in range(1, n)]
+                mids = [u + (j - 0.5) * h for j in range(1, n + 1)]
+            else:  # v - u overflows; h is half the spacing
+                h = (0.5 * v - 0.5 * u) / n
+                err = max(err, c * h)
+                xs = [2.0 * (0.5 * u + j * h) for j in range(1, n)]
+                mids = [2.0 * (0.5 * u + (j - 0.5) * h) for j in range(1, n + 1)]
+            interior += map(p, mids)
+            nodes += xs
+            node_values += map(p, xs)
             nodes.append(v)
             node_values.append(fv)
         return StepApproximation(
             StepFunction(self._interval, nodes, node_values, interior), err)
 
 
-class MonotoneFunction(RegulatedFunction):
+def _shifted(base, level: float, t: float) -> float:
+    """A monotone function inside a cell where its jump step is ``level``;
+    unlike a lambda, a ``partial`` of this pickles with its base."""
+    return base(t) + level
+
+
+class MonotoneFunction(_Piecewise):
     """Monotone function: a continuous monotone base plus finitely many
     explicit jumps, all pointing in the base's direction.
 
@@ -429,10 +435,12 @@ class MonotoneFunction(RegulatedFunction):
     Approximants are certified by monotonicity alone: on any bisection
     cell the base stays between its endpoint values.
 
-    Each read is the jump step's read, which refuses a point outside
-    the interval, plus the base's.  Without jumps the jump step is the
-    constant -0.0, which leaves every base value as it is, bit for bit;
-    +0.0 would read a base's -0.0 as +0.0.
+    The breaks are the jump step's nodes, a and b alone without jumps.
+    Inside a cell f reads the base plus the jump step's value there, and
+    the row at a break is the base's value plus the step's limits and
+    value.  Without jumps the jump step is the constant -0.0, which
+    leaves every base value as it is, bit for bit; +0.0 would read a
+    base's -0.0 as +0.0.
     """
 
     __slots__ = ("_base", "_jump_step")
@@ -466,56 +474,39 @@ class MonotoneFunction(RegulatedFunction):
                 minus.append((t, pre))
             if post != 0.0:
                 plus.append((t, post))
-        self._jump_step = (step_from_jumps(interval, 0.0, plus_jumps=plus, minus_jumps=minus,
-                                           endpoint=endpoint)
-                           if plus or minus or endpoint
-                           # x + -0.0 is x bit for bit, even for x = -0.0; + 0.0 is not.
-                           else StepFunction.constant(interval, -0.0))
-        ends = (base_a, base_b, self.value(a), self.value(b))
+        js = self._jump_step = (
+            step_from_jumps(interval, 0.0, plus_jumps=plus, minus_jumps=minus, endpoint=endpoint)
+            if plus or minus or endpoint
+            # x + -0.0 is x bit for bit, even for x = -0.0; + 0.0 is not.
+            else StepFunction.constant(interval, -0.0))
+        ys, yc, yd = js.nodes, js.node_values, js.interior_values
+        self._breaks = ys
+        self._pieces = tuple(partial(_shifted, base, d) for d in yd)
+        self._limits = tuple((x + left, x + val, x + right) for x, left, val, right in zip(
+            (base_a, *map(base, ys[1:-1]), base_b), yc[:1] + yd, yc, yd + yc[-1:]))
+        self._jumps = js.jump_points()
+        ends = (base_a, base_b, self._limits[0][1], self._limits[-1][1])
         if not all(map(math.isfinite, ends)):
             raise DomainError(f"base and values {ends!r} at the ends overflow: not finite")
         # Cheap guardrail, not certification: a handful of increments
-        # must not contradict the claimed direction.
-        samples = [base(a + (b - a) * i / 8) for i in range(9)]
+        # must not contradict the claimed direction.  The samples stay in
+        # [a, b]; when b - a overflows they are laid out at 1/16 scale,
+        # where (b - a) * i / 8 fits.
+        o, s, w = a, 1.0, b - a
+        if not w < math.inf:
+            o, s, w = a / 16, 16.0, b / 16 - a / 16
+        samples = [base(min(max(s * (o + w * i / 8), a), b)) for i in range(9)]
         if any(direction * (y - x) < 0 for x, y in zip(samples, samples[1:])):
             raise DomainError("base function violates its monotone direction")
-
-    def value(self, t: float) -> float:
-        return self._jump_step.value(t) + self._base(t)
-
-    def left_limit(self, t: float) -> float:
-        return self._jump_step.left_limit(t) + self._base(t)
-
-    def right_limit(self, t: float) -> float:
-        return self._jump_step.right_limit(t) + self._base(t)
-
-    def _limits_at(self, nodes) -> tuple[list, list, list]:
-        """``RegulatedFunction._limits_at`` (same precondition): one base
-        call per node, then the break walk over the jump step's nodes,
-        (a, b) alone when there are no jumps."""
-        base = list(map(self._base, nodes))
-        js = self._jump_step
-        ys, yc, yd = js.nodes, js.node_values, js.interior_values
-        before = yc[:1] + yd  # f(a-) := f(a)
-        after = yd + yc[-1:]  # f(b+) := f(b)
-
-        def inside(j, lo, k):
-            d = yd[j - 1]
-            return [x + d for x in base[lo:k]]
-        return _break_walk(nodes, ys, inside, lambda j, k: (
-            base[k] + before[j], base[k] + yc[j], base[k] + after[j]))
 
     @property
     def variation_bound(self) -> float:
         # Monotone, so the variation is the total rise, exactly.
-        return abs(self.value(self._interval.b) - self.value(self._interval.a))
+        return abs(self._limits[-1][1] - self._limits[0][1])
 
     @property
     def sup_bound(self) -> float:
-        return max(abs(self.value(self._interval.a)), abs(self.value(self._interval.b)))
-
-    def jump_points(self) -> tuple[float, ...]:
-        return self._jump_step.jump_points()
+        return max(abs(self._limits[0][1]), abs(self._limits[-1][1]))
 
     def _smooth_parts(self):
         if not hasattr(self._base, "derivative_bound_on"):

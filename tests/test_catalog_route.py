@@ -383,7 +383,8 @@ def test_a_refusal_names_a_tol_that_is_met_on_retry(monkeypatch):
 
 def test_a_pickled_catalog_function_keeps_the_route():
     # The catalog split is built on first use and cached on the function;
-    # a copy pickled before or after that integrates alike.
+    # a copy pickled before or after that integrates alike, and so does
+    # a pickled monotone function, whose cell pieces pickle with its base.
     f = PiecewiseLipschitz.from_formulas(IV, (0.0, 0.5, 1.0), (Affine(1.0), SinWave(2.0)),
                                          (0.0, 1.0, 2.0))
     g = MonotoneFunction(IV, Power(2.0), ((0.5, 0.25, 0.125),))
@@ -392,6 +393,7 @@ def test_a_pickled_catalog_function_keeps_the_route():
     assert want.diagnostics.method == "limit-gauss"
     for copy in (fresh, pickle.loads(pickle.dumps(f))):
         assert integrate(copy, g, D, 1e-6) == want
+    assert integrate(f, pickle.loads(pickle.dumps(g)), D, 1e-6) == want
 
 
 # ------------------------------------------------------- leaving the route

@@ -8,7 +8,7 @@ import pytest
 from conftest import brute_variation, rand_smooth
 from stieltjes import (Affine, ApproximationError, DomainError, Interval,
                        MonotoneFunction, PiecewiseLipschitz, Power, SinWave,
-                       StepApproximation, StepFunction)
+                       StepApproximation, StepFunction, integrate)
 from stieltjes import regulated
 from stieltjes.regulated import MAX_APPROX_CELLS
 from test_step_walk import point_reads
@@ -165,6 +165,51 @@ def test_an_overflowing_width_keeps_finite_bounds():
     assert 1.9 < g.variation_bound < 2.1 and 1.9 < g.sup_bound < 2.1
 
 
+class Recorded:
+    """A piece or base that records every point it is read at."""
+
+    def __init__(self, fn):
+        self.fn, self.seen = fn, []
+
+    def __call__(self, t):
+        self.seen.append(t)
+        return self.fn(t)
+
+
+def test_approximants_of_a_cell_wider_than_the_float_range():
+    # The first cell is 1.9e308 wide.  A Lipschitz-0 piece there is one
+    # cell with error 0; a sloped one gets a grid laid out at half scale.
+    # Either way every piece is read inside its own cell.
+    wide = Interval(-1e308, 1e308)
+    bks = (-1e308, 9e307, 1e308)
+    for slope, eps, cells in ((0.0, 1e-9, 2), (1e-300, 1e6, 191)):
+        pieces = Recorded(lambda t: 1.0 + slope * t), Recorded(lambda t: 2.0)
+        f = PiecewiseLipschitz(wide, bks, pieces, (slope, 0.0), (1.0, 2.0, 2.0))
+        step, err = f.approximate(eps)
+        assert step.piece_count == cells and 0.0 <= err <= eps
+        assert (err == 0.0) == (slope == 0.0)
+        for p, u, v in zip(pieces, bks, bks[1:]):
+            assert p.seen and all(u <= t <= v for t in p.seen)
+    # Two opaque constant pieces integrate exactly, from one cell each.
+    f = PiecewiseLipschitz(wide, bks, (lambda t: 1.0, lambda t: 2.0), (0.0, 0.0))
+    got = {kind: integrate(f, f, kind) for kind in "KYD"}
+    assert [got[k].value for k in "KYD"] == [2.0, 2.0, 1.0]
+    assert all(res.error_bound == 0.0 for res in got.values())
+
+
+def test_monotone_guardrail_samples_inside_a_wide_interval():
+    # b - a overflows on the wide interval; its samples are laid out at
+    # 1/16 scale, so a base that falls in the middle is refused there as
+    # the same shape is on [-1, 1].
+    for hi in (1.0, 1e308):
+        base = Recorded(lambda t: -t if abs(t) < hi / 2 else t)
+        with pytest.raises(DomainError, match="violates its monotone direction"):
+            MonotoneFunction(Interval(-hi, hi), base)
+        assert len(base.seen) >= 9 and all(-hi <= t <= hi for t in base.seen)
+    f = MonotoneFunction(Interval(-1e308, 1e308), Affine(1e-308), ((0.0, 0.5, 0.5),))
+    assert f.variation_bound == 3.0 and f.jump_points() == (0.0,)
+
+
 def test_value_types_pickle_and_repr():
     # Frozen.__reduce__ rebuilds through __init__; __repr__ names each slot.
     for value in (Interval(0.0, 1.0), Affine(2.0, 0.5), Power(1.5, -2.0),
@@ -257,7 +302,7 @@ def test_variation_bound_sums_each_constructors_piece_bounds_once():
     rng = random.Random(515)
     for _ in range(200):
         f = rand_smooth(rng)
-        bks, forms, at = f._breaks, f._pieces, f._node_values
+        bks, forms, at = f._breaks, f._pieces, [val for _, val, _ in f._limits]
         cells = list(zip(forms, bks, bks[1:]))
         lips = [fm.lipschitz_on(u, v) for fm, u, v in cells]
         g = PiecewiseLipschitz(IV, bks, forms, lips, at)

@@ -18,6 +18,7 @@ from stieltjes import (Affine, IntegralKind, Interval, MonotoneFunction,
                        StepFunction, integrate_step_pair, interior_tags,
                        oracle_gauge, oracle_refinement, riemann_sum,
                        young_sum)
+from stieltjes import regulated
 from stieltjes.partitions import Division
 
 IV = Interval(0.0, 1.0)
@@ -210,8 +211,8 @@ def test_sums_and_oracles_never_use_the_batched_read(monkeypatch):
             yield from subclasses(sub)
 
     patched = {cls for cls in subclasses(RegulatedFunction) if "_limits_at" in vars(cls)}
-    assert {RegulatedFunction, StepFunction, PiecewiseLipschitz,
-            MonotoneFunction} <= patched
+    # The two smooth families share one read path.
+    assert {RegulatedFunction, StepFunction, regulated._Piecewise} <= patched
     for cls in patched:
         monkeypatch.setattr(cls, "_limits_at", refuse)
 
