@@ -35,8 +35,8 @@ break, calls the cell's piece on the nodes between breaks and takes the
 stored limit row at a node on a break.  The sums and the oracles keep
 the point reads, so they share no code with either walk.
 
-Routes: ``integrate_limit`` picks one per pair, and ``integrate`` is
-the same call.  A step argument takes the walk above.  When both
+Routes: ``integrate`` picks one per pair; ``integrate_limit`` is the
+same function.  A step argument takes the walk above.  When both
 arguments are catalog functions (``_smooth_parts``), they split by
 bilinearity into jump steps and continuous parts, and the kind enters
 only through one walk of the jump step of f against that of g.  Each
@@ -518,12 +518,13 @@ def _smallest_tol(attempt, tol: float) -> float:
     return hi
 
 
-def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
-                    kind: IntegralKind | str, tol: float = 1e-9) -> IntegralResult:
+def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | str,
+              tol: float = 1e-9) -> IntegralResult:
     """Integral of f against dg with a certified error bound.
 
     A step argument gives the exact closed form of
-    ``integrate_step_pair`` (method "step-table", error_bound 0).  When
+    ``integrate_step_pair`` (method "step-table", error_bound 0, no
+    variation bound needed).  When
     both arguments are catalog functions this is the fourth-order route
     of ``_gauss_limit`` (method "limit-gauss").  Otherwise (an
     argument built on arbitrary callables, or catalog bounds that
@@ -540,8 +541,8 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
     floating-point product with that factor is at most tol, and eps =
     inf when the factor is 0, so that each piece takes one cell.  The
     returned ``error_bound``, the achieved sup error times the factor,
-    therefore never exceeds ``tol`` in floating point.  Needs at least
-    one argument of certified finite variation.
+    therefore never exceeds ``tol`` in floating point.  This route needs
+    at least one argument of certified finite variation.
 
     An approximant's ApproximationError is re-raised with ``best_error``
     times the factor: the smallest tol this route can certify, named in
@@ -594,12 +595,7 @@ def integrate_limit(f: RegulatedFunction, g: RegulatedFunction,
                     err, step.piece_count))
 
 
-def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | str,
-              tol: float = 1e-9) -> IntegralResult:
-    """Front door, the route ``integrate_limit`` picks: the exact closed
-    form whenever either argument is a step function (no variation bound
-    needed then), a certified limit otherwise."""
-    return integrate_limit(f, g, kind, tol)
+integrate_limit = integrate
 
 
 def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | str,

@@ -10,12 +10,13 @@ point samples.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from functools import partial
 
 from .core import Frozen, Interval, RegulatedFunction, StepApproximation, as_floats
 from .errors import ApproximationError, DomainError
-from .stepfun import StepFunction, step_from_jumps
+from .stepfun import StepFunction, _merged, step_from_jumps
 
 # Hard ceiling on approximant size; past this the requested tolerance
 # is treated as unreachable rather than allowed to exhaust memory.
@@ -227,9 +228,10 @@ class _Piecewise(RegulatedFunction):
     ``_limits[j]`` the ``(f(t-), f(t), f(t+))`` row at break j, with
     f(a-) := f(a) and f(b+) := f(b).  A one-sided limit at a break is
     the piece beside it, read there; ``_jumps`` lists the breaks where a
-    limit differs from the value."""
+    limit differs from the value.  Each family also stores its two
+    certificates, ``_variation`` and ``_sup``, once on construction."""
 
-    __slots__ = ("_breaks", "_pieces", "_limits", "_jumps")
+    __slots__ = ("_breaks", "_pieces", "_limits", "_jumps", "_variation", "_sup")
 
     def value(self, t: float) -> float:
         self._interval.require(t)
@@ -270,6 +272,14 @@ class _Piecewise(RegulatedFunction):
     def jump_points(self) -> tuple[float, ...]:
         return self._jumps
 
+    @property
+    def variation_bound(self) -> float:
+        return self._variation
+
+    @property
+    def sup_bound(self) -> float:
+        return self._sup
+
 
 class PiecewiseLipschitz(_Piecewise):
     """One Lipschitz-continuous formula per piece, arbitrary values at
@@ -281,7 +291,7 @@ class PiecewiseLipschitz(_Piecewise):
     there.  Default node values splice continuously from the right.
     """
 
-    __slots__ = ("_lipschitz", "_variation", "_sup", "_parts")
+    __slots__ = ("_lipschitz", "_parts")
 
     def __init__(self, interval: Interval, breakpoints, pieces, lipschitz,
                  node_values=None):
@@ -318,7 +328,7 @@ class PiecewiseLipschitz(_Piecewise):
                                  tuple(lefts) + node_values[-1:]))
         gap_total, jumps = 0.0, []
         for t, row in zip(bks, self._limits):
-            if not all(map(math.isfinite, row)):
+            if not all(map(math.isfinite, as_floats(row, "limits"))):
                 raise DomainError(f"limits {row!r} at break {t!r} overflow: not finite")
             left, val, right = row
             gap_total += abs(val - left)
@@ -347,14 +357,6 @@ class PiecewiseLipschitz(_Piecewise):
                     tuple(float(fm.lipschitz_on(u, v)) for fm, u, v in cells),
                     node_values, (fm.variation_on(u, v) for fm, u, v in cells))
         return self
-
-    @property
-    def variation_bound(self) -> float:
-        return self._variation
-
-    @property
-    def sup_bound(self) -> float:
-        return self._sup
 
     def _smooth_parts(self):
         """The split when every piece is a catalog formula and no gap
@@ -423,7 +425,10 @@ class PiecewiseLipschitz(_Piecewise):
 def _shifted(base, level: float, t: float) -> float:
     """A monotone function inside a cell where its jump step is ``level``;
     unlike a lambda, a ``partial`` of this pickles with its base."""
-    return base(t) + level
+    try:
+        return base(t) + level
+    except OverflowError as exc:  # an int past the float range
+        raise DomainError(f"base values must be finite: {exc}") from None
 
 
 class MonotoneFunction(_Piecewise):
@@ -449,7 +454,9 @@ class MonotoneFunction(_Piecewise):
         super().__init__(interval)
         self._base = base
         a, b = interval.a, interval.b
-        base_a, base_b = base(a), base(b)
+        # The base's values are read as floats, so that one past the float
+        # range, such as a large int, is refused here.
+        base_a, base_b = as_floats((base(a), base(b)), "base values")
         span = base_b - base_a
         direction = math.copysign(1.0, span) if span else 0.0
         plus, minus, endpoint = [], [], 0.0
@@ -483,11 +490,15 @@ class MonotoneFunction(_Piecewise):
         self._breaks = ys
         self._pieces = tuple(partial(_shifted, base, d) for d in yd)
         self._limits = tuple((x + left, x + val, x + right) for x, left, val, right in zip(
-            (base_a, *map(base, ys[1:-1]), base_b), yc[:1] + yd, yc, yd + yc[-1:]))
+            (base_a, *as_floats(map(base, ys[1:-1]), "base values"), base_b),
+            yc[:1] + yd, yc, yd + yc[-1:]))
         self._jumps = js.jump_points()
         ends = (base_a, base_b, self._limits[0][1], self._limits[-1][1])
         if not all(map(math.isfinite, ends)):
             raise DomainError(f"base and values {ends!r} at the ends overflow: not finite")
+        # Monotone, so the variation is the total rise, exactly.
+        self._variation = abs(self._limits[-1][1] - self._limits[0][1])
+        self._sup = max(abs(self._limits[0][1]), abs(self._limits[-1][1]))
         # Cheap guardrail, not certification: a handful of increments
         # must not contradict the claimed direction.  The samples stay in
         # [a, b]; when b - a overflows they are laid out at 1/16 scale,
@@ -495,18 +506,10 @@ class MonotoneFunction(_Piecewise):
         o, s, w = a, 1.0, b - a
         if not w < math.inf:
             o, s, w = a / 16, 16.0, b / 16 - a / 16
-        samples = [base(min(max(s * (o + w * i / 8), a), b)) for i in range(9)]
+        samples = as_floats([base(min(max(s * (o + w * i / 8), a), b)) for i in range(9)],
+                            "base values")
         if any(direction * (y - x) < 0 for x, y in zip(samples, samples[1:])):
             raise DomainError("base function violates its monotone direction")
-
-    @property
-    def variation_bound(self) -> float:
-        # Monotone, so the variation is the total rise, exactly.
-        return abs(self._limits[-1][1] - self._limits[0][1])
-
-    @property
-    def sup_bound(self) -> float:
-        return max(abs(self._limits[0][1]), abs(self._limits[-1][1]))
 
     def _smooth_parts(self):
         if not hasattr(self._base, "derivative_bound_on"):
@@ -515,10 +518,9 @@ class MonotoneFunction(_Piecewise):
 
     def approximate(self, eps: float) -> StepApproximation:
         """Bisect the continuous base until every cell's rise is at most
-        2 * eps and take mid-range values.  The cells come left to right,
-        so the jump part is added in the same pass: a jump inside a cell
-        splits its piece, and every node and piece gets the jump step's
-        value there, the additions ``base_step + jump_step`` would make.
+        2 * eps and take mid-range values, then add the jump step by the
+        merge walk of ``+``.  The base cells form a division, and the walk
+        makes the sum canonical.
 
         The cells' rises add up to the base's total rise, so a base that
         rises by more than 2 * eps * MAX_APPROX_CELLS is refused before
@@ -529,7 +531,7 @@ class MonotoneFunction(_Piecewise):
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
         base = self._base
         a, b = self._interval.a, self._interval.b
-        base_a, base_b = base(a), base(b)
+        base_a, base_b = as_floats((base(a), base(b)), "base values")
         rise = abs(base_b - base_a)
         limit = 2.0 * eps
         needed = rise / limit
@@ -539,42 +541,36 @@ class MonotoneFunction(_Piecewise):
             raise ApproximationError(
                 f"tolerance {eps!r} needs {count} (limit {MAX_APPROX_CELLS})",
                 best_error=rise / (2.0 * MAX_APPROX_CELLS))
-        js = self._jump_step
-        ys, yc, yd = js.nodes, js.node_values, js.interior_values
-        nodes, at, on = [a], [base_a + yc[0]], []
-        j = 1  # the first jump node right of the cells emitted so far
-        cells, worst = 0, 0.0
+        nodes, at, on = [a], [base_a], []
+        worst = 0.0
         stack = [(a, b, base_a, base_b, 0)]
-        while stack:
-            u, v, fu, fv, depth = stack.pop()
-            osc = abs(fv - fu)
-            if osc <= limit:
-                m = 0.5 * (fu + fv)
-                while ys[j] < v:  # a jump inside the cell splits its piece
-                    nodes.append(ys[j])
-                    on.append(m + yd[j - 1])
-                    at.append(m + yc[j])
-                    j += 1
-                on.append(m + yd[j - 1])
-                hit = ys[j] == v  # the cell ends on a jump, or on b
-                at.append(fv + (yc[j] if hit else yd[j - 1]))
-                j += hit
-                nodes.append(v)
-                if osc > worst:
-                    worst = osc
-                cells += 1
-                if cells > MAX_APPROX_CELLS:
-                    # No tolerance is known to fit: best_error stays inf.
+        try:
+            while stack:
+                u, v, fu, fv, depth = stack.pop()
+                osc = abs(fv - fu)
+                if osc <= limit:
+                    nodes.append(v)
+                    at.append(fv)
+                    on.append(0.5 * (fu + fv))
+                    if osc > worst:
+                        worst = osc
+                    if len(on) > MAX_APPROX_CELLS:
+                        # No tolerance is known to fit: best_error stays inf.
+                        raise ApproximationError(
+                            f"tolerance {eps!r} exceeds the cell limit {MAX_APPROX_CELLS}")
+                    continue
+                mid = 0.5 * (u + v)
+                if depth >= 60 or not u < mid < v:
                     raise ApproximationError(
-                        f"tolerance {eps!r} exceeds the cell limit {MAX_APPROX_CELLS}")
-                continue
-            mid = 0.5 * (u + v)
-            if depth >= 60 or not u < mid < v:
-                raise ApproximationError(
-                    f"tolerance {eps!r} unreachable near {u!r} "
-                    "(discontinuity or resolution limit in the base)",
-                    best_error=0.5 * osc)
-            fm = base(mid)
-            stack.append((mid, v, fm, fv, depth + 1))
-            stack.append((u, mid, fu, fm, depth + 1))
-        return StepApproximation(StepFunction(self._interval, nodes, at, on), 0.5 * worst)
+                        f"tolerance {eps!r} unreachable near {u!r} "
+                        "(discontinuity or resolution limit in the base)",
+                        best_error=0.5 * osc)
+                fm = base(mid)
+                stack.append((mid, v, fm, fv, depth + 1))
+                stack.append((u, mid, fu, fm, depth + 1))
+        except OverflowError as exc:  # a base value past the float range, such as a large int
+            raise DomainError(f"base values must be finite: {exc}") from None
+        js = self._jump_step
+        step = _merged(self._interval, (nodes, at, on),
+                       (js.nodes, js.node_values, js.interior_values), operator.add)
+        return StepApproximation(step, 0.5 * worst)

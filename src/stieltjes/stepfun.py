@@ -207,12 +207,8 @@ class StepFunction(RegulatedFunction):
     # -- algebra -----------------------------------------------------------
 
     def _combine(self, other, op):
-        """``self op other`` by one merge walk over the union of both
-        node lists, which applies the canonical rule to each node as it
-        is met; a scalar operand is walked as the constant with nodes a
-        and b.  The union of two divisions of one interval is a
-        division, so of the public constructor's checks the result
-        needs only finiteness."""
+        """``self op other`` by ``_merged``; a scalar operand is walked as
+        the constant with nodes a and b."""
         if isinstance(other, (int, float)):
             s = as_floats((other,), "step function values")[0]
             ys, yc, yd = (self._interval.a, self._interval.b), (s, s), (s,)
@@ -222,38 +218,8 @@ class StepFunction(RegulatedFunction):
             ys, yc, yd = other._nodes, other._node_values, other._interior_values
         else:
             return NotImplemented
-        xs, xc, xd = self._nodes, self._node_values, self._interior_values
-        # A node of one side lies inside a piece of the other unless both
-        # sides have it; both lists start at a and end at b.  ``piece`` is
-        # the value right of the last node kept.
-        nodes, at, on = [xs[0]], [op(xc[0], yc[0])], []
-        piece = op(xd[0], yd[0])
-        i = j = 1
-        end = len(xs) - 1
-        while True:
-            x, y = xs[i], ys[j]
-            if x < y:
-                v, w = op(xc[i], yd[j - 1]), op(xd[i], yd[j - 1])
-                i += 1
-            elif y < x:
-                x, v, w = y, op(xd[i - 1], yc[j]), op(xd[i - 1], yd[j])
-                j += 1
-            elif i == end:  # x == y == b
-                break
-            else:
-                v, w = op(xc[i], yc[j]), op(xd[i], yd[j])
-                i += 1
-                j += 1
-            if v == piece == w:
-                continue
-            nodes.append(x)
-            at.append(v)
-            on.append(piece)
-            piece = w
-        nodes.append(x)
-        at.append(op(xc[i], yc[j]))
-        on.append(piece)
-        return StepFunction._trusted(self._interval, nodes, at, on)
+        return _merged(self._interval, (self._nodes, self._node_values, self._interior_values),
+                       (ys, yc, yd), op)
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -282,6 +248,46 @@ class StepFunction(RegulatedFunction):
         return StepFunction._trusted(self._interval, ns, cs, ds)
 
     __rmul__ = __mul__
+
+
+def _merged(interval: Interval, first, second, op) -> StepFunction:
+    """``first op second`` for step functions given by their lists (nodes,
+    node values, piece values) on divisions of ``interval``: one merge
+    walk over the union of both node lists, a division, which applies the
+    canonical rule at each node, so ``first`` need not be canonical (a
+    monotone approximant's base cells).  Only finiteness is left to check."""
+    (xs, xc, xd), (ys, yc, yd) = first, second
+    # A node of one side lies inside a piece of the other unless both
+    # sides have it; both lists start at a and end at b.  ``piece`` is
+    # the value right of the last node kept.
+    nodes, at, on = [xs[0]], [op(xc[0], yc[0])], []
+    piece = op(xd[0], yd[0])
+    i = j = 1
+    end = len(xs) - 1
+    while True:
+        x, y = xs[i], ys[j]
+        if x < y:
+            v, w = op(xc[i], yd[j - 1]), op(xd[i], yd[j - 1])
+            i += 1
+        elif y < x:
+            x, v, w = y, op(xd[i - 1], yc[j]), op(xd[i - 1], yd[j])
+            j += 1
+        elif i == end:  # x == y == b
+            break
+        else:
+            v, w = op(xc[i], yc[j]), op(xd[i], yd[j])
+            i += 1
+            j += 1
+        if v == piece == w:
+            continue
+        nodes.append(x)
+        at.append(v)
+        on.append(piece)
+        piece = w
+    nodes.append(x)
+    at.append(op(xc[i], yc[j]))
+    on.append(piece)
+    return StepFunction._trusted(interval, nodes, at, on)
 
 
 def _check_finite(node_values, interior_values) -> None:

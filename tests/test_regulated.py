@@ -502,6 +502,14 @@ def test_monotone_refuses_before_bisecting():
     assert "5e+09 cells" in str(info.value)
 
 
+def test_monotone_rise_past_the_float_range_is_a_refused_cell_count():
+    # Ends in the float range whose rise is past it, as ints and as floats.
+    for big in (10 ** 308, 1e308):
+        f = MonotoneFunction(IV, lambda t: big if t > 0.5 else -big if t < 0.5 else 0 * big)
+        with pytest.raises(ApproximationError, match="a cell count that overflows"):
+            f.approximate(0.1)
+
+
 def test_monotone_cell_limit_refusal_names_no_unreachable_tolerance(monkeypatch):
     # t**3 passes the rise pre-check at 64 cells but bisection needs more.
     # best_error names a tol a retry can meet, or inf; the error reached so
@@ -539,9 +547,9 @@ def test_monotone_approximant_reads_each_node_once():
 
 # ---------------------------------------- one-pass monotone approximant
 
-def two_step_approximant(f: MonotoneFunction, eps: float) -> StepApproximation:
-    """The approximant as built before the jumps joined the bisection:
-    the base cells' step function, plus ``f._jump_step``."""
+def base_cells(f: MonotoneFunction, eps: float):
+    """The base's bisection cells at eps: nodes, node values and piece
+    values, not yet in canonical form, and half the largest rise."""
     base, a, b = f._base, IV.a, IV.b
     nodes, at, on, worst = [a], [base(a)], [], 0.0
     stack = [(a, b, base(a), base(b))]
@@ -555,10 +563,14 @@ def two_step_approximant(f: MonotoneFunction, eps: float) -> StepApproximation:
             continue
         mid = 0.5 * (u + v)
         stack += [(mid, v, base(mid), fv), (u, mid, fu, base(mid))]
-    step = StepFunction(IV, nodes, at, on)
-    if f._jump_step is not None:
-        step = step + f._jump_step
-    return StepApproximation(step, worst)
+    return nodes, at, on, worst
+
+
+def two_step_approximant(f: MonotoneFunction, eps: float) -> StepApproximation:
+    """The approximant built in two checked steps: the base cells' step
+    function, canonical, plus ``f._jump_step``."""
+    nodes, at, on, worst = base_cells(f, eps)
+    return StepApproximation(StepFunction(IV, nodes, at, on) + f._jump_step, worst)
 
 
 def approximant_bits(approximation):
@@ -603,7 +615,23 @@ def test_one_pass_approximant_is_bit_identical_to_base_plus_jumps():
             seen.add("no jumps" if not f.jump_points() else "jumps")
             if any(v == 0.0 and math.copysign(1.0, v) < 0 for v in got.step.node_values):
                 seen.add("-0.0")
-    assert set(JUMP_SITES[:6]) | {"inside a cell", "no jumps", "jumps", "-0.0"} <= seen
+    # A base flat below lo and above hi, which is no catalog formula: two
+    # bisection cells side by side on a flat stretch meet at a node the
+    # canonical rule drops, unless a jump sits there.
+    for _ in range(100):
+        lo, hi = sorted(rng.uniform(0.0, 1.0) for _ in "lh")
+        flat = lo if rng.random() < 0.5 else rng.uniform(hi, 1.0)
+        sites = [flat, rng.uniform(lo, hi)] + rng.sample(BISECTION_NODES, 2)
+        jumps = [(t, rng.choice((0.0, 0.25)), 0.25) for t in rng.sample(sites, rng.randint(0, 3))]
+        f = MonotoneFunction(IV, lambda t, lo=lo, hi=hi: min(max(t, lo), hi) - lo, jumps)
+        for eps in (0.05, 0.006):
+            got = f.approximate(eps)
+            assert approximant_bits(got) == approximant_bits(two_step_approximant(f, eps))
+            nodes, at, on, _ = base_cells(f, eps)
+            if StepFunction(IV, nodes, at, on).piece_count < len(on):
+                seen.add("silent base node")
+    assert set(JUMP_SITES[:6]) | {"inside a cell", "no jumps", "jumps", "-0.0",
+                                  "silent base node"} <= seen
 
 
 def test_one_pass_approximant_on_chosen_jumps():

@@ -44,6 +44,16 @@ PAST_THE_FLOAT_RANGE = {
     "lipschitz node value": lambda: PiecewiseLipschitz(IV, (0.0, 1.0), (Affine(1.0),), (1.0,),
                                                        (0.0, HUGE)),
     "lipschitz constant": lambda: PiecewiseLipschitz(IV, (0.0, 1.0), (Affine(1.0),), (HUGE,)),
+    "lipschitz piece at a break": lambda: PiecewiseLipschitz(
+        IV, (0.0, 1.0), (lambda t: HUGE if t == 1.0 else 0,), (0.0,), node_values=(0.0, 0.0)),
+    "monotone base rise": lambda: MonotoneFunction(IV, lambda t: HUGE if t > 0.5 else 0),
+    # 1/8 is a guardrail sample, 0.3 is not, and 1/16 only a bisection point.
+    "monotone base at a sample": lambda: MonotoneFunction(IV, lambda t: HUGE if t == 0.125 else t),
+    "monotone base at a jump": lambda: MonotoneFunction(
+        IV, lambda t: HUGE if t == 0.3 else t, ((0.3, 0.25, 0.0),)),
+    "monotone approximant": lambda: MonotoneFunction(
+        IV, lambda t: HUGE if t == 0.0625 else t).approximate(0.01),
+    "monotone read": lambda: MonotoneFunction(IV, lambda t: HUGE if t == 0.3 else t).value(0.3),
     "gauge override": lambda: Gauge(0.1, {0.5: HUGE}),
     "gauge constant": lambda: Gauge(HUGE),
     "gauge callable body": lambda: Gauge(lambda t: HUGE)(0.5),
