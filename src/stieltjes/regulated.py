@@ -26,14 +26,12 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _times_width(c: float, u: float, v: float) -> float:
-    """c * (v - u), or c * v - c * u when that is not finite: the width
-    of a cell of a finite interval can overflow where c times it need not.
-    inf when both overflow, never nan, which ``max`` would pass over."""
-    x = c * (v - u)
-    if math.isfinite(x):
-        return x
-    y = c * v - c * u
-    return y if math.isfinite(y) else math.inf
+    """c * (v - u), or where the width of a cell of a finite interval
+    overflows, c times half of it, doubled back: halving such far-apart
+    ends is exact, halving a subnormal one would not be.  inf when the
+    product overflows, never nan, which ``max`` would pass over."""
+    w = v - u
+    return c * w if w < math.inf else 2.0 * (c * (0.5 * v - 0.5 * u))
 
 
 class Formula(Frozen):
@@ -187,7 +185,10 @@ class SinWave(Formula):
         super().__init__(freq, amplitude, phase)
 
     def __call__(self, t: float) -> float:
-        return self.amplitude * math.sin(self.freq * t + self.phase)
+        try:
+            return self.amplitude * math.sin(self.freq * t + self.phase)
+        except ValueError:  # sin(inf)
+            raise DomainError(f"sin argument overflows at t = {t!r}") from None
 
     def values_at(self, ts) -> list[float]:
         a, w, phi, sin = self.amplitude, self.freq, self.phase, math.sin
@@ -200,7 +201,7 @@ class SinWave(Formula):
     def derivative_bound_on(self, u: float, v: float, k: int) -> float:
         a, w = self.amplitude, self.freq
         try:
-            bound = abs(a * w) if k == 1 else abs(a) * abs(w) ** k
+            bound = abs(a) * abs(w) ** k
         except OverflowError:
             bound = math.inf
         if bound < math.inf:
@@ -383,7 +384,9 @@ class PiecewiseLipschitz(_Piecewise):
         constant midpoint values inside cells, exact values at nodes.
         Achieved error is max over pieces of Lipschitz * spacing / 2.
         A cell whose width overflows lays its grid out at half scale and
-        doubles it back, so every point read stays inside the cell."""
+        doubles it back, so every point read stays inside the cell; its
+        ends are far above the subnormal range, where that is exact.  Any
+        other cell keeps scale 1, so a subnormal end is never halved."""
         if not eps > 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
         bks = self._breaks
@@ -403,16 +406,11 @@ class PiecewiseLipschitz(_Piecewise):
         err = 0.0
         for p, c, n, u, v, (_, fv, _) in zip(self._pieces, self._lipschitz, counts,
                                              bks, bks[1:], self._limits[1:]):
-            h = (v - u) / n
-            if h < math.inf:
-                err = max(err, 0.5 * c * h)
-                xs = [u + j * h for j in range(1, n)]
-                mids = [u + (j - 0.5) * h for j in range(1, n + 1)]
-            else:  # v - u overflows; h is half the spacing
-                h = (0.5 * v - 0.5 * u) / n
-                err = max(err, c * h)
-                xs = [2.0 * (0.5 * u + j * h) for j in range(1, n)]
-                mids = [2.0 * (0.5 * u + (j - 0.5) * h) for j in range(1, n + 1)]
+            s = 1.0 if v - u < math.inf else 2.0
+            o, h = u / s, (v / s - u / s) / n  # h is the spacing over s
+            err = max(err, 0.5 * s * c * h)
+            xs = [s * (o + j * h) for j in range(1, n)]
+            mids = [s * (o + (j - 0.5) * h) for j in range(1, n + 1)]
             interior += map(p, mids)
             nodes += xs
             node_values += map(p, xs)
@@ -500,12 +498,11 @@ class MonotoneFunction(_Piecewise):
         self._variation = abs(self._limits[-1][1] - self._limits[0][1])
         self._sup = max(abs(self._limits[0][1]), abs(self._limits[-1][1]))
         # Cheap guardrail, not certification: a handful of increments
-        # must not contradict the claimed direction.  The samples stay in
-        # [a, b]; when b - a overflows they are laid out at 1/16 scale,
-        # where (b - a) * i / 8 fits.
-        o, s, w = a, 1.0, b - a
-        if not w < math.inf:
-            o, s, w = a / 16, 16.0, b / 16 - a / 16
+        # must not contradict the claimed direction.  Where (b - a) * 8
+        # overflows the samples are laid out at 1/16 scale, where it fits;
+        # clamping keeps them in [a, b].
+        s = 1.0 if 8.0 * (b - a) < math.inf else 16.0
+        o, w = a / s, b / s - a / s
         samples = as_floats([base(min(max(s * (o + w * i / 8), a), b)) for i in range(9)],
                             "base values")
         if any(direction * (y - x) < 0 for x, y in zip(samples, samples[1:])):
@@ -560,6 +557,8 @@ class MonotoneFunction(_Piecewise):
                             f"tolerance {eps!r} exceeds the cell limit {MAX_APPROX_CELLS}")
                     continue
                 mid = 0.5 * (u + v)
+                if not u < mid < v:  # u + v overflowed, or no float is between
+                    mid = 0.5 * u + 0.5 * v
                 if depth >= 60 or not u < mid < v:
                     raise ApproximationError(
                         f"tolerance {eps!r} unreachable near {u!r} "

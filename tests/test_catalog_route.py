@@ -20,9 +20,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import Opaque, gamma
-from stieltjes import (Affine, ApproximationError, Diagnostics, IntegralKind,
-                       Interval, MonotoneFunction, PiecewiseLipschitz, Power,
-                       SinWave, by_parts, integrate)
+from stieltjes import (Affine, ApproximationError, Diagnostics, DomainError,
+                       IntegralKind, Interval, MonotoneFunction, PiecewiseLipschitz,
+                       Power, SinWave, by_parts, integrate)
 from stieltjes import cli, regulated
 
 IV = Interval(0.0, 1.0)
@@ -514,6 +514,28 @@ def test_a_jump_past_the_float_range_leaves_the_route():
     assert f._smooth_parts() is None
     res = integrate(f, formula_of(Affine(1.0)), K, 1e-3)
     assert res.diagnostics.method == "limit-integrand" and res.value == 1e308
+
+
+def test_a_power_without_a_derivative_rounding_bound_leaves_the_route(monkeypatch):
+    # fl(e - 1) misses e - 1 by 1 for e = 2**53 + 2, and log t is
+    # unbounded on a cell from 0, so t**e has no rounding bound for its
+    # derivative there: the first-order route takes the job.
+    e = float(2 ** 53 + 2)
+    refused = []
+    bound = Power.derivative_rounding_on
+
+    def spy(self, u, v):
+        try:
+            return bound(self, u, v)
+        except DomainError as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(Power, "derivative_rounding_on", spy)
+    res = integrate(formula_of(Affine(1.0)), formula_of(Power(e)), K, 1e-3)
+    assert refused and all("no rounding bound for f'" in r for r in refused)
+    assert res.diagnostics.method == "limit-integrand"
+    assert abs(res.value - e / (e + 1.0)) <= res.error_bound <= 1e-3
 
 
 BLOW_UP = "f=sin[0,1]{freq:1e300; amp:1e-290} g=affine[0,1]{slope:1}"

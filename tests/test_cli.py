@@ -224,6 +224,8 @@ def test_refusal_reports_the_reachable_tolerance(capsys, monkeypatch):
     # t**2 past the float range at b, as a function and as a monotone base.
     ("f=power[0,1e200]{exponent:2} g=affine[0,1e200]{slope:1}", 2),
     ("f=monotone_jumps[0,1e200]{base: power(exponent: 2)} g=affine[0,1e200]{slope:1}", 2),
+    # sin(9 t) at b, whose argument is past the float range.
+    ("f=sin[0,1e308]{freq:9} g=affine[0,1e308]{slope:1}", 2),
 ])
 def test_overflowing_certificates_are_refused(capsys, job, code):
     got, report, err = run_json(capsys, ["integrate", "--json", job])

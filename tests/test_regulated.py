@@ -105,6 +105,10 @@ def test_a_power_past_the_float_range_is_refused():
     # it as a DomainError, which every constructor passes on.
     with pytest.raises(DomainError, match=r"t\*\*2.0 overflows at t = 1e\+200"):
         Power(2.0)(1e200)
+    # So is a sine whose argument overflows, where math.sin(inf) would
+    # raise a bare ValueError.
+    with pytest.raises(DomainError, match=r"sin argument overflows at t = 1e\+308"):
+        SinWave(9.0)(1e308)
     for fm, u, v in ((Power(3.0), 0.0, 1e200), (Power(0.01), 5e-324, 1.0)):
         with pytest.raises(DomainError, match="no finite Lipschitz constant"):
             fm.lipschitz_on(u, v)
@@ -165,6 +169,22 @@ def test_an_overflowing_width_keeps_finite_bounds():
     assert 1.9 < g.variation_bound < 2.1 and 1.9 < g.sup_bound < 2.1
 
 
+def test_a_subnormal_width_keeps_upper_bounds():
+    # v - u of two subnormals is exact, and halving a subnormal end is
+    # not (0.5 * 5e-324 is 0), so a narrow cell is measured at full scale:
+    # the certificates stay at least |f(b) - f(a)|, and the grid's error
+    # at least c (b - a) / 2 on its one cell.
+    c = 1e300
+    for b in (5e-324, 2.5e-323):
+        iv = Interval(0.0, b)
+        f = PiecewiseLipschitz.from_formulas(iv, (0.0, b), (Affine(c),))
+        rise = abs(f.value(b) - f.value(0.0))
+        assert rise > 0.0 and f.variation_bound >= rise and f.sup_bound >= rise
+        step, err = f.approximate(1.0)
+        assert step.piece_count == 1 and err >= c * b / 2
+        assert all(0.0 <= t <= b for t in step.nodes)
+
+
 class Recorded:
     """A piece or base that records every point it is read at."""
 
@@ -198,16 +218,39 @@ def test_approximants_of_a_cell_wider_than_the_float_range():
 
 
 def test_monotone_guardrail_samples_inside_a_wide_interval():
-    # b - a overflows on the wide interval; its samples are laid out at
-    # 1/16 scale, so a base that falls in the middle is refused there as
-    # the same shape is on [-1, 1].
+    # The samples are laid out at 1/16 scale, so a base that falls in the
+    # middle is refused where b - a overflows as the same shape is on
+    # [-1, 1], and where (b - a) * i does from i = 2 on.
     for hi in (1.0, 1e308):
         base = Recorded(lambda t: -t if abs(t) < hi / 2 else t)
         with pytest.raises(DomainError, match="violates its monotone direction"):
             MonotoneFunction(Interval(-hi, hi), base)
         assert len(base.seen) >= 9 and all(-hi <= t <= hi for t in base.seen)
+    base = Recorded(lambda t: -t if 5e307 < t < 1.5e308 else t)
+    with pytest.raises(DomainError, match="violates its monotone direction"):
+        MonotoneFunction(Interval(0.0, 1.7e308), base)
+    assert len(set(base.seen)) >= 9 and all(0.0 <= t <= 1.7e308 for t in base.seen)
+    # Twenty subnormal steps wide: at full scale the samples stay distinct,
+    # where at 1/16 scale a / 16 and b / 16 would round together.
+    tiny = 20 * 5e-324
+    base = Recorded(lambda t: -t if 0.2 * tiny < t < 0.8 * tiny else t)
+    with pytest.raises(DomainError, match="violates its monotone direction"):
+        MonotoneFunction(Interval(0.0, tiny), base)
+    assert len(set(base.seen)) >= 9 and all(0.0 <= t <= tiny for t in base.seen)
     f = MonotoneFunction(Interval(-1e308, 1e308), Affine(1e-308), ((0.0, 0.5, 0.5),))
     assert f.variation_bound == 3.0 and f.jump_points() == (0.0,)
+
+
+def test_a_monotone_base_bisects_near_the_top_of_the_float_range():
+    # u + v overflows on every cell, so a cell splits at 0.5 u + 0.5 v.
+    iv = Interval(1e308, 1.7e308)
+    f = MonotoneFunction(iv, Affine(1.0, -1e308))
+    step, err = f.approximate(1e306)
+    assert 0.0 < err <= 1e306 and step.piece_count > 1
+    assert all(iv.a <= t <= iv.b for t in step.nodes)
+    for u, v in zip(step.nodes, step.nodes[1:]):
+        t = 0.5 * u + 0.5 * v
+        assert abs(step.value(t) - f.value(t)) <= err
 
 
 def test_value_types_pickle_and_repr():
