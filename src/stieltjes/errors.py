@@ -71,6 +71,17 @@ def check_tol(tol: float, error: type = DomainError, name: str = "tolerance") ->
         raise error(f"{name} must be finite, got {tol!r}")
 
 
+def saturated(fn, *args) -> float:
+    """``fn(*args)``, or inf where it raises OverflowError: the rule for a
+    bound, which past the float range is inf, as ``*`` and ``+`` give it
+    where ``**`` and ``math.fsum`` raise.  Values keep their own rule:
+    ``finite_fsum`` and ``core.as_floats`` refuse one past the range."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def finite_fsum(terms, what: str) -> float:
     """``math.fsum(terms)`` once it is finite.  A sum past the float
     range certifies nothing, so fsum's OverflowError (a partial sum past

@@ -60,7 +60,7 @@ from typing import NamedTuple
 from . import regulated
 from .core import Interval, RegulatedFunction, checked_make
 from .errors import (ApproximationError, DomainError, StepPairError, StieltjesError,
-                     VariationUnknownError, check_tol, finite_fsum)
+                     VariationUnknownError, check_tol, finite_fsum, saturated)
 from .regulated import UNIT_ROUNDOFF
 from .stepfun import StepFunction, indicator
 from .sums import BoundsReport, _norm_checks
@@ -368,7 +368,7 @@ def _gauss_plan(regular, graded, budget: float, width: float, limit: int):
         bounds.append(level[0])
         alloc += g.cells[:m]
         bounds += [cell[6] for cell in g.cells[:m]]
-    rest = (budget - math.fsum(bounds)) * (1.0 - 2.0 ** -30)
+    rest = (budget - saturated(math.fsum, bounds)) * (1.0 - 2.0 ** -30)
     lam = math.sqrt(math.sqrt(sum(cell[4] for cell in alloc) / rest)) if rest > 0 else math.inf
     cells = len(segments)
     for u, v, i, j, weight, c, *_ in alloc:
@@ -379,8 +379,8 @@ def _gauss_plan(regular, graded, budget: float, width: float, limit: int):
         cells += n
         w = v - u
         segments.append((u, v, i, j, n))
-        bounds.append(c * w * (w / n) ** 4)
-    return segments, cells, math.fsum(bounds)
+        bounds.append(_product(c * w, saturated(pow, w / n, 4)))
+    return segments, cells, saturated(math.fsum, bounds)
 
 
 def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
@@ -442,8 +442,8 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
                 rounding.append(_node_rounding(u, v, d))
             else:
                 graded.append(_Graded((fp, gp), u, v, i, j, sup))
-        rounding = math.fsum(rounding)
-    except (DomainError, OverflowError):  # no bounded derivative, or a sum past the range
+        rounding = saturated(math.fsum, rounding)
+    except DomainError:  # no bounded derivative
         return None
     if not (math.isfinite(rounding) and math.isfinite(width)
             and sum(cell[4] for cell in regular) < math.inf):  # the cell sizes' weights
@@ -590,7 +590,7 @@ def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | s
     fn, gn = (step, g) if take_f else (f, step)
     exact = integrate_step_pair(fn, gn, kind)
     return IntegralResult(
-        exact.value, kind, err * factor,
+        exact.value, kind, _product(err, factor),
         Diagnostics("limit-integrand" if take_f else "limit-integrator",
                     err, step.piece_count))
 

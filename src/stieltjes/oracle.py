@@ -130,7 +130,7 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
                 if w <= 8.0 * math.ulp(max(abs(u), abs(v), 1.0)):
                     continue
                 if global_split:
-                    extra.append(0.5 * (u + v))
+                    extra.append(0.5 * u + 0.5 * v)
                 if u in jumpset:
                     extra.append(u + w / 16.0)
                 if v in jumpset:

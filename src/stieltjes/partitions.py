@@ -115,7 +115,7 @@ def interior_tags(division: Division, seed: int | None = None) -> Partition:
     """Tag every cell strictly inside: at its midpoint, or, given a
     seed, at a reproducible draw from the cell's middle 90%."""
     pts = division.points
-    tags = [0.5 * (u + v) for u, v in zip(pts, pts[1:])]
+    tags = [0.5 * u + 0.5 * v for u, v in zip(pts, pts[1:])]
     for u, v, mid in zip(pts, pts[1:], tags):
         if not u < mid < v:
             raise DomainError(f"cell [{u}, {v}] too narrow for a strictly interior tag")
@@ -139,7 +139,7 @@ def _seeded_tags(pts, seed: int, cells) -> list[float]:
     for j in cells:
         u, v = pts[j], pts[j + 1]
         t = u + (v - u) * (0.05 + _TAG_SPAN * draws[j])
-        tags.append(t if u < t < v else 0.5 * (u + v))
+        tags.append(t if u < t < v else 0.5 * u + 0.5 * v)
     return tags
 
 
@@ -233,7 +233,7 @@ def _generate_fine_cells(gauge: Gauge, points, rng: random.Random | None,
         u, v, depth, du, dv = stack.pop()
         if du is None:
             du = d_end
-        mid = 0.5 * (u + v)
+        mid = 0.5 * u + 0.5 * v
         values = [du, dv, None, None]
         if rng is None:
             tags = (u, v, mid)

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 
 from .core import Frozen, Interval, RegulatedFunction, StepApproximation, as_floats
-from .errors import ApproximationError, DomainError
+from .errors import ApproximationError, DomainError, saturated
 from .stepfun import StepFunction, _merged, step_from_jumps
 
 # Hard ceiling on approximant size; past this the requested tolerance
@@ -138,15 +138,10 @@ class Power(Formula):
         c = abs(self.scale * falling)
         if not c:  # an integer exponent below k, or no scale
             return 0.0
-        try:
-            if e >= k:
-                bound = c * max(-u, v) ** (e - k)  # max(|u|, |v|), as u <= v
-            elif u > 0:
-                bound = c * u ** (e - k)
-            else:
-                return math.inf
-        except OverflowError:
-            bound = math.inf
+        if e < k and not u > 0:
+            return math.inf
+        # max(-u, v) is max(|u|, |v|), as u <= v.
+        bound = c * saturated(pow, max(-u, v) if e >= k else u, e - k)
         if bound < math.inf:
             return bound
         what = "Lipschitz constant" if k == 1 else f"bound on derivative {k}"
@@ -159,8 +154,8 @@ class Power(Formula):
         return _times_width(self.lipschitz_on(u, v), u, v)
 
     def rounding_on(self, u: float, v: float) -> float:
-        # One ulp of |t|**e, then the product with the scale.
-        return 4.0 * UNIT_ROUNDOFF * abs(self.scale) * max(abs(u), abs(v)) ** self.exponent
+        # One ulp of |t|**e at max(|u|, |v|), then the product with the scale.
+        return 4.0 * UNIT_ROUNDOFF * abs(self.scale) * saturated(pow, max(-u, v), self.exponent)
 
     def derivative_rounding_on(self, u: float, v: float) -> float:
         # fl(scale e) * t**fl(e - 1): two products and one ulp of pow.
@@ -199,14 +194,10 @@ class SinWave(Formula):
         return [c * cos(w * t + phi) for t in ts]
 
     def derivative_bound_on(self, u: float, v: float, k: int) -> float:
-        a, w = self.amplitude, self.freq
-        try:
-            bound = abs(a) * abs(w) ** k
-        except OverflowError:
-            bound = math.inf
+        bound = abs(self.amplitude) * saturated(pow, abs(self.freq), k)
         if bound < math.inf:
             return bound
-        raise DomainError(f"sin with freq {w!r} has no finite bound on derivative {k}")
+        raise DomainError(f"sin with freq {self.freq!r} has no finite bound on derivative {k}")
 
     def rounding_on(self, u: float, v: float) -> float:
         # The argument's two roundings, moved through sin (1-Lipschitz),
@@ -337,7 +328,7 @@ class PiecewiseLipschitz(_Piecewise):
             if left != val or right != val:
                 jumps.append(t)
         self._jumps = tuple(jumps)
-        self._variation = math.fsum(piece_variations) + gap_total
+        self._variation = saturated(math.fsum, piece_variations) + gap_total
         # Any t in a cell [u, v] is within (v-u)/2 of the nearer end.
         sup = max(abs(v) for v in node_values)
         for fu, fv, c, u, v in zip(lefts, rights, lipschitz, bks, bks[1:]):
@@ -498,12 +489,12 @@ class MonotoneFunction(_Piecewise):
         self._variation = abs(self._limits[-1][1] - self._limits[0][1])
         self._sup = max(abs(self._limits[0][1]), abs(self._limits[-1][1]))
         # Cheap guardrail, not certification: a handful of increments
-        # must not contradict the claimed direction.  Where (b - a) * 8
-        # overflows the samples are laid out at 1/16 scale, where it fits;
-        # clamping keeps them in [a, b].
-        s = 1.0 if 8.0 * (b - a) < math.inf else 16.0
+        # must not contradict the claimed direction.  The samples are laid
+        # out at half scale only where b - a overflows; clamping keeps them
+        # in [a, b].
+        s = 1.0 if b - a < math.inf else 2.0
         o, w = a / s, b / s - a / s
-        samples = as_floats([base(min(max(s * (o + w * i / 8), a), b)) for i in range(9)],
+        samples = as_floats([base(min(max(s * (o + w * (i / 8)), a), b)) for i in range(9)],
                             "base values")
         if any(direction * (y - x) < 0 for x, y in zip(samples, samples[1:])):
             raise DomainError("base function violates its monotone direction")
@@ -556,9 +547,7 @@ class MonotoneFunction(_Piecewise):
                         raise ApproximationError(
                             f"tolerance {eps!r} exceeds the cell limit {MAX_APPROX_CELLS}")
                     continue
-                mid = 0.5 * (u + v)
-                if not u < mid < v:  # u + v overflowed, or no float is between
-                    mid = 0.5 * u + 0.5 * v
+                mid = 0.5 * u + 0.5 * v
                 if depth >= 60 or not u < mid < v:
                     raise ApproximationError(
                         f"tolerance {eps!r} unreachable near {u!r} "

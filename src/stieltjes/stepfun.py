@@ -26,7 +26,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .core import Interval, RegulatedFunction, StepApproximation, as_floats, checked_make
-from .errors import DomainError
+from .errors import DomainError, saturated
 
 
 class StepFunction(RegulatedFunction):
@@ -152,8 +152,8 @@ class StepFunction(RegulatedFunction):
     def variation_bound(self) -> float:
         """Total variation, exact: node-vs-piece oscillations summed."""
         cs, ds = self._node_values, self._interior_values
-        return math.fsum(
-            abs(ds[k] - cs[k]) + abs(cs[k + 1] - ds[k]) for k in range(len(ds)))
+        return saturated(math.fsum, (
+            abs(ds[k] - cs[k]) + abs(cs[k + 1] - ds[k]) for k in range(len(ds))))
 
     @property
     def sup_bound(self) -> float:
