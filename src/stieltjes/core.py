@@ -100,12 +100,15 @@ class Interval(Frozen):
 
 def as_floats(values, what: str) -> list[float]:
     """``values`` as a list of floats.  A number past the float range,
-    such as a large int, is refused with a DomainError naming ``what``
-    rather than ``float``'s OverflowError."""
+    such as a large int, or a complex one, such as (-1) ** 1.5, is
+    refused with a DomainError naming ``what`` rather than ``float``'s
+    OverflowError or TypeError."""
     try:
         return list(map(float, values))
     except OverflowError as exc:
         raise DomainError(f"{what} must be finite: {exc}") from None
+    except TypeError as exc:
+        raise DomainError(f"{what} must be real: {exc}") from None
 
 
 @classmethod

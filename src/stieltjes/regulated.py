@@ -34,6 +34,26 @@ def _times_width(c: float, u: float, v: float) -> float:
     return c * w if w < math.inf else 2.0 * (c * (0.5 * v - 0.5 * u))
 
 
+def _grid(u: float, v: float, n: int):
+    """``(s, o, h, xs)``: n equal cells of [u, v] laid out at scale s from
+    o = u / s with spacing h over s, and their inner nodes xs.  s is 2
+    where v - u overflows, else 1, so a subnormal end is never halved."""
+    s = 1.0 if v - u < math.inf else 2.0
+    o, h = u / s, (v / s - u / s) / n
+    return s, o, h, [s * (o + j * h) for j in range(1, n)]
+
+
+def _finest(u: float, v: float, n: int) -> int:
+    """n where the nodes of n equal cells of [u, v] increase strictly, else
+    the largest m below n where they do, by bisection; one cell's do."""
+    lo, hi, m = 1, n + 1, n
+    while hi - lo > 1:
+        pts = [u, *_grid(u, v, m)[3], v]
+        lo, hi = (m, hi) if all(map(operator.lt, pts, pts[1:])) else (lo, m)
+        m = (lo + hi) // 2
+    return lo
+
+
 class Formula(Frozen):
     """Base of the formula catalog.  Each entry knows sup|f^(k)| on any
     cell (``derivative_bound_on``, k >= 1; k = 1 is ``lipschitz_on``)
@@ -183,15 +203,25 @@ class SinWave(Formula):
         try:
             return self.amplitude * math.sin(self.freq * t + self.phase)
         except ValueError:  # sin(inf)
-            raise DomainError(f"sin argument overflows at t = {t!r}") from None
+            raise self._overflow((t,)) from None
 
     def values_at(self, ts) -> list[float]:
         a, w, phi, sin = self.amplitude, self.freq, self.phase, math.sin
-        return [a * sin(w * t + phi) for t in ts]
+        try:
+            return [a * sin(w * t + phi) for t in ts]
+        except ValueError:
+            raise self._overflow(ts) from None
 
     def derivative_values_at(self, ts) -> list[float]:
         c, w, phi, cos = self.amplitude * self.freq, self.freq, self.phase, math.cos
-        return [c * cos(w * t + phi) for t in ts]
+        try:
+            return [c * cos(w * t + phi) for t in ts]
+        except ValueError:
+            raise self._overflow(ts) from None
+
+    def _overflow(self, ts) -> DomainError:
+        t = next(t for t in ts if math.isinf(self.freq * t + self.phase))
+        return DomainError(f"sin argument overflows at t = {t!r}")
 
     def derivative_bound_on(self, u: float, v: float, k: int) -> float:
         bound = abs(self.amplitude) * saturated(pow, abs(self.freq), k)
@@ -371,13 +401,12 @@ class PiecewiseLipschitz(_Piecewise):
         return self._parts or None
 
     def approximate(self, eps: float) -> StepApproximation:
-        """Uniform grid per piece with spacing <= eps / Lipschitz;
-        constant midpoint values inside cells, exact values at nodes.
-        Achieved error is max over pieces of Lipschitz * spacing / 2.
-        A cell whose width overflows lays its grid out at half scale and
-        doubles it back, so every point read stays inside the cell; its
-        ends are far above the subnormal range, where that is exact.  Any
-        other cell keeps scale 1, so a subnormal end is never halved."""
+        """Uniform grid per piece with spacing <= eps / Lipschitz
+        (``_grid``); constant midpoint values inside cells, exact values at
+        nodes.  Achieved error is max over pieces of Lipschitz * spacing / 2.
+        A cell whose spacing is within 8 ulps of its ends is checked for
+        more nodes than it holds floats, a resolution limit; the refusal's
+        ``best_error`` is the eps of the finest grid such a cell holds."""
         if not eps > 0:
             raise DomainError(f"approximation tolerance must be positive, got {eps!r}")
         bks = self._breaks
@@ -394,19 +423,24 @@ class PiecewiseLipschitz(_Piecewise):
         nodes: list[float] = [bks[0]]
         node_values: list[float] = [self._limits[0][1]]
         interior: list[float] = []
-        err = 0.0
+        err = floor = 0.0
         for p, c, n, u, v, (_, fv, _) in zip(self._pieces, self._lipschitz, counts,
                                              bks, bks[1:], self._limits[1:]):
-            s = 1.0 if v - u < math.inf else 2.0
-            o, h = u / s, (v / s - u / s) / n  # h is the spacing over s
+            s, o, h, xs = _grid(u, v, n)
+            if s * h <= 8.0 * math.ulp(max(-u, v)) and (m := _finest(u, v, n)) < n:
+                floor = max(floor, _times_width(c, u, v) / m * (1.0 + 2.0 ** -40))
+                continue
             err = max(err, 0.5 * s * c * h)
-            xs = [s * (o + j * h) for j in range(1, n)]
             mids = [s * (o + (j - 0.5) * h) for j in range(1, n + 1)]
             interior += map(p, mids)
             nodes += xs
             node_values += map(p, xs)
             nodes.append(v)
             node_values.append(fv)
+        if floor:
+            raise ApproximationError(
+                f"tolerance {eps!r} needs more grid nodes than a cell holds floats "
+                "(resolution limit)", best_error=floor)
         return StepApproximation(
             StepFunction(self._interval, nodes, node_values, interior), err)
 

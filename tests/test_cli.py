@@ -236,6 +236,17 @@ def test_overflowing_certificates_are_refused(capsys, job, code):
         assert report["best_error"] is None
 
 
+@pytest.mark.parametrize("f, why", [
+    # t**1.5 at -1 is complex: no such monotone base, as no such piece.
+    ("monotone_jumps[-1,1]{base: power(exponent: 1.5)}", "base values must be real"),
+    ("power[-1,1]{exponent:1.5}", "t**1.5 undefined left of 0"),
+])
+def test_a_power_left_of_0_is_refused(capsys, f, why):
+    got, report, err = run_json(capsys, ["integrate", "--json", f"f={f} g=affine[-1,1]{{slope:1}}"])
+    assert got == 2 and err == ""
+    assert why in report["error"]
+
+
 OVERFLOWING_STEP_PAIR = ("f=step[0,1]{nodes:0,0.5,1; at:0,0,0; on:1.5e308,1.5e308} "
                          "g=affine[0,1]{slope:2}")
 

@@ -532,6 +532,21 @@ def test_monotone_cell_count_overflow_keeps_its_best_error():
     assert 0 < info.value.best_error < math.inf
 
 
+def test_a_grid_past_a_cells_floats_is_refused_with_its_floor():
+    # At tol 1e-9 the grid of t -> 1e12 t on [1, 1 + 2 ulp] needs more
+    # nodes than the cell holds floats: a resolution limit, refused with
+    # the floor of the finest grid the cell holds, which then succeeds.
+    b = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    f, g = (PiecewiseLipschitz.from_formulas(Interval(1.0, b), (1.0, b), (Opaque(Affine(1e12)),))
+            for _ in range(2))
+    assert integrate(f, g, K, 1e-6).error_bound <= 1e-6
+    with pytest.raises(ApproximationError, match=r"resolution limit\); the smallest tol") as info:
+        integrate(f, g, K, 1e-9)
+    floor = info.value.best_error
+    assert 1e-9 < floor < 1e-6
+    assert integrate(f, g, K, floor).error_bound <= floor
+
+
 def test_limit_route_preconditions():
     wave = NoCertificate(IV)
     with pytest.raises(VariationUnknownError):

@@ -118,6 +118,13 @@ def test_a_power_past_the_float_range_is_refused():
                   lambda: MonotoneFunction(wide, Power(2.0))):
         with pytest.raises(DomainError, match="overflows|no finite Lipschitz"):
             build()
+    # The batch reads refuse as the pointwise call does.
+    for read in (SinWave(9.0).values_at, SinWave(9.0).derivative_values_at):
+        with pytest.raises(DomainError, match=r"sin argument overflows at t = 1e\+308"):
+            read([1.0, 1e308])
+    # (-1) ** 1.5 is complex, so such a base has no real value at -1.
+    with pytest.raises(DomainError, match="base values must be real"):
+        MonotoneFunction(Interval(-1.0, 1.0), Power(1.5))
 
 
 def test_catalog_values_and_their_rounding():
