@@ -428,6 +428,8 @@ class PiecewiseLipschitz(_Piecewise):
                                              bks, bks[1:], self._limits[1:]):
             s, o, h, xs = _grid(u, v, n)
             if s * h <= 8.0 * math.ulp(max(-u, v)) and (m := _finest(u, v, n)) < n:
+                # A hair above c w / m, so that this eps, asked for, still
+                # gets m cells through the rounding of ceil(c w / eps).
                 floor = max(floor, _times_width(c, u, v) / m * (1.0 + 2.0 ** -40))
                 continue
             err = max(err, 0.5 * s * c * h)
