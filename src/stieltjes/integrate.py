@@ -54,7 +54,7 @@ import math
 from bisect import bisect_right
 from enum import Enum
 from itertools import chain
-from operator import mul, sub
+from operator import mul
 from typing import NamedTuple
 
 from . import regulated
@@ -177,15 +177,16 @@ def _step_integrand_terms(f: StepFunction, limits, dushnik: bool):
     # K, Y: sum_k c_k [g(sigma_k+) - g(sigma_k-)]
     #       + sum_k d_k [g(sigma_{k+1}-) - g(sigma_k+)],
     # with g(a-) := g(a) and g(b+) := g(b) in ``limits``, g's ``_limits_at(f.nodes)``.
-    # The terms come in node order, c_0 first and then d_k before c_{k+1},
-    # as iterators (fsum's order matters only when a partial sum overflows).
+    # The terms come as one list in node order, c_0, d_0, c_1, ..., d_{m-1}, c_m
+    # (fsum's order matters only when a partial sum overflows).
     cs, ds = f.node_values, f.interior_values
     lefts, values, rights = limits
     if dushnik:
-        return map(mul, ds, map(sub, values[1:], values))
-    at_node = map(mul, cs, map(sub, rights, lefts))
-    on_piece = map(mul, ds, map(sub, lefts[1:], rights))
-    return chain((next(at_node),), chain.from_iterable(zip(on_piece, at_node)))
+        return [d * (v - u) for d, u, v in zip(ds, values, values[1:])]
+    terms = [0.0] * (len(cs) + len(ds))
+    terms[::2] = [c * (r - l) for c, l, r in zip(cs, lefts, rights)]
+    terms[1::2] = [d * (l - r) for d, r, l in zip(ds, rights, lefts[1:])]
+    return terms
 
 
 def _step_integrator_terms(limits, g: StepFunction, dushnik: bool):
@@ -199,9 +200,11 @@ def _step_integrator_terms(limits, g: StepFunction, dushnik: bool):
     before = cs[:1] + ds  # g(a-) := g(a)
     after = ds + cs[-1:]  # g(b+) := g(b)
     if not dushnik:
-        return map(mul, values, map(sub, after, before))
-    return chain.from_iterable(zip(map(mul, rights, map(sub, after, cs)),
-                                   map(mul, lefts, map(sub, cs, before))))
+        return [v * (s - p) for v, p, s in zip(values, before, after)]
+    terms = [0.0] * (2 * len(cs))
+    terms[::2] = [r * (s - c) for r, c, s in zip(rights, cs, after)]
+    terms[1::2] = [l * (c - p) for l, p, c in zip(lefts, before, cs)]
+    return terms
 
 
 def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,

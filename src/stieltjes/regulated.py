@@ -29,9 +29,17 @@ def _times_width(c: float, u: float, v: float) -> float:
     """c * (v - u), or where the width of a cell of a finite interval
     overflows, c times half of it, doubled back: halving such far-apart
     ends is exact, halving a subnormal one would not be.  inf when the
-    product overflows, never nan, which ``max`` would pass over."""
+    product overflows, never nan, which ``max`` would pass over; the
+    smallest subnormal, not 0, when it underflows (``_nonzero``)."""
     w = v - u
-    return c * w if w < math.inf else 2.0 * (c * (0.5 * v - 0.5 * u))
+    return _nonzero(c * w if w < math.inf else 2.0 * (c * (0.5 * v - 0.5 * u)), c)
+
+
+def _nonzero(bound: float, *factors: float) -> float:
+    """``bound``, a rounded product of ``factors``, or the smallest
+    subnormal where it underflowed to 0 though no factor is 0: a bound of
+    0 would certify that a function which moves does not."""
+    return bound if bound or not all(factors) else math.ulp(0.0)
 
 
 def _grid(u: float, v: float, n: int):
@@ -155,15 +163,14 @@ class Power(Formula):
         falling = e
         for i in range(1, k):
             falling *= e - i
-        c = abs(self.scale * falling)
-        if not c:  # an integer exponent below k, or no scale
+        if not (self.scale and falling):  # an integer exponent below k, or no scale
             return 0.0
         if e < k and not u > 0:
             return math.inf
-        # max(-u, v) is max(|u|, |v|), as u <= v.
-        bound = c * saturated(pow, max(-u, v) if e >= k else u, e - k)
+        # max(-u, v) is max(|u|, |v|), as u <= v, and t**(e - k) > 0 there.
+        bound = abs(self.scale * falling) * saturated(pow, max(-u, v) if e >= k else u, e - k)
         if bound < math.inf:
-            return bound
+            return _nonzero(bound, self.scale, falling)
         what = "Lipschitz constant" if k == 1 else f"bound on derivative {k}"
         raise DomainError(f"t**{e} has no finite {what} on [{u!r}, {v!r}]")
 
@@ -226,7 +233,7 @@ class SinWave(Formula):
     def derivative_bound_on(self, u: float, v: float, k: int) -> float:
         bound = abs(self.amplitude) * saturated(pow, abs(self.freq), k)
         if bound < math.inf:
-            return bound
+            return _nonzero(bound, self.amplitude, self.freq)
         raise DomainError(f"sin with freq {self.freq!r} has no finite bound on derivative {k}")
 
     def rounding_on(self, u: float, v: float) -> float:
@@ -359,10 +366,11 @@ class PiecewiseLipschitz(_Piecewise):
                 jumps.append(t)
         self._jumps = tuple(jumps)
         self._variation = saturated(math.fsum, piece_variations) + gap_total
-        # Any t in a cell [u, v] is within (v-u)/2 of the nearer end.
+        # Any t in a cell [u, v] is within (v-u)/2 of the nearer end; c
+        # itself where its half, c = 5e-324, underflows to 0.
         sup = max(abs(v) for v in node_values)
         for fu, fv, c, u, v in zip(lefts, rights, lipschitz, bks, bks[1:]):
-            sup = max(sup, max(abs(fu), abs(fv)) + _times_width(0.5 * c, u, v))
+            sup = max(sup, max(abs(fu), abs(fv)) + _times_width(0.5 * c or c, u, v))
         self._sup = sup
         self._parts = None  # the catalog split, built on first use
 
@@ -432,7 +440,7 @@ class PiecewiseLipschitz(_Piecewise):
                 # gets m cells through the rounding of ceil(c w / eps).
                 floor = max(floor, _times_width(c, u, v) / m * (1.0 + 2.0 ** -40))
                 continue
-            err = max(err, 0.5 * s * c * h)
+            err = max(err, _nonzero(0.5 * s * c * h, c))
             mids = [s * (o + (j - 0.5) * h) for j in range(1, n + 1)]
             interior += map(p, mids)
             nodes += xs
@@ -575,7 +583,8 @@ class MonotoneFunction(_Piecewise):
                 if osc <= limit:
                     nodes.append(v)
                     at.append(fv)
-                    on.append(0.5 * (fu + fv))
+                    level = 0.5 * (fu + fv)  # halving is exact where fu + fv overflows
+                    on.append(level if math.isfinite(level) else 0.5 * fu + 0.5 * fv)
                     if osc > worst:
                         worst = osc
                     if len(on) > MAX_APPROX_CELLS:
@@ -597,4 +606,4 @@ class MonotoneFunction(_Piecewise):
         js = self._jump_step
         step = _merged(self._interval, (nodes, at, on),
                        (js.nodes, js.node_values, js.interior_values), operator.add)
-        return StepApproximation(step, 0.5 * worst)
+        return StepApproximation(step, _nonzero(0.5 * worst, worst))

@@ -291,6 +291,12 @@ def _merged(interval: Interval, first, second, op) -> StepFunction:
 
 
 def _check_finite(node_values, interior_values) -> None:
+    # An inf or nan value makes a float sum inf or nan, so a finite total
+    # clears every value at a fraction of a per-value isfinite; only an
+    # inf or nan total, an overflow of finite values included, is checked
+    # value by value.
+    if math.isfinite(sum(node_values) + sum(interior_values)):
+        return
     if not (all(map(math.isfinite, node_values)) and all(map(math.isfinite, interior_values))):
         raise DomainError("step function values must be finite")
 

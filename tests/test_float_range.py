@@ -13,7 +13,8 @@ import random
 
 from hypothesis import given, settings, strategies as hs
 
-from stieltjes import cli
+from stieltjes import (Affine, Interval, MonotoneFunction, PiecewiseLipschitz, Power,
+                       SinWave, cli)
 
 TINY, HUGE = 5e-324, 1.7e308
 ARGUMENTS = {"affine": ("slope", "intercept"), "power": ("exponent", "scale"),
@@ -105,3 +106,45 @@ def test_a_job_that_parses_ends_in_a_report(rng):
         if command == "integrate" and code == 0:
             assert math.isfinite(report["value"]), (text, report)
             assert report["error_bound"] <= tol, (text, report)  # False for a NaN too
+
+
+def test_a_monotone_level_near_the_float_range_stays_finite():
+    # Both base values of every cell are near -1.7e308, so the sum of a
+    # cell's two ends overflows while their mean does not.
+    span = "[-1.5733487885350906e+265, -1.5733487885350902e+265]"
+    text = (f"kind=Y tol=1e-06 f=monotone_jumps{span}{{base: affine(slope: 5e-324, "
+            "intercept: -1.7e+308); jumps: -1.5733487885350904e+265:-3.7959127951675733e+59:"
+            f"-5e-324}} g=power{span}{{exponent: 1.0; scale: 1e-266}}")
+    code, report = cli.run_text(text, "integrate", None, None)
+    assert code == 0, report
+    assert math.isfinite(report["value"]) and report["error_bound"] <= 1e-6, report
+
+
+def test_a_bound_that_underflows_is_the_smallest_subnormal():
+    tiny = math.ulp(0.0)
+    # |amplitude| * freq**k, scale * e * t**(e - 1) and slope * width round to 0.
+    assert SinWave(1e-288, 1.949606537979745e-66).derivative_bound_on(1e308, HUGE, 1) == tiny
+    assert Power(3.0, 1e-300).derivative_bound_on(0.0, 1e-20, 1) == tiny
+    assert Power(1.5, TINY).derivative_bound_on(1.0, 2.0, 3) == tiny  # scale * falling
+    assert Affine(1e-300).variation_on(0.0, 1e-30) == tiny
+    # Half of a subnormal Lipschitz constant, or of a subnormal rise.
+    unit = Interval(0.0, 1.0)
+    assert PiecewiseLipschitz.from_formulas(unit, (0.0, 1.0), (Affine(TINY),)).approximate(
+        1e-3).error == tiny
+    assert MonotoneFunction(unit, Affine(TINY)).approximate(1e-3).error == tiny
+    wave = SinWave(-3.0362455694808048e-102, -1.5059141194556415e-241, 4.105891843919019e+134)
+    top = PiecewiseLipschitz.from_formulas(Interval(1e308, HUGE), (1e308, HUGE), (wave,))
+    assert top.sup_bound >= abs(wave.amplitude)  # sup|f| on a cell 1e206 radians wide
+    # A zero factor still gives 0.
+    assert SinWave(0.0, 1.0).derivative_bound_on(0.0, 1.0, 1) == 0.0
+    assert Power(2.0).derivative_bound_on(0.0, 1.0, 3) == 0.0
+    assert Affine(0.0).variation_on(0.0, 1e-30) == 0.0
+    # So var g is not certified as 0 where g oscillates: both commands
+    # refuse with a finite floor, where verify-bounds exited 1.
+    span = "[1e+308, 1.7e+308]"
+    text = (f"kind=K tol=1e-06 f=affine{span}{{slope: 1e-165; intercept: -1e-14}} "
+            f"g=sin{span}{{freq: 1e-288; amp: 1.949606537979745e-66; phase: 0.0}}")
+    for command in ("verify-bounds", "integrate"):
+        code, report = cli.run_text(text, command, None, None)
+        assert code == 3, report
+        assert 0 < report["best_error"] < math.inf, report

@@ -15,7 +15,7 @@ import pytest
 from conftest import NoCertificate, rand_smooth
 from stieltjes import (Affine, IntegralKind, Interval, MonotoneFunction,
                        PiecewiseLipschitz, Power, RegulatedFunction, SinWave,
-                       StepFunction, integrate_step_pair, interior_tags,
+                       StepFunction, StieltjesError, integrate_step_pair, interior_tags,
                        oracle_gauge, oracle_refinement, riemann_sum,
                        young_sum)
 from stieltjes import regulated
@@ -197,6 +197,49 @@ def test_step_pair_walk_is_bit_identical_to_the_per_node_walk():
                     assert got.hex() == old_walk(f, g, kind).hex(), (family, kind)
                 pairs += 1
     assert pairs >= 500
+
+
+HUGE = (1.7e308, -1.7e308, 1e308, -1e308, 0.0, 1.0)
+
+
+def huge_constants(rng: random.Random, nodes) -> PiecewiseLipschitz:
+    """Constant pieces and node values near the top of the float range
+    on ``nodes``: no step function, so the walk goes the integrator way."""
+    pieces = [lambda t, k=rng.choice(HUGE): k for _ in nodes[1:]]
+    return PiecewiseLipschitz(IV, nodes, pieces, [0.0] * len(pieces),
+                              [rng.choice(HUGE) for _ in nodes])
+
+
+def test_step_pair_walk_refuses_where_the_per_node_walk_overflows():
+    """Terms up to 1.7e308, none infinite: the steps' values are at most
+    1 apart, so only a partial sum in node order can pass the float range.
+    Where it does, the per-node walk's fsum raises and the walk refuses;
+    elsewhere the two agree bit for bit."""
+    rng = random.Random(5)
+    seen = {"refused": 0, "finite": 0, "partial overflow": 0}
+    for _ in range(150):
+        nodes = [0.0] + sorted({rng.random() for _ in range(rng.randint(1, 8))} - {0.0}) + [1.0]
+        huge = StepFunction(IV, nodes, [rng.choice(HUGE) for _ in nodes],
+                            [rng.choice(HUGE) for _ in nodes[1:]])
+        unit_nodes = step_through(rng, huge).nodes
+        unit = StepFunction(IV, unit_nodes, [rng.choice((0.0, 0.5, 1.0)) for _ in unit_nodes],
+                            [rng.choice((0.0, 0.5, 1.0)) for _ in unit_nodes[1:]])
+        for f, g in ((huge, unit), (huge_constants(rng, nodes), unit)):
+            for kind in KINDS:
+                try:
+                    total = old_walk(f, g, kind)
+                    want = total.hex() if math.isfinite(total) else "refused"
+                except OverflowError:  # math.fsum's partial sum past the float range
+                    want = "refused"
+                    seen["partial overflow"] += 1
+                try:
+                    got = integrate_step_pair(f, g, kind).value.hex()
+                except StieltjesError as exc:
+                    assert str(exc) == "the step-pair sum overflows: not finite"
+                    got = "refused"
+                assert got == want, (f, g, kind)
+                seen["refused" if got == "refused" else "finite"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 # ------------------------------------------------- the oracles stay apart

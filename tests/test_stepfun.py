@@ -379,6 +379,32 @@ def test_algebra_refuses_an_overflow_to_infinity(op):
         op()
 
 
+# Finite values whose float sum is inf: the node values' alone is.
+TOP = (IV, (0.0, 0.5, 1.0), (1.7e308,) * 3, (1.7e308, -1.7e308))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StepFunction(*TOP), lambda: StepFunction(*TOP) + 0.0,
+    lambda: StepFunction(*TOP) * 1.0, lambda: 1.0 * StepFunction(*TOP) - 0.0],
+    ids=["constructor", "sum", "product", "difference"])
+def test_finite_values_whose_float_sum_overflows_are_accepted(build):
+    assert sum(TOP[2]) == math.inf
+    f = build()
+    assert (f.nodes, f.node_values, f.interior_values) == TOP[1:]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StepFunction(IV, (0.0, 1.0), (0.0, math.inf), (1.0,)),
+    lambda: StepFunction(IV, (0.0, 1.0), (math.inf, 0.0), (-math.inf,)),
+    lambda: StepFunction(IV, (0.0, 1.0), (0.0, 1.0), (math.nan,)),
+    lambda: StepFunction(*TOP) + math.inf, lambda: StepFunction(*TOP) * math.nan],
+    ids=["inf", "inf and -inf", "nan", "inf sum", "nan product"])
+def test_inf_and_nan_values_are_refused(build):
+    # An overflowing sum: test_algebra_refuses_an_overflow_to_infinity.
+    with pytest.raises(DomainError, match=r"^step function values must be finite$"):
+        build()
+
+
 @given(steps(), steps())
 def test_variation_subadditive(f, g):
     assert (f + g).variation_bound <= f.variation_bound + g.variation_bound + 1e-12
