@@ -1,10 +1,14 @@
 """Command line front end.
 
-    stieltjes COMMAND [--json] [--tol TOL] [--seed SEED] [--spec FILE] [JOB ...]
+usage: stieltjes COMMAND [-h] [--json] [--tol TOL] [--seed SEED] [--spec FILE] [JOB ...]
 
 COMMAND is integrate, verify-main, verify-bounds or oracle; JOB is the job
 text ``f=... g=... [kind=K|Y|D] [tol=...] [seed=...]``.  The flags may come
-in any order: before or after COMMAND, or between the words of JOB.
+in any order: before or after COMMAND, or between the words of JOB; each
+value flag is also spelled ``--tol=TOL``.  A word is a flag only if it is
+``-h`` or starts with ``--`` (no abbreviations), so a job word such as
+``-1,`` is job text; ``--`` ends the flags.  ``-h`` or ``--help`` prints
+this text.
 
 Exit codes
 ----------
@@ -26,7 +30,6 @@ omits it) and exits with the worst per-line code.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import random
@@ -226,57 +229,80 @@ def _emit(report: dict, as_json: bool) -> None:
         print(_human(report))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stieltjes",
-        description="Stieltjes-type integrals of regulated functions "
-                    "(Kurzweil, Young, Dushnik) with certified error bounds.")
-    parser.add_argument("command", choices=COMMANDS,
-                        help="integrate (one integral with a certified error bound), "
-                             "verify-main (check K = Y and integration by parts), "
-                             "verify-bounds (check the sum and integral norm bounds) "
-                             "or oracle (the integral from its limit definition)")
-    parser.add_argument("--json", action="store_true",
-                        help="print machine-readable JSON on stdout")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="error tolerance, overrides tol= in the job text")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed, overrides seed= in the job text")
-    parser.add_argument("--spec", metavar="FILE", default=None,
-                        help="run every nonempty non-# line of FILE as a job")
-    parser.add_argument("text", nargs="*", default=[],
-                        help="job text, e.g. f=step[0,1]{nodes:0,0.5,1; "
-                             "at:0,1,1; on:0,1} g=affine[0,1]{slope:1}")
-    return parser
+_USAGE = ("usage: stieltjes COMMAND [-h] [--json] [--tol TOL] [--seed SEED] "
+          "[--spec FILE] [JOB ...]")  # as in the module docstring
+_VALUE_FLAGS = {"--tol": float, "--seed": int, "--spec": str}
+
+
+def _usage_error(message: str) -> int:
+    print(f"{_USAGE}\nstieltjes: error: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_intermixed_args(argv)
-    if args.spec is not None and args.text:
+    # One scan of argv.  A word is a flag only if it is -h or starts with
+    # "--", so a job word such as "-1," is text; "--" makes the rest text.
+    flags = {"--json": False, "--tol": None, "--seed": None, "--spec": None}
+    words, unknown = [], []
+    rest = iter(sys.argv[1:] if argv is None else argv)
+    for word in rest:
+        if word == "--":
+            words.extend(rest)
+        elif word in ("-h", "--help"):
+            print(__doc__ or _USAGE)  # python -OO strips the docstring
+            return 0
+        elif not word.startswith("--"):
+            words.append(word)
+        elif word == "--json":
+            flags[word] = True
+        elif word.partition("=")[0] in _VALUE_FLAGS:
+            name, eq, value = word.partition("=")
+            if not eq:
+                value = next(rest, None)
+                if value is None or value.startswith("--"):
+                    return _usage_error(f"argument {name}: expected one argument")
+            try:
+                flags[name] = _VALUE_FLAGS[name](value)
+            except ValueError:
+                kind = _VALUE_FLAGS[name].__name__
+                return _usage_error(f"argument {name}: invalid {kind} value: {value!r}")
+        else:
+            unknown.append(word)
+    if not words:
+        return _usage_error("the following arguments are required: command")
+    command, *text = words
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        return _usage_error(
+            f"argument command: invalid choice: {command!r} (choose from {choices})")
+    if unknown:
+        return _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    spec = flags["--spec"]
+    if spec is not None and text:
         print("error: --spec and inline job text are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.spec is not None:
+    if spec is not None:
         try:
-            with open(args.spec, encoding="utf-8") as fh:
+            with open(spec, encoding="utf-8") as fh:
                 jobs = [line.strip() for line in fh]
         except OSError as exc:
-            print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
+            print(f"error: cannot read {spec}: {exc}", file=sys.stderr)
             return 2
         jobs = [line for line in jobs if line and not line.startswith("#")]
         if not jobs:
-            print(f"error: {args.spec} contains no jobs", file=sys.stderr)
+            print(f"error: {spec} contains no jobs", file=sys.stderr)
             return 2
-    elif args.text:
-        jobs = [" ".join(args.text)]
+    elif text:
+        jobs = [" ".join(text)]
     else:
         print("error: missing job text (or --spec FILE)", file=sys.stderr)
         return 2
     worst = 0
     try:
-        for text in jobs:
-            code, report = run_text(text, args.command, args.tol, args.seed)
-            _emit(report, args.json)
+        for job in jobs:
+            code, report = run_text(job, command, flags["--tol"], flags["--seed"])
+            _emit(report, flags["--json"])
             worst = max(worst, code)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
     except BrokenPipeError:

@@ -529,8 +529,14 @@ class MonotoneFunction(_Piecewise):
         ends = (base_a, base_b, self._limits[0][1], self._limits[-1][1])
         if not all(map(math.isfinite, ends)):
             raise DomainError(f"base and values {ends!r} at the ends overflow: not finite")
-        # Monotone, so the variation is the total rise, exactly.
+        # Monotone, so the variation is the total rise, exactly.  Where a
+        # large base value absorbs the jumps, that rise rounds to far below
+        # the jump step's alone, which rounding cannot explain; then the
+        # base's and the jump step's rises, both in one direction, add.
         self._variation = abs(self._limits[-1][1] - self._limits[0][1])
+        jump_rise = abs(yc[-1] - yc[0])
+        if self._variation < 0.5 * jump_rise:
+            self._variation = abs(base_b - base_a) + jump_rise
         self._sup = max(abs(self._limits[0][1]), abs(self._limits[-1][1]))
         # Cheap guardrail, not certification: a handful of increments
         # must not contradict the claimed direction.  The samples are laid

@@ -24,6 +24,7 @@ from stieltjes import (Affine, ApproximationError, Diagnostics, DomainError,
                        IntegralKind, Interval, MonotoneFunction, PiecewiseLipschitz,
                        Power, SinWave, by_parts, integrate)
 from stieltjes import cli, regulated
+from stieltjes.integrate import _Graded
 
 IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK
@@ -462,6 +463,31 @@ def test_a_graded_level_past_the_float_range_ends_the_grading():
     best = info.value.best_error
     assert 1e-252 < best < 1e-247
     assert integrate(f, g, K, best).diagnostics.approximant_pieces == 1
+
+
+def test_a_graded_level_whose_point_rounds_to_its_end_ends_the_grading():
+    # On the subnormal cell [0, 5e-324] the second level's point
+    # 0 + (5e-324 - 0) / 8 rounds to 0, where t**1.5 has no bounded second
+    # derivative, so its weight is inf and the first level, 3.29e-16, is
+    # the last.  A tol whose budget share is below it is refused, naming
+    # 16 times it; that tol is then met on the one first-order cell, about
+    # 1.1e-16 from the exact value.
+    iv = Interval(0.0, 5e-324)
+    f, g = (PiecewiseLipschitz.from_formulas(iv, (0.0, 5e-324), (fm,))
+            for fm in (Affine(0.0, 1e300), Power(1.5, 1e169)))
+    graded = _Graded((Affine(0.0, 1e300), Power(1.5, 1e169)), 0.0, 5e-324, 0, 0, f.sup_bound)
+    first, end = graded.level(0)
+    assert end == 5e-324 and 3e-16 < first < 4e-16
+    assert graded.level(1) is None and graded.cells == []
+    with pytest.raises(ApproximationError, match="needs more than") as info:
+        integrate(f, g, K, 1e-20)
+    best = info.value.best_error
+    assert 16.0 * first <= best <= 16.0 * first * (1.0 + 1e-6)
+    res = integrate(f, g, K, best)
+    assert res.diagnostics == Diagnostics("limit-gauss", None, 1)
+    # 1e300 (g(b) - g(a)), with (2**-1074)**1.5 = 2**-1611 exactly.
+    exact = Fraction(1e300) * Fraction(1e169) / 2 ** 1611
+    assert abs(Fraction(res.value) - exact) <= res.error_bound <= best
 
 
 def test_bounds_are_read_once_per_pair(monkeypatch):

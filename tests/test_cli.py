@@ -178,6 +178,64 @@ def test_one_parser_takes_flags_in_any_order(tmp_path, capsys, argv, code, err_t
         assert captured.err == "" and "value" in captured.out
 
 
+NEGATIVE_PAIR = "f=step[0,1]{nodes:0,0.5,1; at: -1, 1, 1; on: -0.5, 1} g=affine[0,1]{slope:1}"
+
+
+def test_an_unquoted_job_may_have_negative_words(capsys):
+    # The shell splits an unquoted job at its spaces, so "-1," and "-0.5,"
+    # arrive as words of their own; a single-dash word is job text.
+    quoted = run(capsys, ["integrate", "--json", NEGATIVE_PAIR])
+    words = ["integrate", "--json", *NEGATIVE_PAIR.split()]
+    assert "-1," in words and "-0.5," in words
+    assert run(capsys, words) == quoted
+    assert quoted[0] == 0 and json.loads(quoted[1])["value"] == 0.25
+
+
+def test_a_value_flag_may_take_its_value_after_an_equals_sign(tmp_path, capsys):
+    spaced = run(capsys, ["integrate", "--json", "--tol", "1e-3", "--seed", "4",
+                          "f=sin[0,1]{freq:3}", "g=sin[0,1]{freq:2}"])
+    joined = run(capsys, ["integrate", "--json", "--tol=1e-3", "--seed=4",
+                          "f=sin[0,1]{freq:3}", "g=sin[0,1]{freq:2}"])
+    assert joined == spaced and json.loads(joined[1])["seed"] == 4
+    spec = tmp_path / "jobs.txt"
+    spec.write_text(f"integrate {PAIR}\n")
+    assert run(capsys, ["integrate", f"--spec={spec}"])[0] == 0
+
+
+@pytest.mark.parametrize("argv, err_text", [
+    (["integrate", "--seed", "x", PAIR], "argument --seed: invalid int value: 'x'"),
+    (["integrate", "--tol=1e", PAIR], "argument --tol: invalid float value: '1e'"),
+    (["integrate", PAIR, "--tol"], "argument --tol: expected one argument"),
+    (["integrate", "--spec", "--json"], "argument --spec: expected one argument"),
+    (["integrate", "--bogus", PAIR], "unrecognized arguments: --bogus"),
+    (["integrate", "--js", PAIR], "unrecognized arguments: --js"),
+    (["integrate", "--json=1", PAIR], "unrecognized arguments: --json=1"),
+])
+def test_usage_errors_exit_2_after_the_usage_line(capsys, argv, err_text):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: stieltjes ")
+    assert err.endswith(f"\nstieltjes: error: {err_text}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["integrate", PAIR, "-h"]])
+def test_help_prints_the_usage_line_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert cli._USAGE in out.splitlines()
+
+
+def test_a_double_dash_ends_the_flags(capsys):
+    code, out, _ = run(capsys, ["integrate", "--json", "--", PAIR])
+    assert code == 0 and json.loads(out)["value"] == 0.5
+    # After "--", "--json" and "-h" are job text, which the DSL rejects.
+    for word in ("--json", "-h"):
+        code, out, err = run(capsys, ["integrate", "--", word, PAIR])
+        assert code == 2 and out == "" and "unexpected character '-'" in err
+    code, _, err = run(capsys, ["--", "--json", PAIR])
+    assert code == 2 and "invalid choice: '--json'" in err
+
+
 def test_refused_computation_exits_3(capsys):
     code, report, _ = run_json(capsys, ["integrate", "--json", "tol=1e-15",
                                         "f=sin[0,1]{freq:3}",
@@ -382,16 +440,28 @@ def test_console_script_is_wired():
     assert ep.load() is cli.main
 
 
-def test_cli_import_loads_no_dataclass_machinery():
-    # Every CLI job is a fresh process; `dataclasses` would bring
-    # `inspect`, `ast`, `dis` and `tokenize` into each one.
+def modules_cli_import_loads(names):
+    """The modules among `names` that `import stieltjes.cli` loads in a
+    fresh interpreter."""
     probe = ("import sys; before = set(sys.modules); import stieltjes.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+             f"print(sorted({set(names)!r} & (set(sys.modules) - before)))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # Every CLI job is a fresh process; `dataclasses` would bring
+    # `inspect`, `ast`, `dis` and `tokenize` into each one.
+    assert modules_cli_import_loads({"dataclasses", "inspect"}) == "[]"
+
+
+def test_cli_import_loads_no_argparse():
+    # argparse and the gettext lookups of its help strings cost a CLI
+    # process about 3 ms; the flags are read by one scan of argv.
+    assert modules_cli_import_loads({"argparse", "gettext"}) == "[]"
 
 
 def test_a_closed_stdout_exits_1_without_a_traceback():

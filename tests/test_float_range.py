@@ -148,3 +148,18 @@ def test_a_bound_that_underflows_is_the_smallest_subnormal():
         code, report = cli.run_text(text, command, None, None)
         assert code == 3, report
         assert 0 < report["best_error"] < math.inf, report
+
+
+def test_jumps_absorbed_by_a_large_base_keep_their_variation():
+    # f(b) - f(a) rounds to 0 where the base, near 4.4e258, absorbs the
+    # jump of -1 at 0.5; var g was certified 0, and verify-bounds exited 1.
+    base = Affine(-TINY, 4.379139804999629e+258)
+    g = MonotoneFunction(Interval(0.0, 1.0), base, [(0.5, -0.0, -1.0)])
+    assert g.value(1.0) - g.value(0.0) == 0.0
+    assert g.variation_bound == 1.0 + abs(base(1.0) - base(0.0))
+    text = ("kind=D tol=0.001 f=affine[0.0, 1.0]{slope: -1e+141; intercept: 0.0} "
+            "g=monotone_jumps[0.0, 1.0]{base: affine(slope: -5e-324, "
+            "intercept: 4.379139804999629e+258); jumps: 0.5:-0.0:-1.0}")
+    code, report = cli.run_text(text, "verify-bounds", None, None)
+    assert code == 0 and report["ok"] is True, report
+    assert report["residuals"]["integral_sup_var"] > 0, report
