@@ -25,15 +25,19 @@ Exit codes
 ``--json`` prints one JSON object per job on stdout; without it a
 human-readable block is printed.  ``--spec FILE`` runs every nonempty
 non-# line of FILE as one job (COMMAND fills in the command when a line
-omits it) and exits with the worst per-line code.
+omits it) and exits with the worst per-line code.  A process ends in
+``launch``: ``gc.freeze()``, so the collections at shutdown skip the heap,
+then ``sys.exit`` with the code.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import random
 import sys
+from typing import NoReturn
 
 from .core import Interval
 from .errors import DSLError, StieltjesError, check_tol
@@ -314,5 +318,19 @@ def main(argv: list[str] | None = None) -> int:
     return worst
 
 
+def launch() -> NoReturn:
+    """The process entry of ``python -m stieltjes.cli`` and of the
+    ``stieltjes`` script: run ``main``, freeze, exit with its code.
+
+    ``gc.freeze()`` moves every live object to the permanent generation,
+    so the collections at interpreter shutdown do not walk them.  Exit
+    is otherwise ``sys.exit``'s own: the flush of stdout and stderr and
+    the atexit handlers.  ``main`` itself never freezes, as callers and
+    tests run it in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    launch()

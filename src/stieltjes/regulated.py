@@ -23,6 +23,8 @@ from .stepfun import StepFunction, _merged, step_from_jumps
 MAX_APPROX_CELLS = 1 << 20
 
 UNIT_ROUNDOFF = 2.0 ** -53
+_NORMAL = 2.0 ** -1022  # the smallest normal float
+_TINY = math.ulp(0.0)  # 2**-1074, the smallest subnormal
 
 
 def _times_width(c: float, u: float, v: float) -> float:
@@ -39,7 +41,13 @@ def _nonzero(bound: float, *factors: float) -> float:
     """``bound``, a rounded product of ``factors``, or the smallest
     subnormal where it underflowed to 0 though no factor is 0: a bound of
     0 would certify that a function which moves does not."""
-    return bound if bound or not all(factors) else math.ulp(0.0)
+    return bound if bound or not all(factors) else _TINY
+
+
+def _below_normal(u: float, v: float, e: float) -> bool:
+    """Whether e > 0 and |t|**e falls below the normal range on [u, v]."""
+    near = 0.0 if u <= 0 <= v else min(abs(u), abs(v))
+    return e > 0 and saturated(pow, near, e) < _NORMAL
 
 
 def _grid(u: float, v: float, n: int):
@@ -71,10 +79,12 @@ class Formula(Frozen):
     from 0 where the derivative is unbounded (t**e with e non-integer
     below k); one past the float range is refused with a DomainError.
     ``values_at(ts)`` is ``[f(t) for t in ts]`` and
-    ``derivative_values_at(ts)`` the same for f', bit for bit, without a
-    call per point; ``rounding_on`` and ``derivative_rounding_on`` bound
-    the rounding error of one such evaluation at a point of the cell,
-    assuming ``math.sin``, ``math.cos`` and ``**`` are within one ulp.
+    ``derivative_values_at(ts)`` the same for f', bit for bit but for
+    ``Power`` below the normal range, without a call per point;
+    ``rounding_on`` and ``derivative_rounding_on`` bound the rounding
+    error of one such evaluation at a point of the cell, assuming
+    ``math.sin``, ``math.cos`` and ``**`` are within one ulp (below the
+    normal range, within 2**-1074).
     The limit route's Gauss-Legendre sum and its fourth-order
     certificate read all of them."""
 
@@ -122,7 +132,13 @@ class Power(Formula):
 
     Non-integer exponents need u >= 0; exponents below 1 additionally
     need u > 0 to stay Lipschitz.  A value or derivative bound past the
-    float range is refused with a DomainError.
+    float range is refused with a DomainError.  Where |t|**exponent is
+    below the normal range, a call reads the value in halves, so that a
+    large scale meets the power before it underflows: the step-pair and
+    first-order routes take such reads as exact.  The batch reads of the
+    Gauss-Legendre sum keep the plain product, as its certificate counts
+    their error: there pow is within 2**-1074 of the exact power, not
+    within an ulp, and every bound adds that times the coefficient.
     """
 
     __slots__ = ("exponent", "scale")
@@ -134,11 +150,24 @@ class Power(Formula):
 
     def __call__(self, t: float) -> float:
         try:
-            return self.scale * t ** self.exponent
+            p = t ** self.exponent
         except OverflowError:
             raise DomainError(f"t**{self.exponent} overflows at t = {t!r}") from None
+        try:
+            if p >= _NORMAL or p <= -_NORMAL or not t:
+                return self.scale * p
+        except TypeError:  # p is complex: t < 0 and a non-integer exponent
+            return self.scale * p
+        # |t|**e is below the normal range: (scale h) h with h = |t|**(e/2)
+        # is within 6 u of the exact value where h is normal.  Such an e
+        # is at least 0.95, so e/2 is exact.
+        e = self.exponent
+        h = abs(t) ** (0.5 * e)
+        y = self.scale * h * h
+        return -y if t < 0 and e % 2 == 1 else y
 
     def values_at(self, ts) -> list[float]:
+        # The plain product, also below the normal range: rounding_on counts it.
         s, e = self.scale, self.exponent
         return [s * t ** e for t in ts]
 
@@ -168,7 +197,9 @@ class Power(Formula):
         if e < k and not u > 0:
             return math.inf
         # max(-u, v) is max(|u|, |v|), as u <= v, and t**(e - k) > 0 there.
-        bound = abs(self.scale * falling) * saturated(pow, max(-u, v) if e >= k else u, e - k)
+        p = saturated(pow, max(-u, v) if e >= k else u, e - k)
+        # Below the normal range pow is within 2**-1074, not an ulp, of the power.
+        bound = abs(self.scale * falling) * (p if p >= _NORMAL else p + _TINY)
         if bound < math.inf:
             return _nonzero(bound, self.scale, falling)
         what = "Lipschitz constant" if k == 1 else f"bound on derivative {k}"
@@ -177,15 +208,25 @@ class Power(Formula):
     def variation_on(self, u: float, v: float) -> float:
         self._check_cell(u, v)
         if u >= 0:  # monotone on [0, inf)
-            return abs(self.scale) * abs(v ** self.exponent - u ** self.exponent)
+            top = v ** self.exponent
+            if top < _NORMAL:  # so is every power on the cell: at most |scale| v**e
+                return _nonzero(abs(self.scale) * (top + _TINY), self.scale)
+            return abs(self.scale) * abs(top - u ** self.exponent)
         return _times_width(self.lipschitz_on(u, v), u, v)
 
     def rounding_on(self, u: float, v: float) -> float:
-        # One ulp of |t|**e at max(|u|, |v|), then the product with the scale.
-        return 4.0 * UNIT_ROUNDOFF * abs(self.scale) * saturated(pow, max(-u, v), self.exponent)
+        # One ulp of |t|**e at max(|u|, |v|), then the product with the
+        # scale.  Where |t|**e falls below the normal range, values_at's
+        # pow is within 2**-1074, and __call__'s halves within 6 u
+        # 2**-1022, of the exact power: 4 |scale| 2**-1074 covers both.
+        bound = 4.0 * UNIT_ROUNDOFF * abs(self.scale) * saturated(pow, max(-u, v), self.exponent)
+        if _below_normal(u, v, self.exponent):
+            bound += 4.0 * _TINY * abs(self.scale)
+        return bound
 
     def derivative_rounding_on(self, u: float, v: float) -> float:
-        # fl(scale e) * t**fl(e - 1): two products and one ulp of pow.
+        # fl(scale e) * t**fl(e - 1): two products and one ulp of pow, or
+        # pow's 2**-1074 where t**fl(e - 1) falls below the normal range.
         # fl(e - 1) misses e - 1 by eta (0 for 0.5 <= e <= 2**53), which
         # scales t**(e - 1) by t**eta, within 2 eta |log t| of 1 in the cell.
         e = self.exponent
@@ -195,7 +236,10 @@ class Power(Formula):
             if not u > 0:
                 raise DomainError(f"t**{e}: no rounding bound for f' on [{u!r}, {v!r}]")
             rel += 2.0 * eta * max(abs(math.log(u)), abs(math.log(v)))
-        return rel * self.derivative_bound_on(u, v, 1)
+        bound = rel * self.derivative_bound_on(u, v, 1)
+        if _below_normal(u, v, e - 1.0):
+            bound += _TINY * abs(self.scale * e)
+        return bound
 
 
 class SinWave(Formula):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -414,7 +415,8 @@ def test_exports_resolve_once():
 
 
 def test_console_script_is_wired():
-    """`stieltjes` is declared as `stieltjes.cli:main` and resolves to it.
+    """`stieltjes` is declared as `stieltjes.cli:launch` and resolves to it,
+    the same entry as `python -m stieltjes.cli`.
 
     The declaration is read from the repo's own pyproject.toml, so the test
     also runs from a source tree (`PYTHONPATH=src`); the installed
@@ -429,15 +431,47 @@ def test_console_script_is_wired():
     else:
         eps = md.entry_points(group="console_scripts")
         ours = [ep for ep in eps if ep.name == "stieltjes"]
-        assert ours and ours[0].value == "stieltjes.cli:main"
+        assert ours and ours[0].value == "stieltjes.cli:launch"
 
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-    assert scripts.get("stieltjes") == "stieltjes.cli:main"
+    assert scripts.get("stieltjes") == "stieltjes.cli:launch"
     ep = md.EntryPoint(name="stieltjes", value=scripts["stieltjes"],
                        group="console_scripts")
-    assert ep.load() is cli.main
+    assert ep.load() is cli.launch
+
+
+def test_main_in_process_does_not_freeze_the_heap(capsys):
+    # Only the process entry, cli.launch, freezes; a library or test
+    # process that calls main keeps collecting its objects.
+    before = gc.get_freeze_count()
+    assert cli.main(["integrate", "--json", PAIR]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def run_module(args, **kwargs):
+    """`python -m stieltjes.cli ARGS` in a fresh process, with src on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "stieltjes.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60, **kwargs)
+
+
+def test_a_process_exits_with_the_worst_code_after_every_report(tmp_path):
+    spec = tmp_path / "jobs.txt"
+    spec.write_text(f"integrate kind=D {PAIR}\n"
+                    f"integrate f=affine[0,1]{{slope:1}} g=bogus[0,1]{{}}\n"
+                    "integrate tol=1e-15 f=sin[0,1]{freq:3} g=sin[0,1]{freq:2}\n")
+    out = run_module(["integrate", "--json", "--spec", str(spec)],
+                     capture_output=True, text=True)
+    assert out.returncode == 3 and out.stderr == ""
+    reports = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(reports) == 3
+    assert reports[0]["value"] == 0.5
+    assert "error" in reports[1] and "best_error" not in reports[1]  # exit 2
+    assert "best_error" in reports[2]  # exit 3
 
 
 def modules_cli_import_loads(names):

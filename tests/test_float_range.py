@@ -10,6 +10,7 @@ through hypothesis costs more than most of these jobs take to run."""
 
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as hs
 
@@ -163,3 +164,26 @@ def test_jumps_absorbed_by_a_large_base_keep_their_variation():
     code, report = cli.run_text(text, "verify-bounds", None, None)
     assert code == 0 and report["ok"] is True, report
     assert report["residuals"]["integral_sup_var"] > 0, report
+
+
+def test_a_power_below_the_normal_range_meets_its_scale():
+    # (5e-324)**1.5 underflows to 0, though 1e300 times it is 1.1e-185:
+    # a call reads it in halves, and no bound of the cell reads 0.
+    g = Power(1.5, 1e300)
+    exact_g = Fraction(1e300) * Fraction(2) ** -1611
+    assert abs(Fraction(g(TINY)) - exact_g) <= 6 * 2 ** -53 * exact_g
+    assert g(0.0) == 0.0 and g(1e-200) == 1e300 * 1e-200 ** 1.5  # a normal read keeps its bits
+    assert 0 < g.variation_on(0.0, TINY) < math.inf
+    assert g.rounding_on(0.0, TINY) >= 4 * TINY * 1e300
+    # 3e300 (1e-170)**2 is 3e-40, though the square underflows to 0.
+    assert Power(3.0, 1e300).lipschitz_on(0.0, 1e-170) >= 3e-40
+    # K = f (g(b) - g(a)) with f = 1e300: the job gave 0 with error_bound 0.
+    text = ("f=affine[0,5e-324]{slope:0;intercept:1e300} "
+            "g=power[0,5e-324]{exponent:1.5; scale:1e300}")
+    exact = Fraction(1e300) * exact_g
+    for command in ("integrate", "verify-main"):
+        code, report = cli.run_text(text, command, None, None)
+        assert code == 0, report
+        # error_bound 0 takes the reads as exact, as the step-pair walk does.
+        assert abs(Fraction(report["value"]) - exact) <= 8 * 2 ** -53 * exact, report
+    assert report["ok"] is True
