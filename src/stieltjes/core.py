@@ -83,6 +83,14 @@ class Interval(Frozen):
         if not self.a <= t <= self.b:
             raise DomainError(f"point {t!r} outside interval [{self.a}, {self.b}]")
 
+    def require_left(self, t: float) -> None:
+        if not self.a < t <= self.b:
+            raise DomainError(f"left limit needs t in ({self.a}, {self.b}]")
+
+    def require_right(self, t: float) -> None:
+        if not self.a <= t < self.b:
+            raise DomainError(f"right limit needs t in [{self.a}, {self.b})")
+
     def check_division(self, points, what: str) -> list[float]:
         """``points`` as floats, once they form a division of the interval:
         two or more, increasing, from a to b.  ``what`` names them in errors."""
@@ -171,26 +179,19 @@ class RegulatedFunction(ABC):
 
     def _limits_at(self, nodes) -> tuple[list, list, list]:
         """``(lefts, values, rights)``: f(t-), f(t) and f(t+) at each of
-        ``nodes``, with f(a-) := f(a) and f(b+) := f(b).
+        ``nodes``, the rows of ``_limit_rows``.
 
         Precondition, not checked: ``nodes`` are the sorted nodes of an
         already-checked ``StepFunction`` on this interval, so they
         increase strictly from a to b.  The callers are the step-pair
         walks of ``integrate_step_pair`` and ``_gauss_limit``, and
         ``PiecewiseLipschitz._smooth_parts`` on its checked breakpoints.
-        This default reads the three point methods.  The built-in
-        families override it with one of two walks that give
-        bit-identical values: ``StepFunction`` merges its nodes with the
-        query nodes one by one, since the two lists may be equally dense;
-        the two smooth families share one walk over their few breaks
-        (``PiecewiseLipschitz``'s, and the nodes of ``MonotoneFunction``'s
-        jump step, a and b alone without jumps), which bisects once per
-        break, calls the cell's piece on the query nodes between breaks
-        and takes the stored limit row at a node on a break."""
+        This default reads the three point methods; ``StepFunction`` and
+        the two smooth families override it with walks (their
+        ``_limits_at``) that give bit-identical values."""
         values = [self.value(t) for t in nodes]
-        lefts = [values[0]] + [self.left_limit(t) for t in nodes[1:]]
-        rights = [self.right_limit(t) for t in nodes[:-1]] + [values[-1]]
-        return lefts, values, rights
+        return _limit_rows([self.left_limit(t) for t in nodes[1:]], values,
+                           [self.right_limit(t) for t in nodes[:-1]])
 
     def _smooth_parts(self):
         """``(jump_step, breaks, formulas, offsets)`` when f is a step
@@ -225,3 +226,15 @@ class RegulatedFunction(ABC):
     @abstractmethod
     def jump_points(self) -> tuple[float, ...]:
         """Sorted locations where a one-sided jump is nonzero."""
+
+
+def _limit_rows(lefts, values, rights) -> tuple[list, list, list]:
+    """The rows ``(lefts, values, rights)`` of f(t-), f(t) and f(t+) at
+    nodes from a to b, given ``values`` at every node, ``lefts`` at all
+    but a and ``rights`` at all but b: f(a-) := f(a) and f(b+) := f(b)."""
+    return [values[0], *lefts], values, [*rights, values[-1]]
+
+
+def _require_pair(f: RegulatedFunction, g: RegulatedFunction) -> None:
+    if f.interval != g.interval:
+        raise DomainError("integrand and integrator live on different intervals")

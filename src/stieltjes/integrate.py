@@ -58,7 +58,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import regulated
-from .core import Interval, RegulatedFunction, checked_make
+from .core import Interval, RegulatedFunction, _limit_rows, _require_pair, checked_make
 from .errors import (ApproximationError, DomainError, StepPairError, StieltjesError,
                      VariationUnknownError, check_tol, finite_fsum, saturated)
 from .regulated import UNIT_ROUNDOFF
@@ -176,9 +176,9 @@ def _step_integrand_terms(f: StepFunction, limits, dushnik: bool):
     # D: sum_k d_k [g(sigma_{k+1}) - g(sigma_k)].
     # K, Y: sum_k c_k [g(sigma_k+) - g(sigma_k-)]
     #       + sum_k d_k [g(sigma_{k+1}-) - g(sigma_k+)],
-    # with g(a-) := g(a) and g(b+) := g(b) in ``limits``, g's ``_limits_at(f.nodes)``.
-    # The terms come as one list in node order, c_0, d_0, c_1, ..., d_{m-1}, c_m
-    # (fsum's order matters only when a partial sum overflows).
+    # from ``limits``, g's ``_limits_at(f.nodes)``.  The terms come as one
+    # list in node order, c_0, d_0, c_1, ..., d_{m-1}, c_m (fsum's order
+    # matters only when a partial sum overflows).
     cs, ds = f.node_values, f.interior_values
     lefts, values, rights = limits
     if dushnik:
@@ -195,10 +195,8 @@ def _step_integrator_terms(limits, g: StepFunction, dushnik: bool):
     #          + f(sigma_k-) [g(sigma_k) - g(sigma_k-)],
     # from ``limits``, f's ``_limits_at(g.nodes)``.  Where g does not move
     # the term is a zero (f is finite), which leaves fsum's result as it is.
-    cs, ds = g.node_values, g.interior_values
     lefts, values, rights = limits
-    before = cs[:1] + ds  # g(a-) := g(a)
-    after = ds + cs[-1:]  # g(b+) := g(b)
+    before, cs, after = _limit_rows(g.interior_values, g.node_values, g.interior_values)
     if not dushnik:
         return [v * (s - p) for v, p, s in zip(values, before, after)]
     terms = [0.0] * (2 * len(cs))
@@ -214,8 +212,7 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
     nodes, added with ``math.fsum``.  A sum past the float range is
     refused with a StieltjesError."""
     kind = IntegralKind(kind)
-    if f.interval != g.interval:
-        raise DomainError("integrand and integrator live on different intervals")
+    _require_pair(f, g)
     dushnik = kind is IntegralKind.DUSHNIK
     if isinstance(f, StepFunction):
         terms = _step_integrand_terms(f, g._limits_at(f.nodes), dushnik)
@@ -496,7 +493,9 @@ def _gauss_terms(p, d, q, u: float, v: float, n: int):
     for k0 in range(0, n, _BATCH):
         ts = [u + (k + c) * h for k in range(k0, min(k0 + _BATCH, n)) for c in _NODES]
         ys, zs = p.values_at(ts), q.derivative_values_at(ts)
-        yield 0.5 * h * math.fsum([(y - d) * z for y, z in zip(ys, zs)])
+        # Halving the sum, not h: 0.5 * h rounds where h is an odd
+        # number of subnormal ulps.
+        yield h * (0.5 * math.fsum([(y - d) * z for y, z in zip(ys, zs)]))
 
 
 def _smallest_tol(attempt, tol: float) -> float:
@@ -557,8 +556,7 @@ def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | s
     if isinstance(f, StepFunction) or isinstance(g, StepFunction):
         return integrate_step_pair(f, g, kind)
     kind = IntegralKind(kind)
-    if f.interval != g.interval:
-        raise DomainError("integrand and integrator live on different intervals")
+    _require_pair(f, g)
     gauss = _gauss_limit(f, g, kind, tol)
     if gauss is not None:
         return gauss

@@ -42,7 +42,7 @@ import math
 from bisect import bisect_left
 from typing import Callable, Iterator, NamedTuple
 
-from .core import RegulatedFunction
+from .core import RegulatedFunction, _require_pair
 from .errors import DomainError, GaugeTooFineError, check_tol
 from .integrate import IntegralKind
 from .partitions import Division, SeededTags, _fine_partition, _width_refusal, interior_tags
@@ -72,8 +72,7 @@ def _jumps_and_seeds(f: RegulatedFunction, g: RegulatedFunction
     """The sorted jumps of f and g together, the same points with both
     endpoints added, and whether neither function is a step function
     (then cells away from the jumps need refining too)."""
-    if f.interval != g.interval:
-        raise DomainError("integrand and integrator live on different intervals")
+    _require_pair(f, g)
     jumps = tuple(sorted(set(f.jump_points()) | set(g.jump_points())))
     seeds = tuple(sorted({f.interval.a, f.interval.b, *jumps}))
     return jumps, seeds, not (isinstance(f, StepFunction) or isinstance(g, StepFunction))

@@ -14,9 +14,9 @@ import operator
 from bisect import bisect_left, bisect_right
 from functools import partial
 
-from .core import Frozen, Interval, RegulatedFunction, StepApproximation, as_floats
+from .core import Frozen, Interval, RegulatedFunction, StepApproximation, _limit_rows, as_floats
 from .errors import ApproximationError, DomainError, saturated
-from .stepfun import StepFunction, _merged, step_from_jumps
+from .stepfun import StepFunction, _jump_gaps, _jump_points, _merged, step_from_jumps
 
 # Hard ceiling on approximant size; past this the requested tolerance
 # is treated as unreachable rather than allowed to exhaust memory.
@@ -298,10 +298,10 @@ class SinWave(Formula):
 class _Piecewise(RegulatedFunction):
     """The read path of both smooth families: sorted ``_breaks`` from a
     to b, ``_pieces[i]`` giving f on the open cell right of break i, and
-    ``_limits[j]`` the ``(f(t-), f(t), f(t+))`` row at break j, with
-    f(a-) := f(a) and f(b+) := f(b).  A one-sided limit at a break is
-    the piece beside it, read there; ``_jumps`` lists the breaks where a
-    limit differs from the value.  Each family also stores its two
+    ``_limits`` the rows ``(lefts, values, rights)`` at the breaks that
+    ``_limit_rows`` builds.  A one-sided limit at a break is the piece
+    beside it, read there; ``_jumps`` lists the jump points
+    (``stepfun._jump_points``).  Each family also stores its two
     certificates, ``_variation`` and ``_sup``, once on construction."""
 
     __slots__ = ("_breaks", "_pieces", "_limits", "_jumps", "_variation", "_sup")
@@ -310,17 +310,15 @@ class _Piecewise(RegulatedFunction):
         self._interval.require(t)
         i = bisect_left(self._breaks, t)
         if self._breaks[i] == t:
-            return self._limits[i][1]
+            return self._limits[1][i]
         return self._pieces[i - 1](t)
 
     def left_limit(self, t: float) -> float:
-        if not self._interval.a < t <= self._interval.b:
-            raise DomainError(f"left limit needs t in ({self._interval.a}, {self._interval.b}]")
+        self._interval.require_left(t)
         return self._pieces[bisect_left(self._breaks, t) - 1](t)
 
     def right_limit(self, t: float) -> float:
-        if not self._interval.a <= t < self._interval.b:
-            raise DomainError(f"right limit needs t in [{self._interval.a}, {self._interval.b})")
+        self._interval.require_right(t)
         return self._pieces[bisect_right(self._breaks, t) - 1](t)
 
     def _limits_at(self, nodes) -> tuple[list, list, list]:
@@ -337,8 +335,8 @@ class _Piecewise(RegulatedFunction):
                 part += inside
             lo = k
             if nodes[k] == y:
-                for part, x in zip(out, limits[j]):
-                    part.append(x)
+                for part, row in zip(out, limits):
+                    part.append(row[j])
                 lo = k + 1
         return out
 
@@ -382,11 +380,12 @@ class PiecewiseLipschitz(_Piecewise):
         for c in lipschitz:
             if not (math.isfinite(c) and c >= 0):
                 raise DomainError(f"bad Lipschitz constant {c!r}")
-        # The certificates below read the pieces only at their cell ends.
-        lefts = [p(u) for p, u in zip(pieces, bks)]
-        rights = [p(v) for p, v in zip(pieces, bks[1:])]
+        # The certificates below read the pieces only at their cell ends:
+        # f(u+) at each cell's start u and f(v-) at its end v.
+        starts = [p(u) for p, u in zip(pieces, bks)]
+        ends = [p(v) for p, v in zip(pieces, bks[1:])]
         if node_values is None:
-            node_values = lefts + rights[-1:]
+            node_values = starts + ends[-1:]
         node_values = tuple(as_floats(node_values, "node values"))
         if len(node_values) != len(bks):
             raise DomainError("need one node value per breakpoint")
@@ -395,25 +394,20 @@ class PiecewiseLipschitz(_Piecewise):
         self._breaks = tuple(bks)
         self._pieces = pieces
         self._lipschitz = lipschitz
-        # f(t-), f(t), f(t+) at each break from the pieces' raw ends, with
-        # f(a-) := f(a) and f(b+) := f(b); a limit off f(t) makes a jump.
-        self._limits = tuple(zip(node_values[:1] + tuple(rights), node_values,
-                                 tuple(lefts) + node_values[-1:]))
-        gap_total, jumps = 0.0, []
-        for t, row in zip(bks, self._limits):
+        rows = self._limits = _limit_rows(ends, node_values, starts)
+        gap_total = 0.0
+        for t, row in zip(bks, zip(*rows)):
             if not all(map(math.isfinite, as_floats(row, "limits"))):
                 raise DomainError(f"limits {row!r} at break {t!r} overflow: not finite")
             left, val, right = row
             gap_total += abs(val - left)
             gap_total += abs(val - right)
-            if left != val or right != val:
-                jumps.append(t)
-        self._jumps = tuple(jumps)
+        self._jumps = _jump_points(bks, *rows)
         self._variation = saturated(math.fsum, piece_variations) + gap_total
         # Any t in a cell [u, v] is within (v-u)/2 of the nearer end; c
         # itself where its half, c = 5e-324, underflows to 0.
         sup = max(abs(v) for v in node_values)
-        for fu, fv, c, u, v in zip(lefts, rights, lipschitz, bks, bks[1:]):
+        for fu, fv, c, u, v in zip(starts, ends, lipschitz, bks, bks[1:]):
             sup = max(sup, max(abs(fu), abs(fv)) + _times_width(0.5 * c or c, u, v))
         self._sup = sup
         self._parts = None  # the catalog split, built on first use
@@ -434,19 +428,16 @@ class PiecewiseLipschitz(_Piecewise):
 
     def _smooth_parts(self):
         """The split when every piece is a catalog formula and no gap
-        overflows: the jump step takes the gaps between the limits at each
-        break, so that on each cell f minus it is the piece minus the
-        step's value there.  Built on first use, since only the limit
+        overflows: the jump step takes the gaps (``stepfun._jump_gaps``)
+        at the breaks, so that on each cell f minus it is the piece minus
+        the step's value there.  Built on first use, since only the limit
         route reads it; () marks a function without one."""
         if self._parts is None:
             self._parts = ()
             if all(hasattr(p, "derivative_bound_on") for p in self._pieces):
-                rows, bks = self._limits, self._breaks
-                plus = [(t, right - val) for t, (_, val, right) in zip(bks, rows[:-1])]
-                minus = [(t, val - left) for t, (left, val, _) in zip(bks[1:-1], rows[1:-1])]
-                left, val, _ = rows[-1]
+                bks = self._breaks
                 try:
-                    step = step_from_jumps(self._interval, 0.0, plus, minus, val - left)
+                    step = step_from_jumps(self._interval, 0.0, *_jump_gaps(bks, *self._limits))
                 except DomainError:  # a gap or a level overflows
                     return None
                 self._parts = step, bks, self._pieces, tuple(step._limits_at(bks)[2][:-1])
@@ -473,11 +464,11 @@ class PiecewiseLipschitz(_Piecewise):
                 f"tolerance {eps!r} needs {total} cells (limit {MAX_APPROX_CELLS})",
                 best_error=eps * scale)
         nodes: list[float] = [bks[0]]
-        node_values: list[float] = [self._limits[0][1]]
+        node_values: list[float] = [self._limits[1][0]]
         interior: list[float] = []
         err = floor = 0.0
-        for p, c, n, u, v, (_, fv, _) in zip(self._pieces, self._lipschitz, counts,
-                                             bks, bks[1:], self._limits[1:]):
+        for p, c, n, u, v, fv in zip(self._pieces, self._lipschitz, counts,
+                                     bks, bks[1:], self._limits[1][1:]):
             s, o, h, xs = _grid(u, v, n)
             if s * h <= 8.0 * math.ulp(max(-u, v)) and (m := _finest(u, v, n)) < n:
                 # A hair above c w / m, so that this eps, asked for, still
@@ -566,22 +557,22 @@ class MonotoneFunction(_Piecewise):
         ys, yc, yd = js.nodes, js.node_values, js.interior_values
         self._breaks = ys
         self._pieces = tuple(partial(_shifted, base, d) for d in yd)
-        self._limits = tuple((x + left, x + val, x + right) for x, left, val, right in zip(
-            (base_a, *as_floats(map(base, ys[1:-1]), "base values"), base_b),
-            yc[:1] + yd, yc, yd + yc[-1:]))
+        xs = (base_a, *as_floats(map(base, ys[1:-1]), "base values"), base_b)
+        self._limits = tuple([x + y for x, y in zip(xs, row)] for row in _limit_rows(yd, yc, yd))
         self._jumps = js.jump_points()
-        ends = (base_a, base_b, self._limits[0][1], self._limits[-1][1])
+        fa, fb = self._limits[1][0], self._limits[1][-1]
+        ends = (base_a, base_b, fa, fb)
         if not all(map(math.isfinite, ends)):
             raise DomainError(f"base and values {ends!r} at the ends overflow: not finite")
         # Monotone, so the variation is the total rise, exactly.  Where a
         # large base value absorbs the jumps, that rise rounds to far below
         # the jump step's alone, which rounding cannot explain; then the
         # base's and the jump step's rises, both in one direction, add.
-        self._variation = abs(self._limits[-1][1] - self._limits[0][1])
+        self._variation = abs(fb - fa)
         jump_rise = abs(yc[-1] - yc[0])
         if self._variation < 0.5 * jump_rise:
             self._variation = abs(base_b - base_a) + jump_rise
-        self._sup = max(abs(self._limits[0][1]), abs(self._limits[-1][1]))
+        self._sup = max(abs(fa), abs(fb))
         # Cheap guardrail, not certification: a handful of increments
         # must not contradict the claimed direction.  The samples are laid
         # out at half scale only where b - a overflows; clamping keeps them

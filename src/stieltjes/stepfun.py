@@ -25,7 +25,8 @@ import operator
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .core import Interval, RegulatedFunction, StepApproximation, as_floats, checked_make
+from .core import (Interval, RegulatedFunction, StepApproximation, _limit_rows, as_floats,
+                   checked_make)
 from .errors import DomainError, saturated
 
 
@@ -106,15 +107,13 @@ class StepFunction(RegulatedFunction):
         return self._interior_values[i - 1]
 
     def left_limit(self, t: float) -> float:
-        if not self._interval.a < t <= self._interval.b:
-            raise DomainError(f"left limit needs t in ({self._interval.a}, {self._interval.b}]")
+        self._interval.require_left(t)
         # Node hit and interior hit both resolve to the piece left of t.
         i = bisect_left(self._nodes, t)
         return self._interior_values[i - 1]
 
     def right_limit(self, t: float) -> float:
-        if not self._interval.a <= t < self._interval.b:
-            raise DomainError(f"right limit needs t in [{self._interval.a}, {self._interval.b})")
+        self._interval.require_right(t)
         i = bisect_left(self._nodes, t)
         if self._nodes[i] == t:
             return self._interior_values[i]
@@ -138,8 +137,7 @@ class StepFunction(RegulatedFunction):
                 hits.append((k, i))
             else:
                 values.append(ds[i - 1])
-        before = cs[:1] + ds  # f(a-) := f(a)
-        after = ds + cs[-1:]  # f(b+) := f(b)
+        before, _, after = _limit_rows(ds, cs, ds)
         lefts, rights = values[:], values[:]
         for k, i in hits:
             lefts[k] = before[i]
@@ -162,11 +160,8 @@ class StepFunction(RegulatedFunction):
                    max(abs(v) for v in self._interior_values))
 
     def jump_points(self) -> tuple[float, ...]:
-        # A node is a jump point where a limit beside it differs from its
-        # value, with f(a-) := f(a) and f(b+) := f(b).
-        cs, ds = self._node_values, self._interior_values
-        return tuple(x for x, left, c, right in zip(self._nodes, cs[:1] + ds, cs, ds + cs[-1:])
-                     if left != c or right != c)
+        ds = self._interior_values
+        return _jump_points(self._nodes, *_limit_rows(ds, self._node_values, ds))
 
     def approximate(self, eps: float) -> StepApproximation:
         if not eps > 0:
@@ -184,25 +179,9 @@ class StepFunction(RegulatedFunction):
         with c_k the right jumps and d_k the left jumps at the nodes.
         Zero-weight entries are dropped.
         """
-        ns, cs, ds = self._nodes, self._node_values, self._interior_values
-        m = self.piece_count
-        plus = []
-        for k in range(m):  # chi_(sigma_k, b], sigma_0 = a allowed
-            w = ds[k] - cs[k]
-            if w != 0.0:
-                plus.append((ns[k], w))
-        minus = []
-        for k in range(1, m):  # chi_[sigma_k, b], interior nodes only
-            w = cs[k] - ds[k - 1]
-            if w != 0.0:
-                minus.append((ns[k], w))
-        return Decomposition(
-            interval=self._interval,
-            base=cs[0],
-            plus_jumps=tuple(plus),
-            minus_jumps=tuple(minus),
-            endpoint=cs[m] - ds[m - 1],
-        )
+        cs, ds = self._node_values, self._interior_values
+        gaps = _jump_gaps(self._nodes, *_limit_rows(ds, cs, ds))
+        return Decomposition(self._interval, cs[0], *gaps)
 
     # -- algebra -----------------------------------------------------------
 
@@ -288,6 +267,24 @@ def _merged(interval: Interval, first, second, op) -> StepFunction:
     at.append(op(xc[i], yc[j]))
     on.append(piece)
     return StepFunction._trusted(interval, nodes, at, on)
+
+
+def _jump_points(nodes, lefts, values, rights) -> tuple[float, ...]:
+    """The ``nodes`` where a limit in the rows of ``_limit_rows`` differs
+    from the value."""
+    return tuple(x for x, left, c, right in zip(nodes, lefts, values, rights)
+                 if left != c or right != c)
+
+
+def _jump_gaps(nodes, lefts, values, rights) -> tuple[tuple, tuple, float]:
+    """``Decomposition``'s ``(plus_jumps, minus_jumps, endpoint)`` from
+    the rows of ``_limit_rows`` at ``nodes``: the gaps f(t+) - f(t) at
+    every node but b and f(t) - f(t-) at the interior nodes, zeros
+    dropped, and f(b) - f(b-)."""
+    plus = tuple((t, w) for t, c, right in zip(nodes[:-1], values, rights) if (w := right - c))
+    minus = tuple((t, w) for t, c, left in zip(nodes[1:-1], values[1:], lefts[1:])
+                  if (w := c - left))
+    return plus, minus, values[-1] - lefts[-1]
 
 
 def _check_finite(node_values, interior_values) -> None:

@@ -40,7 +40,7 @@ import math
 import operator
 from typing import NamedTuple, Sequence, Union
 
-from .core import RegulatedFunction
+from .core import RegulatedFunction, _require_pair
 from .errors import DomainError, finite_fsum
 from .partitions import Division, Partition, SeededTags
 from .regulated import UNIT_ROUNDOFF
@@ -58,8 +58,7 @@ class SumValue(NamedTuple):
 
 def _check_pair(f: RegulatedFunction, g: RegulatedFunction, probes: Sequence[Probe]) -> Division:
     """The one division all ``probes`` share, on the pair's interval."""
-    if f.interval != g.interval:
-        raise DomainError("integrand and integrator live on different intervals")
+    _require_pair(f, g)
     division = probes[0].division
     if division.interval != f.interval:
         raise DomainError("partition interval does not match the functions")

@@ -187,3 +187,18 @@ def test_a_power_below_the_normal_range_meets_its_scale():
         # error_bound 0 takes the reads as exact, as the step-pair walk does.
         assert abs(Fraction(report["value"]) - exact) <= 8 * 2 ** -53 * exact, report
     assert report["ok"] is True
+
+
+def test_gauss_legendre_sums_on_subnormal_widths():
+    # K = g(W) - g(0) = 1e300 W against f = 1.  Half of a width of an odd
+    # number of subnormal ulps rounds, so 0.5 * h * sum gave 0 for one
+    # ulp and 4 ulps' worth for 3 or 5 (2.96e-23 as 3.95e-23 in pieces).
+    jobs = {w: f"f=affine[0,{w}]{{slope:0;intercept:1}} g=affine[0,{w}]{{slope:1e300}}"
+            for w in ("5e-324", "1.5e-323", "2.5e-323")}
+    jobs["3e-323"] = ("f=affine[0,3e-323]{slope:0;intercept:1} g=lipschitz_pieces[0,3e-323]"
+                      "{breaks:0,1.5e-323,3e-323; formulas: affine(slope:1e300), affine(slope:1e300)}")
+    for w, text in jobs.items():
+        code, report = cli.run_text(text, "integrate", None, None)
+        assert code == 0, report
+        exact = Fraction(1e300) * Fraction(float(w))
+        assert abs(Fraction(report["value"]) - exact) <= report["error_bound"], (text, report)

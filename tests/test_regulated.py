@@ -352,7 +352,7 @@ def test_variation_bound_sums_each_constructors_piece_bounds_once():
     rng = random.Random(515)
     for _ in range(200):
         f = rand_smooth(rng)
-        bks, forms, at = f._breaks, f._pieces, [val for _, val, _ in f._limits]
+        bks, forms, at = f._breaks, f._pieces, f._limits[1]
         cells = list(zip(forms, bks, bks[1:]))
         lips = [fm.lipschitz_on(u, v) for fm, u, v in cells]
         g = PiecewiseLipschitz(IV, bks, forms, lips, at)

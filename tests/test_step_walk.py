@@ -9,6 +9,7 @@ the walk's independent cross-check, never go through it.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -121,9 +122,11 @@ def test_limits_at_equals_the_three_point_reads():
             misses += sum(t not in special for t in nodes[1:-1])
             got = fn._limits_at(nodes)
             want = point_reads(fn, nodes)
+            # The default reads the point methods through _limit_rows.
+            default = RegulatedFunction._limits_at(fn, nodes)
             assert len(got) == 3
-            for g, w in zip(got, want):
-                assert bits(g) == bits(w), (family, nodes)
+            for g, w, d in zip(got, want, default):
+                assert bits(g) == bits(w) == bits(d), (family, nodes)
     # The nodes exercised both branches of every walk.
     assert hits > 100 and misses > 100
 
@@ -142,6 +145,38 @@ def test_limits_at_on_the_endpoints_alone_and_on_every_break():
     # f(a-) := f(a) and f(b+) := f(b).
     assert f._limits_at((0.0, 1.0)) == ([9.0, 1.0], [9.0, 7.0], [0.0, 7.0])
     assert m._limits_at((0.0, 1.0)) == ([0.0, 4.0], [0.0, 7.0], [1.0, 7.0])
+
+
+def test_jump_points_and_the_jump_step_take_the_gaps_of_the_rows():
+    # jump_points() is the nodes (a step's) or breaks (the smooth
+    # families') where f(t) - f(t-) or f(t+) - f(t) is nonzero; the jump
+    # step of _smooth_parts has, at each break, the correctly rounded
+    # running sum of those gaps as its left limit, value and right limit.
+    rng = random.Random(20261020)
+    seen, split = set(), 0
+    for family in ("step", "formulas", "callables", "monotone"):
+        for _ in range(80):
+            fn = rand_family(rng, family)
+            nodes = getattr(fn, "_breaks", None) or fn.nodes
+            rows = point_reads(fn, nodes)
+            gaps = [(c - left, right - c) for left, c, right in zip(*rows)]
+            assert fn.jump_points() == tuple(
+                t for t, gap in zip(nodes, gaps) if any(gap)), (family, nodes)
+            seen.add((family, bool(fn.jump_points())))
+            parts = fn._smooth_parts() if family == "formulas" else None
+            if parts is None:
+                continue
+            want, acc = ([], [], []), Fraction(0)
+            for left_gap, right_gap in gaps:
+                want[0].append(float(acc))
+                acc += Fraction(left_gap)
+                want[1].append(float(acc))
+                acc += Fraction(right_gap)
+                want[2].append(float(acc))
+            assert parts[0]._limits_at(nodes) == want, nodes
+            split += 1
+    # Every family with jumps, the smooth ones without too, and splits.
+    assert len(seen) == 7 and split > 40
 
 
 # --------------------------------------------- the walk = the per-node walk
