@@ -13,8 +13,12 @@ factor of 16 per level on the jump side, because that is where the
 sums actually move; cells away from jumps are bisected only when
 neither function is a step function.  A candidate value counts as
 converged once all probe sums of two consecutive levels agree with the
-current center sum to within ``tol``.  A level's sums differ only in
-their tags, so they share one read of f and g at the division's nodes.
+current center sum to within ``tol``.  A level of either oracle draws
+its sums one at a time and stops once they spread past 4 tol: then
+neither it nor the next level can converge.  A sum past the float
+range refuses the run only if it is drawn.  A level's sums differ
+only in their tags, so they share one read of f and g at the
+division's nodes.
 The center sum's midpoint partition refuses a cell too narrow for an
 interior tag; each seeded probe draws its tags only for the cells
 where g's factor is nonzero, through the last of them, so a Young
@@ -83,18 +87,40 @@ def _level_seeds(seed: int, level: int, probes: int) -> list[int | None]:
     return [None] + [(seed * 1_000_003 + level) * 1_000_003 + i for i in range(probes)]
 
 
-def _converge(level_sums: Iterator[list[float]], kind: IntegralKind,
+def _converge(level_sums: Iterator[Iterator[float]], kind: IntegralKind,
               tol: float) -> OracleReport:
-    """Read one list of sums per level, center sum first, until every
-    sum of two consecutive levels lies within tol of the center."""
-    center, spread, levels = math.nan, math.inf, 0
-    prev_sums: list[float] = []
-    for levels, sums in enumerate(level_sums, 1):
-        center = sums[0]
-        spread = max(abs(s - center) for s in sums + prev_sums)
-        if levels >= 2 and spread <= tol:
-            return OracleReport(center, kind, spread, levels, True)
-        prev_sums = sums
+    """Read one iterator of sums per level, center sum first, until every
+    sum of two consecutive levels lies within tol of the center.
+
+    A level draws its sums one at a time and stops once fl(max - min) of
+    them passes 4 tol: sums within tol of one center spread at most 2 tol
+    plus rounding, so neither that level nor the next can pass.  A run
+    that ends unconverged draws the rest of its last two levels, so its
+    spread covers all their sums."""
+    cut = 4.0 * tol
+    # whole: the level was drawn to its end within the cut; a run's
+    # first level has no level before it, so it cannot pass.
+    center, levels, whole = math.nan, 0, False
+    sums: list[float] = []
+    prev: list[float] = []
+    level = prev_level = iter(())
+    for levels, drawn in enumerate(level_sums, 1):
+        prev, prev_level, level = sums, level, drawn
+        center = lo = hi = next(level)
+        sums = [center]
+        for s in level:
+            sums.append(s)
+            lo, hi = min(lo, s), max(hi, s)
+            if hi - lo > cut:
+                break
+        prev_whole, whole = whole, hi - lo <= cut
+        if prev_whole and whole:
+            spread = max(abs(s - center) for s in sums + prev)
+            if spread <= tol:
+                return OracleReport(center, kind, spread, levels, True)
+    prev.extend(prev_level)
+    sums.extend(level)
+    spread = max((abs(s - center) for s in sums + prev), default=math.inf)
     return OracleReport(center, kind, spread, levels, False)
 
 
@@ -112,7 +138,7 @@ def oracle_refinement(f: RegulatedFunction, g: RegulatedFunction,
     jumpset = frozenset(jumps)
     a, b = f.interval.a, f.interval.b
 
-    def level_sums() -> Iterator[list[float]]:
+    def level_sums() -> Iterator[Iterator[float]]:
         division = Division(f.interval, seeds)
         terms = 0
         for level in range(MAX_LEVELS):
@@ -186,7 +212,7 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
     gaps = [math.inf] + [y - x for x, y in zip(jumps, jumps[1:])] + [math.inf]
     half_gaps = [0.5 * min(l, r) for l, r in zip(gaps, gaps[1:])]
 
-    def level_sums() -> Iterator[list[float]]:
+    def level_sums() -> Iterator[Iterator[float]]:
         budget = [math.inf]  # the first level runs whatever it costs
         for level in range(MAX_LEVELS):
             base = width * 2.0 ** (-(level + 1)) if global_dyadic else 0.25 * width
@@ -202,6 +228,6 @@ def oracle_gauge(f: RegulatedFunction, g: RegulatedFunction,
                 raise
             if not level:
                 budget[0] = MAX_TERMS - sum(p.size for p in parts)
-            yield [riemann_sum(f, g, p).value for p in parts]
+            yield (riemann_sum(f, g, p).value for p in parts)
 
     return _converge(level_sums(), IntegralKind.KURZWEIL, tol)

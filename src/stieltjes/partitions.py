@@ -288,11 +288,14 @@ def _fine_partition(gauge: Gauge, points, seed: int | None,
                     budget: list[float] | None = None) -> Partition:
     """A gauge-fine free-tagged partition of [points[0], points[-1]]
     with every one of the sorted ``points`` among its nodes."""
+    points = as_floats(points, "division points")
     rng = None if seed is None else random.Random(seed)
     cells = _generate_fine_cells(gauge, points, rng, budget)
-    nodes = [points[0]] + [v for _, v, _ in cells]
-    division = Division(Interval(points[0], points[-1]), nodes)
-    return Partition(division, [t for _, _, t in cells], TAG_FREE)
+    nodes = (points[0], *[v for _, v, _ in cells])
+    # The cells tile the interval left to right with u < v and each tag
+    # in [u, v], which is all the checked constructors would test again.
+    division = tuple.__new__(Division, (Interval(points[0], points[-1]), nodes))
+    return tuple.__new__(Partition, (division, tuple([t for _, _, t in cells]), TAG_FREE))
 
 
 def cousin_fine_partition(gauge: Gauge, interval: Interval,

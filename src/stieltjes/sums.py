@@ -20,9 +20,12 @@ is read once and only the tag terms are computed per probe.  A probe
 is a ``Partition`` or a ``partitions.SeededTags``, which draws its tags
 only for the cells it is asked for.  The sum first finds the live
 cells, those whose g factor below is nonzero, and then asks each probe
-for the tags of those cells alone.  A refinement level's probe sums
-share that read; ``riemann_sum`` and ``young_sum`` are its
-one-partition calls.
+for the tags of those cells alone.  It reads the node data when called
+and returns a generator: a probe's tag terms are computed only when its
+sum is drawn, so an oracle level whose sums already spread past 4 tol
+draws no more of them.  A refinement level's probe sums share that
+read; ``riemann_sum`` and ``young_sum`` take the first sum of a
+one-partition call.
 
 A term whose g factor is exactly zero is left out: S(P) reads f only at
 the tags of cells with g(a_j) != g(a_{j-1}), and SY(P) only at the tags
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .core import RegulatedFunction, _require_pair
 from .errors import DomainError, finite_fsum
@@ -68,19 +71,20 @@ def _check_pair(f: RegulatedFunction, g: RegulatedFunction, probes: Sequence[Pro
 
 
 def _tag_sums(f: RegulatedFunction, probes: Sequence[Probe], frame: list[float],
-              weights: list[float], what: str) -> list[float]:
-    """For each probe, the sum of ``frame`` and f(xi_j) * weights[j] over
-    the live cells j, those whose weight is nonzero, in cell order.  A
-    probe is asked for the tags xi_j of the live cells only."""
+              weights: list[float], what: str) -> Iterator[float]:
+    """For each probe, as it is drawn, the sum of ``frame`` and f(xi_j) *
+    weights[j] over the live cells j, those whose weight is nonzero, in
+    cell order.  A probe is asked for the tags xi_j of the live cells
+    only, and only when its sum is drawn."""
     cells = [j for j, w in enumerate(weights) if w]
     live = [weights[j] for j in cells]
     fv = f.value
-    return [finite_fsum(frame + [fv(t) * w for t, w in zip(p.tags_at(cells), live)], what)
-            for p in probes]
+    return (finite_fsum(frame + [fv(t) * w for t, w in zip(p.tags_at(cells), live)], what)
+            for p in probes)
 
 
 def _riemann_values(f: RegulatedFunction, g: RegulatedFunction,
-                    probes: Sequence[Probe]) -> list[float]:
+                    probes: Sequence[Probe]) -> Iterator[float]:
     """S(P) for each of ``probes`` (one division): g read once per node,
     f only at the tags of cells where g's increment is nonzero."""
     gvals = [g.value(x) for x in _check_pair(f, g, probes).points]
@@ -89,7 +93,7 @@ def _riemann_values(f: RegulatedFunction, g: RegulatedFunction,
 
 
 def _young_values(f: RegulatedFunction, g: RegulatedFunction,
-                  probes: Sequence[Probe]) -> list[float]:
+                  probes: Sequence[Probe]) -> Iterator[float]:
     """SY(P) for each of ``probes`` (one division): g's values and
     one-sided limits and f's values read once per node, f at the tags
     of cells where g(a_j-) - g(a_{j-1}+) is nonzero.  Each sum sees the
@@ -111,12 +115,12 @@ def _young_values(f: RegulatedFunction, g: RegulatedFunction,
 
 def riemann_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) -> SumValue:
     """S(P): tag values of f against increments of g."""
-    return SumValue(_riemann_values(f, g, (partition,))[0], "S", partition.size)
+    return SumValue(next(_riemann_values(f, g, (partition,))), "S", partition.size)
 
 
 def young_sum(f: RegulatedFunction, g: RegulatedFunction, partition: Partition) -> SumValue:
     """SY(P): jump-aware sum using g's one-sided limits at the nodes."""
-    return SumValue(_young_values(f, g, (partition,))[0], "SY", partition.size)
+    return SumValue(next(_young_values(f, g, (partition,))), "SY", partition.size)
 
 
 class BoundCheck(NamedTuple):

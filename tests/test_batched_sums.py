@@ -2,10 +2,11 @@
 
 ``sums._riemann_values`` and ``sums._young_values`` take every tagged
 partition of one division, read g (and, for Young, f) at the nodes once
-and then add only the tag terms per partition.  These tests pin them,
-bit for bit, to the per-partition sums they replaced and the refinement
-oracle to its per-probe loop, count the node reads of one level, and
-check that a batch of mismatched partitions is refused.
+and then add only the tag terms per partition, as each sum is drawn.
+These tests pin them, bit for bit, to the per-partition sums they
+replaced and the refinement oracle to its per-probe loop, which draws
+every sum of every level, count the node reads of one level, and check
+that a batch of mismatched partitions is refused.
 """
 
 import math
@@ -104,12 +105,27 @@ def test_batched_sums_keep_cancellation_and_signed_zeros():
             assert_batch_matches(f, g, parts)
     # The cancelling terms come out exactly, as fsum of the terms does.
     want = math.fsum([1e16, 1.0, -1e16, -0.0, 1e-16, -1e16])
-    assert _riemann_values(big, floor, parts[:1]) == [want]
+    assert list(_riemann_values(big, floor, parts[:1])) == [want]
+
+
+def eager_converge(level_sums, kind, tol):
+    """``oracle._converge`` as it was before it drew a level's sums one
+    at a time: every sum of every level, then the same verdict."""
+    center, spread, levels = math.nan, math.inf, 0
+    prev_sums = []
+    for levels, sums in enumerate(level_sums, 1):
+        center = sums[0]
+        spread = max(abs(s - center) for s in sums + prev_sums)
+        if levels >= 2 and spread <= tol:
+            return oracle.OracleReport(center, kind, spread, levels, True)
+        prev_sums = sums
+    return oracle.OracleReport(center, kind, spread, levels, False)
 
 
 def per_probe_refinement(f, g, kind, tol, seed):
-    """The refinement oracle as it was before the batch: one
-    ``ref_young``/``ref_riemann`` call per probe partition."""
+    """The refinement oracle as it was before the batch and the lazy
+    levels: one ``ref_young``/``ref_riemann`` call per probe partition,
+    every sum of a level drawn."""
     sum_fn = ref_young if kind is Y else ref_riemann
     jumps, seeds, global_split = oracle._jumps_and_seeds(f, g)
     jumpset = frozenset(jumps)
@@ -137,7 +153,7 @@ def per_probe_refinement(f, g, kind, tol, seed):
                     extra.append(v - w / 16.0)
             division = division.refine(x for x in extra if a < x < b)
 
-    return oracle._converge(level_sums(), kind, tol)
+    return eager_converge(level_sums(), kind, tol)
 
 
 def report_bits(rep):
@@ -215,4 +231,4 @@ def test_a_batch_of_mismatched_partitions_is_refused():
             batched(f, f, [elsewhere])
         # An equal division built apart is the same division.
         same = Division(IV, (0.0, 0.5, 1.0))
-        assert batched(f, f, [interior_tags(d1), interior_tags(same, 4)]) == [0.0, 0.0]
+        assert list(batched(f, f, [interior_tags(d1), interior_tags(same, 4)])) == [0.0, 0.0]

@@ -338,6 +338,9 @@ def test_monotone_cell_count_overflow_keeps_its_best_error(capsys):
 
 SPEC_COMMANDS = {"oracle_seeded": ("oracle",),
                  "integrate_seeded": ("integrate", "verify-main", "verify-bounds")}
+# A spec exits with its worst job's code: the oracle spec's last two
+# jobs end unconverged on the term budget, which exits 1.
+SPEC_EXIT = {"oracle_seeded": 1, "integrate_seeded": 0}
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_COMMANDS))
@@ -351,7 +354,7 @@ def test_spec_files_match_their_golden_output(capsys, name):
     for command in SPEC_COMMANDS[name]:
         code, stdout, err = run(capsys, [command, "--json", "--spec",
                                          str(here / f"{name}.spec")])
-        assert code == 0 and err == ""
+        assert code == SPEC_EXIT[name] and err == ""
         out.append(stdout)
     assert "".join(out) == (here / f"{name}.golden").read_text(encoding="utf-8")
 

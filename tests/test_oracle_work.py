@@ -1,15 +1,16 @@
 """The oracles do only the work that reaches a sum.
 
 The sums read f only at the tags of cells whose increment is nonzero,
-and a seeded probe draws tags only for those cells.  The fine-cell
+a seeded probe draws tags only for those cells, and a refinement level
+stops drawing probes once its sums spread past 4 tol.  The fine-cell
 generator reads the gauge once at each point of a fine partition, and
 the gauge oracle reads its gauge in one call.  These tests pin the
 generator, bit for bit, to a tests-only copy of the one that re-read
 them and shuffled its candidates with ``Random.shuffle``, and the gauge
 oracle to a public ``Gauge`` over a tests-only copy of its two-call
 body; they count the reads and draws that are left, and check that
-every refusal keeps its text and every shortcut builds what the long
-way built.
+every refusal keeps its text and every shortcut, unchecked partitions
+among them, builds what the long way built.
 """
 
 import math
@@ -25,8 +26,10 @@ from stieltjes import (Affine, Division, DomainError, Gauge, GaugeError,
                        cousin_fine_partition, interior_tags, oracle_refinement,
                        parse_spec)
 from stieltjes import cli, oracle, partitions
+from stieltjes.errors import StieltjesError
 from stieltjes.partitions import (MAX_DEPTH, TAG_FREE, TAG_INTERIOR, SeededTags,
                                   _fine_partition)
+from stieltjes.sums import _riemann_values
 from test_step_walk import rand_family, step_through
 
 IV = Interval(0.0, 1.0)
@@ -127,20 +130,29 @@ def distance_gauges(jumps, width=1.0, levels=4):
 SEEDS = (None, 0, 1, 7, 135, 1_000_003)
 
 
-def test_fine_partitions_equal_the_generator_that_reread():
+NODES = (0.0, 0.125, 0.3, 0.7, 1.0)
+
+
+def unit_gauges():
+    """Constant, callable, step and override gauges on [0, 1], and the
+    gauge oracle's distance gauges for ``NODES`` and for seeded jumps."""
     rng = random.Random(20261018)
-    nodes = (0.0, 0.125, 0.3, 0.7, 1.0)
-    widths = StepFunction(IV, nodes, (0.05, 0.01, 0.2, 0.03, 0.1), (0.08, 0.002, 0.04, 0.3))
+    widths = StepFunction(IV, NODES, (0.05, 0.01, 0.2, 0.03, 0.1), (0.08, 0.002, 0.04, 0.3))
     gauges = [Gauge(0.07), Gauge(0.013), Gauge(1),
               Gauge(lambda t: 0.004 + 0.05 * abs(math.sin(9.0 * t))),
               Gauge(widths),
-              Gauge(0.05, {p: 1e-4 for p in nodes}),
+              Gauge(0.05, {p: 1e-4 for p in NODES}),
               Gauge(widths, {0.3: 1e-6, 0.7: 0.5})]
-    gauges += distance_gauges(nodes[1:-1])
+    gauges += distance_gauges(NODES[1:-1])
     for _ in range(4):
         jumps = tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 6))))
         gauges += distance_gauges(jumps)
-    for gauge in gauges:
+    return gauges
+
+
+def test_fine_partitions_equal_the_generator_that_reread():
+    nodes = NODES
+    for gauge in unit_gauges():
         for seed in SEEDS:
             want = outcome(reread_fine_partition, gauge, (0.0, 1.0), seed)
             assert outcome(cousin_fine_partition, gauge, IV, seed) == want
@@ -321,6 +333,54 @@ def test_a_level_draws_tags_only_for_the_cells_its_sums_read(monkeypatch):
         assert cells == [1, 2] and got == list(interior_tags(division, s).tags[1:3])
 
 
+def test_a_level_stops_drawing_once_its_sums_spread(monkeypatch):
+    # The golden D job against a step: 10 levels, of which only the last
+    # two spread within 4 tol, so only they draw every probe's tags.
+    job = parse_spec("oracle kind=D seed=8 f=sin[0,1]{freq:3.1; amp:0.9; phase:0.4} "
+                     "g=step[0,1]{nodes:0,0.15,0.4,0.7,1; at:0.2,-0.9,1.6,0.5,-1.1; "
+                     "on:1.3,0.4,-0.8,0.6}")
+    f, g = build_pair(job)
+    level_of = {s: level for level in range(oracle.MAX_LEVELS)
+                for s in oracle._level_seeds(job.seed, level, oracle.PROBES)[1:]}
+    calls = Counter()
+    tags_at = SeededTags.tags_at
+
+    def counting(self, cells):
+        calls[level_of[self.seed]] += 1
+        return tags_at(self, cells)
+
+    monkeypatch.setattr(SeededTags, "tags_at", counting)
+    rep = oracle_refinement(f, g, IntegralKind.DUSHNIK, tol=job.tol, seed=job.seed)
+    assert (rep.levels, rep.converged) == (10, True)
+    assert [calls[level] for level in (8, 9)] == [oracle.PROBES] * 2
+    assert all(0 < calls[level] < oracle.PROBES for level in range(8))
+    assert set(calls) == set(range(10))
+
+
+def test_a_sum_past_the_float_range_refuses_only_when_drawn():
+    # f falls from 1e308 at 0 and g jumps by 2 at 0.5, so on the first
+    # level's cell [0, 0.5] a tag below about 0.1 overflows its term.
+    # From the second level on, the cell with the jump lies near 0.5.
+    job = parse_spec("oracle kind=D tol=1e-9 f=affine[0,1]{slope:-1e308; intercept:1e308} "
+                     "g=step[0,1]{nodes:0,0.5,1; at:0,2,2; on:0,2}")
+    f, g = build_pair(job)
+    level0 = Division(IV, (0.0, 0.5, 1.0))
+    for seed, drawn in ((1, True), (2, False), (3, False)):
+        probes = [SeededTags(level0, s) for s in oracle._level_seeds(seed, 0, oracle.PROBES)[1:]]
+        # Every seed has a first-level probe whose sum overflows.
+        with pytest.raises(StieltjesError, match="Riemann sum overflows"):
+            list(_riemann_values(f, g, [interior_tags(level0), *probes]))
+        if drawn:  # the level spreads past 4 tol only at that probe
+            with pytest.raises(StieltjesError, match="Riemann sum overflows"):
+                oracle_refinement(f, g, IntegralKind.DUSHNIK, tol=job.tol, seed=seed)
+            continue
+        # The level stopped drawing before it: the run goes on to the
+        # limit, 2 f(0.5) = 1e308, which no level meets to 1e-9.
+        rep = oracle_refinement(f, g, IntegralKind.DUSHNIK, tol=job.tol, seed=seed)
+        assert (rep.levels, rep.converged) == (18, False)
+        assert abs(rep.value - 1e308) < 1e294 and rep.achieved_spread < 1e294
+
+
 # -------------------------------------------------------- refusals
 
 def test_the_distance_gauge_is_the_min_max_formula():
@@ -482,6 +542,54 @@ def test_candidate_order_is_the_one_shuffle_drew():
         want.shuffle(candidates)
         assert read == candidates
         assert rng.random() == want.random()
+
+
+def checked_fine_partition(gauge, points, seed):
+    """``_fine_partition`` through the checked ``Division`` and
+    ``Partition`` constructors, as it was built before."""
+    rng = None if seed is None else random.Random(seed)
+    cells = partitions._generate_fine_cells(gauge, points, rng)
+    nodes = [points[0]] + [v for _, v, _ in cells]
+    return Partition(Division(Interval(points[0], points[-1]), nodes),
+                     [t for _, _, t in cells], TAG_FREE)
+
+
+def built(build, *args):
+    """The partition's types, interval, mode, nodes and tags by
+    ``float.hex``, or the refusal's type and text."""
+    try:
+        p = build(*args)
+    except (GaugeError, GaugeTooFineError) as exc:
+        return type(exc).__name__, str(exc)
+    d = p.division
+    return ((type(p), type(d), type(d.points), type(p.tags)), d.interval, p.mode,
+            [x.hex() for x in d.points], [t.hex() for t in p.tags])
+
+
+def test_fine_partitions_build_what_the_checked_constructors_build():
+    # Int ends, as an Interval may hold them, become float nodes.
+    cases = [("unit", gauge, points) for gauge in unit_gauges()
+             for points in (NODES, (0.0, 1.0), (0, 0.5, 1))]
+    # Distance gauges at the edges of the float range, and a constant one:
+    # the oracle's width b - a overflows on the last interval, so its
+    # distance gauges are refused at their first read.
+    for a, b, jumps in ((1e308, 1.7e308, (1.2e308, 1.45e308)),
+                        (0.0, 1.5e-323, (5e-324, 1e-323)),
+                        (-1.7e308, 1.7e308, (-1e308, 0.0, 1.3e308))):
+        gauges = [*distance_gauges(jumps, b - a), Gauge(b / 32 - a / 32)]
+        cases += [((a, b), gauge, points) for gauge in gauges
+                  for points in ((a, *jumps, b), (a, b))]
+    kinds = Counter()
+    for label, gauge, points in cases:
+        for seed in SEEDS:
+            got = built(_fine_partition, gauge, points, seed)
+            assert got == built(checked_fine_partition, gauge, points, seed)
+            kinds[label, got[0] if isinstance(got[0], str) else "built"] += 1
+    assert kinds["unit", "built"] == 3 * len(SEEDS) * len(unit_gauges())
+    per_interval = 2 * len(SEEDS) * 9  # two point sets, nine gauges
+    assert kinds[(1e308, 1.7e308), "built"] == per_interval
+    assert kinds[(0.0, 1.5e-323), "built"] and kinds[(0.0, 1.5e-323), "GaugeError"]
+    assert kinds[(-1.7e308, 1.7e308), "GaugeError"] == per_interval - 2 * len(SEEDS)
 
 
 def test_interior_tags_build_what_the_checked_constructor_builds():

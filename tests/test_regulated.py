@@ -1,3 +1,4 @@
+import decimal
 import math
 import pickle
 import random
@@ -150,6 +151,61 @@ def test_catalog_values_and_their_rounding():
             assert abs(Fraction(fm(t)) - exact) <= fm.rounding_on(-2.0, 2.0)
             slope = sum(Fraction(c) * k * Fraction(t) ** (k - 1) for k, c in coef.items() if k)
             assert abs(Fraction(d) - slope) <= fm.derivative_rounding_on(-2.0, 2.0)
+
+
+def decimal_pi() -> decimal.Decimal:
+    """pi to the context's precision, by the decimal module docs' recipe."""
+    decimal.getcontext().prec += 2
+    lasts, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def decimal_sin_cos(x: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """sin x and cos x: x reduced into [-pi, pi], then Taylor series."""
+    two_pi = 2 * decimal_pi()
+    x -= two_pi * (x / two_pi).to_integral_value()
+    sums = []
+    for i, term in ((1, x), (0, decimal.Decimal(1))):
+        s, lasts = term, None
+        while s != lasts:
+            lasts = s
+            term *= -x * x / ((i + 1) * (i + 2))
+            i += 2
+            s += term
+        sums.append(s)
+    return sums[0], sums[1]
+
+
+def test_sin_wave_rounding_terms_hold_against_a_decimal_reference():
+    # a sin(w t + phi) and a w cos(w t + phi) at 80 digits from the exact
+    # floats a, w, phi and t, with |t| up to 1e15: each computed read is
+    # within rounding_on (derivative_rounding_on) of it.
+    rng = random.Random(20261021)
+    worst = 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        for _ in range(400):
+            w = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 1.0)
+            a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            phi = rng.choice((0.0, rng.uniform(-4.0, 4.0)))
+            t = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 15.0)
+            fm = SinWave(w, a, phi)
+            D = decimal.Decimal
+            sin, cos = decimal_sin_cos(D(w) * D(t) + D(phi))
+            for got, exact, bound in ((fm(t), D(a) * sin, fm.rounding_on(t, t)),
+                                      (fm.derivative_values_at([t])[0], D(a) * D(w) * cos,
+                                       fm.derivative_rounding_on(t, t))):
+                error = abs(D(got) - exact)
+                assert error <= D(bound), (w, a, phi, t)
+                worst = max(worst, float(error / D(bound)))
+    assert worst > 0.0
 
 
 def test_a_power_derivative_with_an_inexact_exponent():
