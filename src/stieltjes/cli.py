@@ -19,8 +19,8 @@ Exit codes
     ``run_job`` meets building a job nobody validated
 3   the computation itself refused (no variation bound, tolerance
     needs too many cells, gauge below float resolution, ...); the
-    report's ``best_error`` is the smallest tol the route could certify,
-    null when unknown
+    report's ``best_error`` is the route's floor for tol (see
+    ``integrate``), null when unknown
 
 ``--json`` prints one JSON object per job on stdout; without it a
 human-readable block is printed.  ``--spec FILE`` runs every nonempty

@@ -24,10 +24,13 @@ class ApproximationError(StieltjesError):
     uniform error.
 
     ``best_error`` reports the error the family could still certify.
+    Given the refused ``tol`` the message is "tolerance {tol!r} {why}",
+    ``why`` being ``message``; else ``why`` is "is refused: {message}".
     """
 
-    def __init__(self, message: str, best_error: float = float("inf")):
-        super().__init__(message)
+    def __init__(self, message: str, best_error: float = math.inf, tol: float | None = None):
+        self.why = f"is refused: {message}" if tol is None else message
+        super().__init__(message if tol is None else f"tolerance {tol!r} {message}")
         self.best_error = best_error
 
 

@@ -215,15 +215,15 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
     _require_pair(f, g)
     dushnik = kind is IntegralKind.DUSHNIK
     if isinstance(f, StepFunction):
-        terms = _step_integrand_terms(f, g._limits_at(f.nodes), dushnik)
+        step, terms = f, _step_integrand_terms(f, g._limits_at(f.nodes), dushnik)
     elif isinstance(g, StepFunction):
-        terms = _step_integrator_terms(f._limits_at(g.nodes), g, dushnik)
+        step, terms = g, _step_integrator_terms(f._limits_at(g.nodes), g, dushnik)
     else:
         raise StepPairError(
             "integrate_step_pair needs a step function in one slot; "
             "use integrate() for general regulated pairs")
     return IntegralResult(finite_fsum(terms, "the step-pair sum"), kind, 0.0,
-                          Diagnostics("step-table"))
+                          Diagnostics("step-table", None, step.piece_count))
 
 
 def _budget(tol: float, factor: float) -> float:
@@ -413,7 +413,11 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
         gamma_6 w Y (G1 + e_g)               the products, weights and sums
         w sup|F'| 12 u max(|u|, |v|)         the nodes' irrational positions
 
-    (the last per fourth-order cell; a first-order cell needs none).  The
+    (the last per fourth-order cell; a first-order cell needs none).
+    Below the normal range each product (y - d) z, of weight h / 2, and
+    each batch's halving, of weight h, round by up to 2**-1075 more, 2 n h
+    <= 2 w (1 + 3u) in all on a cell whose products are not all 0, and so
+    does the product with h of each of at most ``limit`` batches.  The
     jump terms are summed with the Gauss terms by one ``math.fsum``;
     like the step-pair route they add no rounding term."""
     fs, gs = f._smooth_parts(), g._smooth_parts()
@@ -425,7 +429,7 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
     e_sum = 6.0 * UNIT_ROUNDOFF / (1.0 - 6.0 * UNIT_ROUNDOFF)
     limit = regulated.MAX_APPROX_CELLS
     width = f.interval.b - f.interval.a
-    regular, graded, rounding = [], [], []
+    regular, graded, rounding, spread = [], [], [], 0.0
     breaks = sorted({*f_breaks, *g_breaks})
     try:
         for u, v in zip(breaks, breaks[1:]):  # cell i of f's breaks, cell j of g's
@@ -437,12 +441,16 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
             e_g = gp.derivative_rounding_on(u, v)
             y = sup + e_f  # bounds |f_c| as computed
             rounding += (w * (e_f * g1 + y * e_g), e_sum * w * y * (g1 + e_g))
+            if y and g1 + e_g:  # else every product (y - d) z is exactly 0
+                spread += w
             if c < math.inf:
                 regular.append((u, v, i, j, w * c ** 0.2, c))
                 rounding.append(_node_rounding(u, v, d))
             else:
                 graded.append(_Graded((fp, gp), u, v, i, j, sup))
         rounding = saturated(math.fsum, rounding)
+        if spread:  # after the sum, which this leaves as it is above the normal range
+            rounding += (spread * (1.0 + 2.0 ** -40) + 0.5 * limit + 1.0) * 2.0 ** -1074
     except DomainError:  # no bounded derivative
         return None
     if not (math.isfinite(rounding) and math.isfinite(width)
@@ -456,12 +464,8 @@ def _gauss_limit(f: RegulatedFunction, g: RegulatedFunction,
     (segments, count, bound), fits = attempt(tol)
     if not fits:
         best = _smallest_tol(attempt, max(tol, rounding))  # no tol <= rounding fits
-        needs = (f"needs {count} Gauss-Legendre cells" if count < math.inf
-                 else f"needs more than {limit} Gauss-Legendre cells")
-        floor = (f"; the smallest tol this route can certify is {best:.3g}"
-                 if best < math.inf else "")
-        raise ApproximationError(f"tolerance {tol!r} {needs} (limit {limit}){floor}",
-                                 best_error=best)
+        needs = count if count < math.inf else f"more than {limit}"
+        raise _refusal(tol, f"needs {needs} Gauss-Legendre cells (limit {limit})", best)
     # A continuous side's left limit, value and right limit coincide, so
     # each cross sum is a walk: the integrator's K form, the integrand's D.
     f_cs, g_cs = _continuous_at(fs, g_jumps.nodes), _continuous_at(gs, f_jumps.nodes)
@@ -496,6 +500,13 @@ def _gauss_terms(p, d, q, u: float, v: float, n: int):
         # Halving the sum, not h: 0.5 * h rounds where h is an odd
         # number of subnormal ulps.
         yield h * (0.5 * math.fsum([(y - d) * z for y, z in zip(ys, zs)]))
+
+
+def _refusal(tol: float, why: str, best: float) -> ApproximationError:
+    """Refuse ``tol`` for ``why``; the message names a finite floor ``best``."""
+    floor = (f"; the smallest tol this route can certify is {best:.3g}"
+             if math.isfinite(best) else "")
+    return ApproximationError(why + floor, best, tol)
 
 
 def _smallest_tol(attempt, tol: float) -> float:
@@ -546,11 +557,11 @@ def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | s
     therefore never exceeds ``tol`` in floating point.  This route needs
     at least one argument of certified finite variation.
 
-    An approximant's ApproximationError is re-raised with ``best_error``
-    times the factor: the smallest tol this route can certify, named in
-    the message when it is finite.  The message names tol where the
-    approximant's named its eps.  The fourth-order route refuses in
-    the same way.
+    A refusal reads "tolerance {tol!r} {why}", with a floor as its
+    ``best_error`` (``_refusal``).  On the fourth-order route that is the
+    smallest tol the route certifies; on the first-order route it is the
+    approximant's floor times the factor, beside the approximant's
+    ``why``, and a monotone base's floor is only a lower bound.
     """
     check_tol(tol)
     if isinstance(f, StepFunction) or isinstance(g, StepFunction):
@@ -580,20 +591,12 @@ def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | s
         step, err = side.approximate(eps)
     except ApproximationError as exc:
         # Without a positive factor eps was already inf: no tol helps.
-        # An infinite floor names no tol, so the message leaves it out.
-        best = exc.best_error * factor if factor else math.inf
-        floor = (f"; the smallest tol this route can certify is {best:.3g}"
-                 if math.isfinite(best) else "")
-        # The approximant names its eps as the tolerance; the caller gave tol.
-        text, head = str(exc), f"tolerance {eps!r} "
-        why = text[len(head):] if text.startswith(head) else f"is refused: {text}"
-        raise ApproximationError(f"tolerance {tol!r} {why}{floor}", best_error=best) from exc
-    fn, gn = (step, g) if take_f else (f, step)
-    exact = integrate_step_pair(fn, gn, kind)
-    return IntegralResult(
-        exact.value, kind, _product(err, factor),
-        Diagnostics("limit-integrand" if take_f else "limit-integrator",
-                    err, step.piece_count))
+        raise _refusal(tol, exc.why, exc.best_error * factor if factor else math.inf) from exc
+    # The walk counts the approximant's pieces, the step it walks.
+    exact = integrate_step_pair(*((step, g) if take_f else (f, step)), kind)
+    method = "limit-integrand" if take_f else "limit-integrator"
+    return IntegralResult(exact.value, kind, _product(err, factor),
+                          exact.diagnostics._replace(method=method, approximant_error=err))
 
 
 integrate_limit = integrate
@@ -624,9 +627,7 @@ def by_parts(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | st
 def check_integral_bounds(result: IntegralResult, f: RegulatedFunction,
                           g: RegulatedFunction) -> BoundsReport:
     """The integral-level versions of the sum bounds, inflated by the
-    result's own error bound.  The value counts as summed over the
-    approximant's cells, or else the step argument's pieces (f's when
-    both are steps, as the walk takes), or one cell."""
-    steps = (h.piece_count for h in (f, g) if isinstance(h, StepFunction))
-    cells = result.diagnostics.approximant_pieces or next(steps, 1)
-    return _norm_checks(f, g, (("integral", result.value),), cells, result.error_bound)
+    result's own error bound.  The value counts as summed over the cells
+    the result reports (``approximant_pieces``), or one cell."""
+    return _norm_checks(f, g, (("integral", result.value),),
+                        result.diagnostics.approximant_pieces or 1, result.error_bound)

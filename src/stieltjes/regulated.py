@@ -455,14 +455,12 @@ class PiecewiseLipschitz(_Piecewise):
         bks = self._breaks
         need = [_times_width(c, u, v) / eps for c, u, v in zip(self._lipschitz, bks, bks[1:])]
         if not all(map(math.isfinite, need)):  # best_error stays inf: no tol fits
-            raise ApproximationError(f"tolerance {eps!r} needs a cell count that overflows")
+            raise ApproximationError("needs a cell count that overflows", tol=eps)
         counts = [max(1, math.ceil(x)) for x in need]
         total = sum(counts)
         if total > MAX_APPROX_CELLS:
-            scale = total / MAX_APPROX_CELLS
-            raise ApproximationError(
-                f"tolerance {eps!r} needs {total} cells (limit {MAX_APPROX_CELLS})",
-                best_error=eps * scale)
+            raise ApproximationError(f"needs {total} cells (limit {MAX_APPROX_CELLS})",
+                                     eps * (total / MAX_APPROX_CELLS), eps)
         nodes: list[float] = [bks[0]]
         node_values: list[float] = [self._limits[1][0]]
         interior: list[float] = []
@@ -484,8 +482,7 @@ class PiecewiseLipschitz(_Piecewise):
             node_values.append(fv)
         if floor:
             raise ApproximationError(
-                f"tolerance {eps!r} needs more grid nodes than a cell holds floats "
-                "(resolution limit)", best_error=floor)
+                "needs more grid nodes than a cell holds floats (resolution limit)", floor, eps)
         return StepApproximation(
             StepFunction(self._interval, nodes, node_values, interior), err)
 
@@ -611,9 +608,8 @@ class MonotoneFunction(_Piecewise):
         if needed > MAX_APPROX_CELLS:
             count = (f"at least {needed:.3g} cells" if math.isfinite(needed)
                      else "a cell count that overflows")
-            raise ApproximationError(
-                f"tolerance {eps!r} needs {count} (limit {MAX_APPROX_CELLS})",
-                best_error=rise / (2.0 * MAX_APPROX_CELLS))
+            raise ApproximationError(f"needs {count} (limit {MAX_APPROX_CELLS})",
+                                     rise / (2.0 * MAX_APPROX_CELLS), eps)
         nodes, at, on = [a], [base_a], []
         worst = 0.0
         stack = [(a, b, base_a, base_b, 0)]
@@ -631,14 +627,13 @@ class MonotoneFunction(_Piecewise):
                     if len(on) > MAX_APPROX_CELLS:
                         # No tolerance is known to fit: best_error stays inf.
                         raise ApproximationError(
-                            f"tolerance {eps!r} exceeds the cell limit {MAX_APPROX_CELLS}")
+                            f"exceeds the cell limit {MAX_APPROX_CELLS}", tol=eps)
                     continue
                 mid = 0.5 * u + 0.5 * v
                 if depth >= 60 or not u < mid < v:
                     raise ApproximationError(
-                        f"tolerance {eps!r} unreachable near {u!r} "
-                        "(discontinuity or resolution limit in the base)",
-                        best_error=0.5 * osc)
+                        f"unreachable near {u!r} (discontinuity or resolution limit "
+                        "in the base)", 0.5 * osc, eps)
                 fm = base(mid)
                 stack.append((mid, v, fm, fv, depth + 1))
                 stack.append((u, mid, fu, fm, depth + 1))

@@ -24,7 +24,7 @@ from stieltjes import (Affine, ApproximationError, Diagnostics, DomainError,
                        IntegralKind, Interval, MonotoneFunction, PiecewiseLipschitz,
                        Power, SinWave, by_parts, integrate)
 from stieltjes import cli, regulated
-from stieltjes.integrate import _Graded
+from stieltjes.integrate import _Graded, _cell_bounds, _derivative_bounds, _product
 
 IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK
@@ -380,6 +380,50 @@ def test_a_refusal_names_a_tol_that_is_met_on_retry(monkeypatch):
         assert res.error_bound <= best and res.diagnostics.approximant_pieces <= 256
         with pytest.raises(ApproximationError):
             integrate(f, g, K, 0.99 * best)
+
+
+def random_formula(rng: random.Random, exponent: float | None = None):
+    sign = rng.choice((-1.0, 1.0))
+    pick = rng.randrange(3) if exponent is None else 1
+    if pick == 0:
+        return Affine(sign * rng.uniform(0.1, 3.0), rng.uniform(-1.0, 1.0))
+    if pick == 1:
+        return Power(exponent or rng.uniform(0.5, 5.0), sign * rng.uniform(0.1, 2.0))
+    return SinWave(rng.uniform(0.5, 6.0), sign * rng.uniform(0.2, 2.0), rng.uniform(0.0, 6.0))
+
+
+def test_truncation_bounds_hold_in_exact_arithmetic():
+    # Each bound is taken _UP high to cover the roundings of its own
+    # arithmetic, a margin of about 1e-12 that no value can show: here
+    # the float bound must be at least the same bound in Fraction, from
+    # the same float derivative bounds and the exact width.
+    rng = random.Random(4320)
+    binomial = (1, 4, 6, 4, 1)
+    for _ in range(400):
+        # A Gauss cell: c w (w / n)**4, c by Leibniz over 4320.
+        p, q = random_formula(rng), random_formula(rng)
+        u, v = sorted(rng.uniform(0.01, 1.0) for _ in range(2))
+        sup, n = rng.uniform(0.1, 3.0), rng.randint(1, 64)
+        c, _, _ = _cell_bounds(p, q, u, v, sup)
+        w = v - u
+        fs = (sup, *_derivative_bounds(p, u, v, 4))
+        gs = _derivative_bounds(q, u, v, 5)[::-1]
+        leibniz = sum(k * Fraction(x) * Fraction(y) for k, x, y in zip(binomial, fs, gs))
+        width = Fraction(v) - Fraction(u)
+        assert Fraction(_product(c * w, (w / n) ** 4)) >= leibniz * width * (width / n) ** 4 / 4320
+    for _ in range(100):
+        # A graded cell at a singular 0: h (F1 G1 h + sup min(2 G1, G2 h))
+        # at each level, h the level's width.
+        p, q = random_formula(rng, rng.uniform(1.0, 4.0)), random_formula(rng, rng.uniform(2.0, 5.0))
+        sup = rng.uniform(0.1, 3.0)
+        graded = _Graded((p, q), 0.0, rng.uniform(0.01, 1.0), 0, 0, sup)
+        for m in range(4):
+            bound, x = graded.level(m)
+            f1, g1, g2 = (Fraction(p.derivative_bound_on(0.0, x, 1)),
+                          Fraction(q.derivative_bound_on(0.0, x, 1)),
+                          Fraction(q.derivative_bound_on(0.0, x, 2)))
+            h = Fraction(x)
+            assert Fraction(bound) >= h * (f1 * g1 * h + Fraction(sup) * min(2 * g1, g2 * h))
 
 
 def test_a_pickled_catalog_function_keeps_the_route():

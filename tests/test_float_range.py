@@ -202,3 +202,14 @@ def test_gauss_legendre_sums_on_subnormal_widths():
         assert code == 0, report
         exact = Fraction(1e300) * Fraction(float(w))
         assert abs(Fraction(report["value"]) - exact) <= report["error_bound"], (text, report)
+
+
+def test_gauss_legendre_products_below_the_normal_range_count_their_rounding():
+    # Each product (y - d) z = 3e-200 * 1.1e-123 is 6.7 subnormal ulps,
+    # rounded to 7, and the products weigh 1e300 in all: the sum was 4.8%
+    # off, past an error_bound of 2.2e-38 that counted them relatively.
+    text = "f=affine[0,1e300]{slope:0;intercept:3e-200} g=affine[0,1e300]{slope:1.1e-123}"
+    code, report = cli.run_text(text, "integrate", None, None)
+    assert code == 0, report
+    exact = Fraction(3e-200) * Fraction(1.1e-123) * Fraction(1e300)
+    assert abs(Fraction(report["value"]) - exact) <= report["error_bound"], report

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 
 from conftest import NoCertificate, Opaque, dyadic_steps, gamma, rand_smooth, rand_step
-from stieltjes import (Affine, ApproximationError, DomainError,
+from stieltjes import (Affine, ApproximationError, Diagnostics, DomainError,
                        ElementaryIntegrand, IndicatorKind, IntegralKind,
                        Interval, MonotoneFunction, PiecewiseLipschitz, Power,
                        SinWave, StepFunction, StepPairError, StieltjesError,
@@ -504,6 +504,30 @@ def test_limit_route_refusal_names_the_tol_it_was_given(monkeypatch):
         with pytest.raises(ApproximationError) as info:
             integrate_limit(f, g, K, tol=tol)
         assert str(info.value) == f"tolerance {tol!r} {text}"
+
+
+def test_a_refusal_keeps_its_reason_apart_from_the_tol():
+    # Only ApproximationError writes "tolerance {tol!r} "; a route that
+    # refuses another tol re-raises ``why``, whatever wrote it.
+    exc = ApproximationError("needs 3 cells (limit 2)", 0.5, 1e-3)
+    assert (str(exc), exc.why, exc.best_error) == (
+        "tolerance 0.001 needs 3 cells (limit 2)", "needs 3 cells (limit 2)", 0.5)
+    plain = ApproximationError("no certificate")
+    assert (str(plain), plain.why, plain.best_error) == (
+        "no certificate", "is refused: no certificate", math.inf)
+    with pytest.raises(ApproximationError) as info:
+        PiecewiseLipschitz.from_formulas(IV, (0.0, 1.0), (Affine(2.0),)).approximate(1e-9)
+    assert str(info.value) == f"tolerance {1e-9!r} {info.value.why}"
+
+
+def test_a_step_pair_reports_the_pieces_of_the_step_it_walks():
+    # f's when both are steps; check_integral_bounds reads this count.
+    rng = random.Random(38)
+    for _ in range(20):
+        f, g = rand_step(rng), rand_step(rng)
+        for pair, step in (((f, g), f), ((IDENT, g), g), ((f, IDENT), f)):
+            res = integrate(*pair, rng.choice((K, Y, D)))
+            assert res.diagnostics == Diagnostics("step-table", None, step.piece_count)
 
 
 def test_limit_route_refusal_names_no_infinite_floor(monkeypatch):
