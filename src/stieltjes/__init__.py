@@ -19,9 +19,8 @@ CLI's ``verify-main`` exercise.
 
 from .core import Interval, RegulatedFunction, StepApproximation
 from .errors import (ApproximationError, DomainError, DSLError,
-                     DSLSemanticError, DSLSyntaxError, GaugeError,
-                     GaugeTooFineError, StepPairError, StieltjesError,
-                     VariationUnknownError)
+                     DSLSemanticError, DSLSyntaxError, GaugeTooFineError,
+                     StieltjesError)
 from .stepfun import (Decomposition, StepFunction, indicator, step_from_jumps)
 from .regulated import (Affine, MonotoneFunction, PiecewiseLipschitz, Power,
                         SinWave)
@@ -32,11 +31,9 @@ from .sums import (BoundCheck, BoundsReport, SumValue, check_sum_bounds,
 from .integrate import (Diagnostics, ElementaryIntegrand, IndicatorKind,
                         IntegralKind, IntegralResult, by_parts,
                         check_integral_bounds, elementary_backward,
-                        elementary_forward, integrate, integrate_limit,
-                        integrate_step_pair)
+                        elementary_forward, integrate, integrate_step_pair)
 from .oracle import OracleReport, oracle_gauge, oracle_refinement
-from .dsl import (FunctionSpec, JobSpec, build_function, build_pair,
-                  parse_spec, render_function, render_job)
+from .dsl import FunctionSpec, JobSpec, build_pair, parse_spec, render_job
 
 __version__ = "0.1.0"
 
@@ -44,17 +41,16 @@ __all__ = [
     "Affine", "ApproximationError", "BoundCheck", "BoundsReport",
     "Decomposition", "Diagnostics", "Division", "DomainError", "DSLError",
     "DSLSemanticError", "DSLSyntaxError", "ElementaryIntegrand",
-    "FunctionSpec", "Gauge", "GaugeError", "GaugeTooFineError",
+    "FunctionSpec", "Gauge", "GaugeTooFineError",
     "IndicatorKind", "IntegralKind", "IntegralResult", "Interval", "JobSpec",
     "MonotoneFunction", "OracleReport", "Partition",
     "PiecewiseLipschitz", "Power", "RegulatedFunction", "SinWave",
-    "StepApproximation", "StepFunction", "StepPairError", "StieltjesError",
-    "SumValue", "VariationUnknownError", "by_parts",
+    "StepApproximation", "StepFunction", "StieltjesError",
+    "SumValue", "by_parts",
     "check_integral_bounds", "check_sum_bounds", "cousin_fine_partition",
-    "build_function", "build_pair", "elementary_backward",
-    "elementary_forward", "indicator", "integrate", "integrate_limit",
+    "build_pair", "elementary_backward",
+    "elementary_forward", "indicator", "integrate",
     "integrate_step_pair", "interior_tags", "is_fine",
-    "oracle_gauge", "oracle_refinement", "parse_spec",
-    "render_function", "render_job",
+    "oracle_gauge", "oracle_refinement", "parse_spec", "render_job",
     "riemann_sum", "step_from_jumps", "young_sum",
 ]

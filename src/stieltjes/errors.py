@@ -11,12 +11,11 @@ class StieltjesError(Exception):
 class DomainError(StieltjesError, ValueError):
     """A point lies outside a function's interval, or a constructed
     object violates its domain invariants (degenerate interval,
-    non-increasing nodes, inconsistent lengths, ...)."""
-
-
-class VariationUnknownError(StieltjesError):
-    """An operation needs a finite total-variation bound that the
-    function cannot supply."""
+    non-increasing nodes, inconsistent lengths, ...).  Also a gauge
+    width that is not positive and finite, ``integrate_step_pair``
+    called without a step function in either slot, and a non-step pair
+    of which neither side certifies a finite variation bound, which no
+    tolerance helps."""
 
 
 class ApproximationError(StieltjesError):
@@ -34,18 +33,9 @@ class ApproximationError(StieltjesError):
         self.best_error = best_error
 
 
-class GaugeError(StieltjesError):
-    """A gauge evaluated to a non-positive or non-finite width."""
-
-
 class GaugeTooFineError(StieltjesError):
     """Fine-partition construction ran out of bisection depth; the
     gauge shrinks faster than floating point can resolve."""
-
-
-class StepPairError(StieltjesError, TypeError):
-    """The closed-form step integrator was called without a step
-    function in either slot."""
 
 
 class DSLError(StieltjesError):

@@ -59,8 +59,8 @@ from typing import NamedTuple
 
 from . import regulated
 from .core import Interval, RegulatedFunction, _limit_rows, _require_pair, checked_make
-from .errors import (ApproximationError, DomainError, StepPairError, StieltjesError,
-                     VariationUnknownError, check_tol, finite_fsum, saturated)
+from .errors import (ApproximationError, DomainError, StieltjesError, check_tol,
+                     finite_fsum, saturated)
 from .regulated import UNIT_ROUNDOFF
 from .stepfun import StepFunction, indicator
 from .sums import BoundsReport, _norm_checks
@@ -219,7 +219,7 @@ def integrate_step_pair(f: RegulatedFunction, g: RegulatedFunction,
     elif isinstance(g, StepFunction):
         step, terms = g, _step_integrator_terms(f._limits_at(g.nodes), g, dushnik)
     else:
-        raise StepPairError(
+        raise DomainError(
             "integrate_step_pair needs a step function in one slot; "
             "use integrate() for general regulated pairs")
     return IntegralResult(finite_fsum(terms, "the step-pair sum"), kind, 0.0,
@@ -577,7 +577,7 @@ def integrate(f: RegulatedFunction, g: RegulatedFunction, kind: IntegralKind | s
     # A factor that overflowed certifies nothing: it counts as unknown.
     var_g, bv_f = (None if x is None or not math.isfinite(x) else x for x in (var_g, bv_f))
     if var_g is None and bv_f is None:
-        raise VariationUnknownError(
+        raise DomainError(
             "the limit route needs a certified finite variation bound on f or g")
 
     predicted_f = None if var_g is None else tol * var_g / (2.0 * var_g + 1.0)

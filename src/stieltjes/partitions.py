@@ -24,7 +24,7 @@ import random
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import Interval, as_floats, checked_make
-from .errors import DomainError, GaugeError, GaugeTooFineError
+from .errors import DomainError, GaugeTooFineError
 
 TAG_FREE = "free"
 TAG_INTERIOR = "interior"
@@ -71,7 +71,8 @@ class Division(NamedTuple("Division", [("interval", Interval),
 
     def refine(self, extra: Iterable[float]) -> "Division":
         """Add ``extra``; ``Division`` refuses a point outside the interval, or a NaN."""
-        return Division(self.interval, sorted(set(self.points) | set(map(float, extra))))
+        return Division(self.interval,
+                        sorted(set(self.points) | set(as_floats(extra, "division points"))))
 
 
 class Partition(NamedTuple("Partition", [("division", Division),
@@ -84,7 +85,7 @@ class Partition(NamedTuple("Partition", [("division", Division),
 
     def __new__(cls, division: Division, tags: Iterable[float],
                 mode: str = TAG_FREE) -> "Partition":
-        tags = tuple(map(float, tags))
+        tags = tuple(as_floats(tags, "tags"))
         if mode not in (TAG_FREE, TAG_INTERIOR):
             raise DomainError(f"unknown tag mode {mode!r}")
         if len(tags) != division.nu:
@@ -166,7 +167,7 @@ class Gauge:
     partition reads it once at a point and reuses the value there.
     A constant body and the override widths are made floats here, so
     one past the float range is refused on construction; a callable
-    body's value past it is refused where it is read.
+    body's value past it, or a complex one, is refused where it is read.
     """
 
     __slots__ = ("_body", "_overrides")
@@ -180,20 +181,16 @@ class Gauge:
     def __call__(self, t: float) -> float:
         d = self._overrides.get(t, _NO_OVERRIDE)
         if d is _NO_OVERRIDE:
-            d = self._body(t)
-            try:
-                d = float(d)
-            except OverflowError as exc:  # an int past the float range
-                raise DomainError(f"gauge widths must be finite: {exc}") from None
+            d = as_floats((self._body(t),), "gauge widths")[0]
         if not 0.0 < d < math.inf:
             raise _width_refusal(d, t)
         return d
 
 
-def _width_refusal(d: float, t: float) -> GaugeError:
+def _width_refusal(d: float, t: float) -> DomainError:
     """The refusal of a gauge width ``d`` at ``t`` that is not positive
     and finite."""
-    return GaugeError(f"gauge must be positive and finite, got {d!r} at t={t!r}")
+    return DomainError(f"gauge must be positive and finite, got {d!r} at t={t!r}")
 
 
 def is_fine(partition: Partition, gauge: Gauge) -> bool:

@@ -20,10 +20,10 @@ from stieltjes import (Affine, Division, ElementaryIntegrand, IndicatorKind,
                        IntegralKind, Interval, PiecewiseLipschitz,
                        StepFunction, check_integral_bounds, check_sum_bounds,
                        cli, elementary_backward, elementary_forward, by_parts,
-                       indicator, integrate, integrate_limit,
-                       integrate_step_pair, interior_tags, oracle_gauge,
-                       oracle_refinement, parse_spec, render_job,
-                       step_from_jumps)
+                       indicator, integrate, integrate_step_pair,
+                       interior_tags, oracle_gauge, oracle_refinement,
+                       parse_spec, render_job, step_from_jumps)
+from stieltjes.integrate import integrate_limit
 
 IV = Interval(0.0, 1.0)
 K, Y, D = IntegralKind.KURZWEIL, IntegralKind.YOUNG, IntegralKind.DUSHNIK

@@ -4,8 +4,8 @@ from hypothesis import given
 from conftest import dyadic_steps
 from stieltjes import (DSLError, DSLSemanticError, DSLSyntaxError, JobSpec,
                        MonotoneFunction, PiecewiseLipschitz, StepFunction,
-                       build_function, build_pair, integrate, parse_spec,
-                       render_job)
+                       build_pair, integrate, parse_spec, render_job)
+from stieltjes.dsl import build_function
 
 CANON = ("integrate kind=K tol=1e-9 "
          "f=step[0,1]{nodes:0,0.5,1; at:0,1,1; on:0,1} "

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from conftest import rand_step
-from stieltjes import (Division, DomainError, Gauge, GaugeError,
-                       GaugeTooFineError, Interval, Partition,
-                       PiecewiseLipschitz, StepFunction,
+from stieltjes import (Division, DomainError, Gauge, GaugeTooFineError,
+                       Interval, Partition, PiecewiseLipschitz, StepFunction,
                        cousin_fine_partition, interior_tags, is_fine)
 
 IV = Interval(0.0, 1.0)
@@ -69,11 +68,11 @@ def test_gauge_constant_and_overrides():
     h = Gauge(0.5, {0.25: 0.01})
     assert h(0.25) == 0.01 and h(0.3) == 0.5
     assert Gauge(0.5, {0.25: 0.02})(0.25) == 0.02
-    with pytest.raises(GaugeError):
+    with pytest.raises(DomainError, match="gauge must be positive"):
         Gauge(lambda t: 0.0)(0.5)
-    with pytest.raises(GaugeError):
+    with pytest.raises(DomainError, match="gauge must be positive"):
         Gauge(lambda t: -1.0)(0.5)
-    with pytest.raises(GaugeError):
+    with pytest.raises(DomainError, match="gauge must be positive"):
         Gauge(0.5, {0.25: 0.01, 0.3: 0.0})(0.3)
 
 
@@ -83,8 +82,22 @@ def test_gauge_from_step():
     assert g(0.1) == 0.2 and g(0.5) == 0.05 and g(0.9) == 0.1
     bad = Gauge(StepFunction(IV, (0.0, 0.5, 1.0),
                              (0.2, 0.0, 0.1), (0.2, 0.1)))
-    with pytest.raises(GaugeError):
+    with pytest.raises(DomainError, match="gauge must be positive"):
         bad(0.5)
+
+
+def test_tags_points_and_widths_past_the_float_range_or_complex_are_refused():
+    # float() would raise OverflowError or TypeError; each is the
+    # float-range rule's DomainError, naming what it read.
+    d = Division(IV, (0.0, 0.5, 1.0))
+    for build, text in ((lambda: Partition(d, [10**400, 0.7]), "tags must be finite"),
+                        (lambda: d.refine([10**400]), "division points must be finite"),
+                        (lambda: Gauge(lambda t: 10**400)(0.5), "gauge widths must be finite"),
+                        (lambda: Partition(d, [1j, 0.7]), "tags must be real"),
+                        (lambda: d.refine([1j]), "division points must be real"),
+                        (lambda: Gauge(lambda t: 1j)(0.5), "gauge widths must be real")):
+        with pytest.raises(DomainError, match=text):
+            build()
 
 
 def test_is_fine_definition():

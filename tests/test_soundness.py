@@ -18,7 +18,9 @@ way round, in each kind:
 * the first-order route, the same kind of draws with their derivative
   data hidden (``Opaque``) at tol 1e-2 to 1e-4: 60 ops on
   ``limit-integrand`` and 30 on ``limit-integrator``, whose integrand is
-  scaled so small that it is the cheaper side to approximate.
+  scaled so small that it is the cheaper side to approximate;
+* ``by_parts`` on all 234 of those draws, each through the flipped
+  integral's route.
 """
 
 import random
@@ -30,7 +32,7 @@ import pytest
 
 from conftest import Opaque
 from stieltjes import (Affine, IntegralKind, Interval, MonotoneFunction, PiecewiseLipschitz,
-                       Power, SinWave, integrate)
+                       Power, SinWave, by_parts, integrate)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
 IV = Interval(0.0, 1.0)
@@ -99,36 +101,51 @@ def monotone(rng: random.Random, hide):
     return fn, Model((0.0, *(t for t, _, _ in jumps), 1.0), tuple(at), tuple(pieces))
 
 
-def check(f, g, kind, tol):
-    res = integrate(f[0], g[0], kind, tol)
+def check(f, g, kind, tol, run=integrate):
+    res = run(f[0], g[0], kind, tol)
     expected, ref_err = ref.integral(f[1], g[1], kind.value)
     gap = abs(res.value - expected)
     assert gap <= res.error_bound + ref_err, (res, expected, ref_err)
     return res.diagnostics.method
 
 
-def test_catalog_pairs_lie_within_their_bounds_of_the_reference():
+def catalog_ops():
+    """144 seeded (f, g, kind, tol) of catalog pairs, each way round."""
     rng = random.Random(10)
-    methods = []
     for i in range(24):
         p, m = piecewise(rng, lambda x: x), monotone(rng, lambda x: x)
         tol = (1e-3, 1e-4, 1e-6, 1e-9)[i % 4]
         for kind in KINDS:
-            methods += (check(p, m, kind, tol), check(m, p, kind, tol))
-    assert methods == ["limit-gauss"] * 144
+            yield p, m, kind, tol
+            yield m, p, kind, tol
 
 
-@pytest.mark.parametrize("small, method, ops", [(False, "limit-integrand", 60),
-                                                (True, "limit-integrator", 30)])
-def test_first_order_pairs_lie_within_their_bounds_of_the_reference(small, method, ops):
-    # A piecewise integrand with bv f = |f(a)| + |f(b)| + var f below
-    # var g / (var g + 1) predicts the smaller bound on the integrator.
+def first_order_ops(small: bool, ops: int):
+    """``ops`` seeded (f, g, kind, tol) with the derivative data hidden.
+    A piecewise integrand with bv f = |f(a)| + |f(b)| + var f below
+    var g / (var g + 1) predicts the smaller bound on the integrator."""
     rng = random.Random(11 + small)
-    methods = []
     for i in range(ops // 3):
         p = piecewise(rng, Opaque, 0.03 if small else 1.0)
         m = monotone(rng, Opaque)
         tol = (1e-2, 1e-3, 1e-4)[i % 3]
         pair = (p, m) if small or i % 2 else (m, p)
-        methods += (check(*pair, kind, tol) for kind in KINDS)
-    assert methods == [method] * ops
+        for kind in KINDS:
+            yield (*pair, kind, tol)
+
+
+def test_catalog_pairs_lie_within_their_bounds_of_the_reference():
+    assert [check(*op) for op in catalog_ops()] == ["limit-gauss"] * 144
+
+
+@pytest.mark.parametrize("small, method, ops", [(False, "limit-integrand", 60),
+                                                (True, "limit-integrator", 30)])
+def test_first_order_pairs_lie_within_their_bounds_of_the_reference(small, method, ops):
+    assert [check(*op) for op in first_order_ops(small, ops)] == [method] * ops
+
+
+def test_by_parts_lies_within_its_bound_of_the_reference():
+    # The same draws through by_parts: the boundary term minus the flipped
+    # integral, under that integral's bound.
+    ops = [*catalog_ops(), *first_order_ops(False, 60), *first_order_ops(True, 30)]
+    assert [check(*op, by_parts) for op in ops] == ["by-parts"] * 234
